@@ -31,7 +31,6 @@ from .interface import (
     check_log_weight,
     normal_module,
     table_module,
-    wrap_exact,
 )
 from .inverse import (
     DiscreteModelSpec,
@@ -40,16 +39,13 @@ from .inverse import (
     VariableSpec,
     exact_inverse,
     load_inverse,
-    make_inverse_module,
     save_inverse,
     train_inverse,
 )
 from .mh import (
     ChainRecord,
-    ChainSummary,
     SiteProposal,
     UpdateInfo,
-    acceptance_stats,
     discrete_uniform_proposal,
     flip_proposal,
     gaussian_walk_proposal,
@@ -70,8 +66,6 @@ from .smc import (
     ParticleSystem,
     SequentialModel,
     SmcModule,
-    csmc_run,
-    make_smc_module,
     recompute_log_z,
     smc_run,
 )
@@ -87,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainRecord",
-    "ChainSummary",
     "ConfigError",
     "DegenerateTraceError",
     "DiscreteModelSpec",
@@ -112,13 +105,11 @@ __all__ = [
     "UpdateInfo",
     "Value",
     "VariableSpec",
-    "acceptance_stats",
     "bernoulli_module",
     "build_network",
     "build_outlier_network",
     "categorical_module",
     "check_log_weight",
-    "csmc_run",
     "derive_seed",
     "discrete",
     "discrete_uniform_proposal",
@@ -129,8 +120,6 @@ __all__ = [
     "generate_dataset",
     "load_config",
     "load_inverse",
-    "make_inverse_module",
-    "make_smc_module",
     "mh_update",
     "normal_module",
     "parse_config",
@@ -145,6 +134,5 @@ __all__ = [
     "summary_document",
     "table_module",
     "train_inverse",
-    "wrap_exact",
     "write_summary",
 ]

@@ -33,19 +33,43 @@ class ConfigError(Exception):
     """Invalid experiment config; message names the offending field."""
 
 
-BUILTIN_NETWORKS = ("outlier_regression", "chain3", "switch_hmm")
+_SWITCH_A = {"site": "A", "port": "a", "kind": "discrete_uniform", "domain": [0, 1]}
 
-DEFAULT_PROPOSALS = {
-    "outlier_regression": [
-        {"site": "A", "port": "a", "kind": "discrete_uniform", "domain": [0, 1]},
-    ],
-    "chain3": [
-        {"site": "X1", "port": "z", "kind": "flip"},
-        {"site": "X2", "port": "z", "kind": "flip"},
-    ],
-    "switch_hmm": [
-        {"site": "A", "port": "a", "kind": "discrete_uniform", "domain": [0, 1]},
-    ],
+# network name -> (builder(cfg, rng), default proposals)
+NETWORKS = {
+    "outlier_regression": (
+        lambda cfg, rng: build_outlier_network(cfg.particles, cfg.train_samples, rng),
+        [_SWITCH_A]),
+    "chain3": (
+        lambda cfg, rng: chain3_network(),
+        [{"site": "X1", "port": "z", "kind": "flip"},
+         {"site": "X2", "port": "z", "kind": "flip"}]),
+    "switch_hmm": (
+        lambda cfg, rng: switch_hmm_network(cfg.particles, cfg.train_samples, rng),
+        [_SWITCH_A]),
+}
+
+
+def _domain(v) -> tuple:
+    if (not isinstance(v, (list, tuple)) or not v
+            or any(not isinstance(d, int) or isinstance(d, bool) for d in v)
+            or len(set(v)) != len(v)):
+        raise ValueError("must be a non-empty list of distinct integers")
+    return tuple(v)
+
+
+def _sigma(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+        raise ValueError("must be a finite number > 0")
+    return float(v)
+
+
+# proposal kind -> (constructor, {setting: (default, check)}); every kind
+# also takes 'site' and an optional 'port'
+PROPOSAL_KINDS = {
+    "flip": (flip_proposal, {}),
+    "discrete_uniform": (discrete_uniform_proposal, {"domain": ((0, 1), _domain)}),
+    "gaussian_walk": (gaussian_walk_proposal, {"sigma": (1.0, _sigma)}),
 }
 
 
@@ -77,9 +101,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown config field {key!r}")
 
     network = doc.get("network")
-    if network not in BUILTIN_NETWORKS:
+    if network not in NETWORKS:
         raise ConfigError(
-            f"field 'network': expected one of {list(BUILTIN_NETWORKS)}, got {network!r}")
+            f"field 'network': expected one of {list(NETWORKS)}, got {network!r}")
 
     if "seed" not in doc or doc["seed"] is None:
         raise ConfigError("field 'seed': required; refusing to seed from the clock")
@@ -105,19 +129,31 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     proposals = doc.get("proposals")
     if proposals is None:
-        proposals = DEFAULT_PROPOSALS[network]
+        proposals = NETWORKS[network][1]
     if not isinstance(proposals, (list, tuple)) or not proposals:
         raise ConfigError("field 'proposals': must be a non-empty list")
     frozen = []
     for k, p in enumerate(proposals):
-        if not isinstance(p, dict):
-            try:
-                p = dict(p)
-            except (TypeError, ValueError):
-                raise ConfigError(f"field 'proposals[{k}]': must be an object")
+        where = f"field 'proposals[{k}]'"
+        try:
+            p = dict(p)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: must be an object")
         if "site" not in p or "kind" not in p:
-            raise ConfigError(f"field 'proposals[{k}]': needs 'site' and 'kind'")
+            raise ConfigError(f"{where}: needs 'site' and 'kind'")
+        if p["kind"] not in PROPOSAL_KINDS:
+            raise ConfigError(f"{where}: unknown proposal kind {p['kind']!r}; "
+                              f"expected one of {list(PROPOSAL_KINDS)}")
+        settings = PROPOSAL_KINDS[p["kind"]][1]
         for key, v in p.items():
+            if key in settings:
+                try:
+                    settings[key][1](v)
+                except ValueError as e:
+                    raise ConfigError(f"{where}: {key!r} {e}, got {v!r}")
+            elif key not in ("site", "kind", "port"):
+                raise ConfigError(
+                    f"{where}: unknown key {key!r} for kind {p['kind']!r}")
             if isinstance(v, list):
                 p[key] = tuple(v)
         frozen.append(tuple(sorted(p.items())))
@@ -163,13 +199,7 @@ def load_config(path, overrides: Mapping | None = None) -> ExperimentConfig:
 
 
 def build_configured_network(cfg: ExperimentConfig, rng) -> ModuleNetwork:
-    if cfg.network == "outlier_regression":
-        return build_outlier_network(cfg.particles, cfg.train_samples, rng)
-    if cfg.network == "chain3":
-        return chain3_network()
-    if cfg.network == "switch_hmm":
-        return switch_hmm_network(cfg.particles, cfg.train_samples, rng)
-    raise ConfigError(f"unknown network {cfg.network!r}")
+    return NETWORKS[cfg.network][0](cfg, rng)
 
 
 def build_proposal(net: ModuleNetwork, spec: tuple) -> SiteProposal:
@@ -178,16 +208,9 @@ def build_proposal(net: ModuleNetwork, spec: tuple) -> SiteProposal:
         site = net.id_of(p["site"])
     except KeyError:
         raise ConfigError(f"proposal site {p['site']!r} is not a node name")
-    port = p.get("port")
-    kind = p["kind"]
-    if kind == "flip":
-        return flip_proposal(site, port=port)
-    if kind == "discrete_uniform":
-        domain = tuple(p.get("domain", (0, 1)))
-        return discrete_uniform_proposal(site, domain, port=port)
-    if kind == "gaussian_walk":
-        return gaussian_walk_proposal(site, float(p.get("sigma", 1.0)), port=port)
-    raise ConfigError(f"unknown proposal kind {kind!r}")
+    make, settings = PROPOSAL_KINDS[p["kind"]]
+    kw = {k: check(p.get(k, default)) for k, (default, check) in settings.items()}
+    return make(site, port=p.get("port"), **kw)
 
 
 def run_one_chain(cfg: ExperimentConfig, index: int,

@@ -11,7 +11,7 @@ evaluated at the sampled point. regenerate draws fresh u for fixed outputs, so
 exp(lw) is an unbiased estimate of the marginal probability of the outputs
 given the inputs. simulate draws u and outputs jointly. Modules with no
 auxiliary randomness collapse to exact density evaluation: regenerate becomes
-deterministic (see wrap_exact).
+deterministic (see ExactModule).
 
 Log-weights are plain floats on the natural-log scale. -inf is a legal value
 (impossible outputs); NaN and +inf never are. The auxiliary record is opaque
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from . import values
 from .values import Value
@@ -119,14 +119,14 @@ class ExactModule(ProbModule):
         return check_log_weight(self._log_density(inputs, outputs)), None
 
 
-def wrap_exact(
-    sampler: Callable[[ModuleIO, Any], ModuleIO],
-    log_density: Callable[[ModuleIO, ModuleIO], float],
-    input_ports=(),
-    output_ports=("z",),
-) -> ProbModule:
-    """Package a (sampler, log-density) pair as a module with empty aux."""
-    return ExactModule(sampler, log_density, input_ports, output_ports)
+def _walk(domain, probs, u: float):
+    """The domain value where the cumulative sum of probs first passes u."""
+    acc = 0.0
+    for val, p in zip(domain, probs):
+        acc += float(p)
+        if u < acc:
+            return val
+    return domain[-1]
 
 
 def _require_kind(value: Value, kind: str, where: str) -> Value:
@@ -162,14 +162,10 @@ def categorical_module(probs, port: str = "z") -> ProbModule:
     if not probs or any(p < 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
         raise ValueError("probs must be nonnegative and sum to 1")
 
+    support = range(len(probs))
+
     def sample(inputs, rng):
-        u = rng.random()
-        acc = 0.0
-        for i, p in enumerate(probs):
-            acc += p
-            if u < acc:
-                return {port: values.discrete(i)}
-        return {port: values.discrete(len(probs) - 1)}
+        return {port: values.discrete(_walk(support, probs, rng.random()))}
 
     def log_density(inputs, outputs):
         z = _require_kind(outputs[port], values.DISCRETE, "categorical").data
@@ -219,14 +215,7 @@ def table_module(
         return rows[key]
 
     def sample(inputs, rng):
-        probs = row_for(inputs)
-        u = rng.random()
-        acc = 0.0
-        for val, p in zip(domain, probs):
-            acc += p
-            if u < acc:
-                return {port: values.discrete(val)}
-        return {port: values.discrete(domain[-1])}
+        return {port: values.discrete(_walk(domain, row_for(inputs), rng.random()))}
 
     def log_density(inputs, outputs):
         probs = row_for(inputs)

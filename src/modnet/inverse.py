@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .interface import ModuleIO, ProbModule, SchemaError
+from .interface import ModuleIO, ProbModule, SchemaError, _walk
 from .values import Value, discrete
 
 PROB_ROW_TOL = 1e-9
@@ -126,15 +126,6 @@ def forward_sample(spec: DiscreteModelSpec, rng) -> dict[str, int]:
         probs = v.table[tuple(assign[p] for p in v.parents)]
         assign[v.name] = _walk(v.domain, probs, rng.random())
     return assign
-
-
-def _walk(domain, probs, u: float) -> int:
-    acc = 0.0
-    for val, p in zip(domain, probs):
-        acc += float(p)
-        if u < acc:
-            return val
-    return domain[-1]
 
 
 def sample_batch(spec: DiscreteModelSpec, n: int, rng) -> dict[str, np.ndarray]:
@@ -346,10 +337,6 @@ def _discrete_value(v: Value, port: str) -> int:
     if v.kind != "discrete":
         raise SchemaError(f"port {port!r} expects a discrete value, got {v.kind}")
     return v.data
-
-
-def make_inverse_module(spec: DiscreteModelSpec, inv: InverseNetwork) -> ProbModule:
-    return InverseModule(spec, inv)
 
 
 # -- serialization ------------------------------------------------------------

@@ -21,8 +21,8 @@ touched: the discarded call results simply go out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from . import values
 from .interface import SchemaError, check_log_weight
@@ -82,17 +82,6 @@ class ChainRecord:
     total_log_weight: float
 
 
-@dataclass
-class ChainSummary:
-    iterations: int = 0
-    proposals: dict[int, int] = field(default_factory=dict)
-    accepts: dict[int, int] = field(default_factory=dict)
-
-    def acceptance_rate(self, site: int) -> float:
-        n = self.proposals.get(site, 0)
-        return self.accepts.get(site, 0) / n if n else math.nan
-
-
 def resolve_port(net: ModuleNetwork, proposal: SiteProposal) -> str:
     """The output port a proposal acts on; explicit, or the node's only one."""
     ports = net.module_of(proposal.target).output_ports
@@ -109,15 +98,12 @@ def resolve_port(net: ModuleNetwork, proposal: SiteProposal) -> str:
     return ports[0]
 
 
-_resolve_port = resolve_port
-
-
 def mh_update(net: ModuleNetwork, proposal: SiteProposal, rng) -> UpdateInfo:
     """One accept/reject step at proposal.target. See module docstring."""
     i = proposal.target
     if net.is_observed(i):
         raise SchemaError(f"node {i} is observed and cannot be a proposal site")
-    port = _resolve_port(net, proposal)
+    port = resolve_port(net, proposal)
 
     old_outputs = net.outputs_of(i)
     old_value = old_outputs[port]
@@ -184,7 +170,7 @@ def run_chain(
     rng,
     sink: Callable[[ChainRecord], None] | None = None,
     scan: str = "random",
-) -> ChainSummary:
+) -> None:
     """Run a site-mixture chain, streaming one ChainRecord per iteration.
 
     scan="random" picks a schedule entry uniformly each iteration (one rng
@@ -195,21 +181,15 @@ def run_chain(
         raise ValueError("schedule is empty")
     if scan not in ("random", "cyclic"):
         raise ValueError(f"unknown scan mode {scan!r}")
-    seen = set()
     for prop in schedule:
         if net.is_observed(prop.target):
             raise SchemaError(f"schedule targets observed node {prop.target}")
-        seen.add(prop.target)
-    site_ports = {p.target: _resolve_port(net, p) for p in schedule}
+    site_ports = {p.target: resolve_port(net, p) for p in schedule}
 
-    summary = ChainSummary(iterations=iterations)
     for it in range(iterations):
         k = int(rng.integers(len(schedule))) if scan == "random" else it % len(schedule)
         prop = schedule[k]
         info = mh_update(net, prop, rng)
-        summary.proposals[info.site] = summary.proposals.get(info.site, 0) + 1
-        if info.accepted:
-            summary.accepts[info.site] = summary.accepts.get(info.site, 0) + 1
         if sink is not None:
             lws = {j: net.lookup_log_weight(j) for j in net.node_ids()}
             lws.update(info.regen_log_weights)
@@ -228,40 +208,6 @@ def run_chain(
                 log_weights=lws,
                 total_log_weight=total,
             ))
-    return summary
-
-
-def acceptance_stats(records: Iterable[ChainRecord]) -> dict:
-    """Aggregate per-site acceptance rates and per-node log-weight moments."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records to aggregate")
-    proposals: dict[int, int] = {}
-    accepts: dict[int, int] = {}
-    neg_inf = 0
-    lw_acc: dict[int, list[float]] = {}
-    for r in records:
-        proposals[r.site] = proposals.get(r.site, 0) + 1
-        if r.accepted:
-            accepts[r.site] = accepts.get(r.site, 0) + 1
-        if r.neg_inf_proposal:
-            neg_inf += 1
-        for j, lw in r.log_weights.items():
-            lw_acc.setdefault(j, []).append(lw)
-    lw_stats = {}
-    for j, xs in lw_acc.items():
-        mean = sum(xs) / len(xs)
-        var = sum((x - mean) ** 2 for x in xs) / len(xs)
-        lw_stats[j] = {"mean": mean, "variance": var}
-    return {
-        "iterations": len(records),
-        "acceptance_rates": {
-            s: accepts.get(s, 0) / n for s, n in proposals.items()
-        },
-        "proposals": proposals,
-        "neg_inf_proposals": neg_inf,
-        "log_weight_stats": lw_stats,
-    }
 
 
 # -- proposal library -------------------------------------------------------

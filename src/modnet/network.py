@@ -75,7 +75,6 @@ class ModuleNetwork:
         self._nodes = nodes
         self.order = order
         self._children = children
-        self.initialized = False
 
     # -- topology ----------------------------------------------------------
 
@@ -194,7 +193,6 @@ class ModuleNetwork:
             raise ValueError("max_attempts must be at least 1")
         for attempt in range(max_attempts):
             if self._try_initialize(rng):
-                self.initialized = True
                 return
             log.debug("initialization attempt %d hit a zero-probability trace", attempt + 1)
         raise DegenerateTraceError(
@@ -295,25 +293,21 @@ def build_network(
             )
 
     # Kahn's algorithm; whatever survives with in-degree > 0 sits on a cycle.
-    indeg = {i: 0 for i in by_id}
     children: dict[int, set[int]] = {i: set() for i in by_id}
+    indeg = {}
     for node in by_id.values():
-        for src, _ in node.wiring.values():
+        parents = {src for src, _ in node.wiring.values()}
+        for src in parents:
             children[src].add(node.id)
-    for node in by_id.values():
-        indeg[node.id] = len({src for src, _ in node.wiring.values()})
+        indeg[node.id] = len(parents)
     ready = sorted(i for i, d in indeg.items() if d == 0)
     order: list[int] = []
-    parent_count = {
-        i: len({src for src, _ in by_id[i].wiring.values()}) for i in by_id
-    }
-    remaining = dict(parent_count)
     while ready:
         i = ready.pop(0)
         order.append(i)
         for c in sorted(children[i]):
-            remaining[c] -= 1
-            if remaining[c] == 0:
+            indeg[c] -= 1
+            if indeg[c] == 0:
                 ready.append(c)
         ready.sort()
     if len(order) != len(by_id):

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .interface import ProbModule, SchemaError
-from .inverse import (DiscreteModelSpec, VariableSpec, exact_inverse,
-                      make_inverse_module, train_inverse)
+from .inverse import (DiscreteModelSpec, InverseModule, VariableSpec,
+                      exact_inverse, train_inverse)
 from .network import EdgeSpec, ModuleNetwork, NodeSpec, build_network
-from .smc import SequentialModel, make_smc_module
+from .smc import SequentialModel, SmcModule
 from .values import real_vector
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -133,13 +133,6 @@ class RegressionSequentialModel(SequentialModel):
             return 0
         return 1 if rng.random() < rate else 0
 
-    def prior_logpdf(self, t, state, inputs, latent):
-        rate = state[1]
-        if rate is None or latent not in (0, 1):
-            return -math.inf
-        p = rate if latent == 1 else 1.0 - rate
-        return math.log(p) if p > 0.0 else -math.inf
-
     def obs_sample(self, t, state, inputs, latent, rng):
         mean, var = state[0].predictive(self.covariates[t], self._sigma(latent))
         return mean + math.sqrt(var) * rng.standard_normal()
@@ -202,11 +195,11 @@ def build_switch_prior_module(train_samples: int, rng,
         inv = exact_inverse(spec)
     else:
         inv = train_inverse(spec, train_samples, rng, smoothing)
-    return make_inverse_module(spec, inv)
+    return InverseModule(spec, inv)
 
 
 def build_regression_module(num_particles: int) -> ProbModule:
-    return make_smc_module(RegressionSequentialModel(), num_particles)
+    return SmcModule(RegressionSequentialModel(), num_particles)
 
 
 # -- dataset ------------------------------------------------------------------

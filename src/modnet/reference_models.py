@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 
 from .interface import (ModuleIO, SchemaError, bernoulli_module, table_module)
-from .inverse import (DiscreteModelSpec, VariableSpec, exact_inverse,
-                      make_inverse_module, train_inverse)
+from .inverse import (DiscreteModelSpec, InverseModule, VariableSpec,
+                      exact_inverse, train_inverse)
 from .network import EdgeSpec, ModuleNetwork, NodeSpec, build_network
 from .oracle import Factor, FactoredDiscreteModel
-from .smc import SequentialModel, make_smc_module
+from .smc import SequentialModel, SmcModule
 from .values import discrete, discrete_vector
 
 
@@ -73,13 +73,6 @@ class BinaryHmm(SequentialModel):
         if p is None:
             return 0
         return 1 if rng.random() < p else 0
-
-    def prior_logpdf(self, t, state, inputs, latent):
-        p = self._step_p1(state)
-        if p is None or latent not in (0, 1):
-            return -math.inf
-        q = p if latent == 1 else 1.0 - p
-        return math.log(q) if q > 0.0 else -math.inf
 
     def obs_sample(self, t, state, inputs, latent, rng):
         return 1 if rng.random() < self.emit[latent] else 0
@@ -212,8 +205,8 @@ def switch_hmm_network(num_particles: int, train_samples: int, rng,
     hmm = BinaryHmm(len(observed_y), c["init_p1"], c["emit"],
                     trans_by_input=c["trans_by_input"], input_port="s")
     nodes = [
-        NodeSpec(SWITCH_NODE, make_inverse_module(spec, inv), name="A"),
-        NodeSpec(HMM_NODE, make_smc_module(hmm, num_particles), name="B"),
+        NodeSpec(SWITCH_NODE, InverseModule(spec, inv), name="A"),
+        NodeSpec(HMM_NODE, SmcModule(hmm, num_particles), name="B"),
     ]
     edges = [EdgeSpec(SWITCH_NODE, "a", HMM_NODE, "s")]
     observations = {HMM_NODE: hmm_observation(observed_y)}

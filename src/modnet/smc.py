@@ -3,10 +3,11 @@
 A SequentialModel describes per-step latents proposed from their prior and a
 per-step observation likelihood; smc_run estimates the normalizing constant
 with multinomial resampling at every step, and the resulting log Z-hat is the
-module log-weight. The conditional variant (csmc_run) reruns the sweep with
-one uniformly chosen particle slot pinned to a given latent trajectory; it is
-what simulate uses to score a forward sample. Why log Z-hat is the right
-log-weight on both paths is worked through in docs/smc-module-weights.md.
+module log-weight. The conditional variant (smc_run with pinned=...) runs the
+same sweep with one uniformly chosen particle slot pinned to a given latent
+trajectory; it is what simulate uses to score a forward sample. Why log Z-hat
+is the right log-weight on both paths is worked through in
+docs/smc-module-weights.md.
 
 The running estimate uses max-shifted logsumexp with a fixed left-to-right
 reduction, and recompute_log_z replays the stored particle system through the
@@ -31,7 +32,7 @@ def logsumexp(vals) -> float:
 
 
 class SequentialModel:
-    """Stepwise model contract consumed by smc_run/csmc_run.
+    """Stepwise model contract consumed by smc_run.
 
     States are treated as immutable: advance_state returns a new state and
     must be deterministic, which is what makes replay verification exact.
@@ -47,9 +48,6 @@ class SequentialModel:
         raise NotImplementedError
 
     def prior_sample(self, t: int, state, inputs: ModuleIO, rng):
-        raise NotImplementedError
-
-    def prior_logpdf(self, t: int, state, inputs: ModuleIO, latent) -> float:
         raise NotImplementedError
 
     def obs_sample(self, t: int, state, inputs: ModuleIO, latent, rng):
@@ -80,12 +78,6 @@ class Latents:
 
 
 @dataclass(frozen=True)
-class MetaInferenceRecord:
-    retained: tuple
-    slots: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ParticleSystem:
     """Everything a sweep did: values, weights, ancestry, selection, log Z-hat.
 
@@ -100,7 +92,6 @@ class ParticleSystem:
     ancestors: tuple[tuple[int, ...], ...]
     selected: int
     log_z: float
-    meta: MetaInferenceRecord | None = None
 
 
 @dataclass(frozen=True)
@@ -137,13 +128,19 @@ def _uniform_row(K, rng) -> list[int]:
 
 
 def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
-            num_particles: int, rng) -> tuple[Latents, ParticleSystem]:
+            num_particles: int, rng,
+            pinned: Latents | None = None) -> tuple[Latents, ParticleSystem]:
     """One sweep conditioned on outputs; returns a selected trajectory and
     the particle system with its log normalizing-constant estimate.
 
     If every particle dies at some step the sweep keeps going under uniform
     resampling so a structurally valid trajectory still comes back, but
     log Z-hat is -inf.
+
+    With pinned set, the sweep is conditional: one slot, drawn uniformly
+    once, replays the pinned trajectory at every step while the rest of the
+    system runs as usual. The pinned lineage survives resampling by always
+    keeping itself as ancestor, and is the selected trajectory.
     """
     K = int(num_particles)
     if K < 1:
@@ -152,11 +149,14 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
     T = model.num_steps
     if len(obs) != T:
         raise SchemaError(f"expected {T} observation steps, got {len(obs)}")
+    slot = -1  # no particle is pinned
+    if pinned is not None:
+        if len(pinned.steps) != T:
+            raise SchemaError(f"pinned trajectory has {len(pinned.steps)} steps, want {T}")
+        slot = int(rng.integers(K))
 
     log_k = math.log(K)
-    state0 = model.initial_state(inputs)
-    states = [state0] * K
-    trajs: list[list] = [[] for _ in range(K)]
+    states = [model.initial_state(inputs)] * K
     lat_rows, w_rows, anc_rows = [], [], []
     log_z = 0.0
     prev_w: list[float] | None = None
@@ -169,89 +169,42 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
             anc = list(range(K))
         else:
             cum = _weights_to_cumulative(prev_w)
+            # K uniforms drawn either way; a pinned slot ignores its draw.
             anc = _uniform_row(K, rng) if cum is None else _multinomial_row(cum, K, rng)
+            if pinned is not None:
+                anc[slot] = slot
             states = [states[a] for a in anc]
-            trajs = [list(trajs[a]) for a in anc]
         row_lat, row_w = [], []
         ob = obs[t]
         for p in range(K):
             st = states[p]
-            lat = prior_sample(t, st, inputs, rng)
+            lat = pinned.steps[t] if p == slot else prior_sample(t, st, inputs, rng)
             row_lat.append(lat)
             row_w.append(obs_log_weight(t, st, inputs, lat, ob))
             states[p] = advance_state(t, st, inputs, lat, ob)
-            trajs[p].append(lat)
         log_z += logsumexp(row_w) - log_k
         lat_rows.append(tuple(row_lat))
         w_rows.append(tuple(row_w))
         anc_rows.append(tuple(anc))
         prev_w = row_w
 
-    cum = _weights_to_cumulative(prev_w)
-    if cum is None:
-        k = int(rng.integers(K))
+    if pinned is not None:
+        k, v = slot, pinned
     else:
-        k = min(bisect_right(cum, rng.random()), K - 1)
-    extra = model.finalize_extra(states[k], inputs, rng)
-    v = Latents(tuple(trajs[k]), extra)
+        cum = _weights_to_cumulative(prev_w)
+        if cum is None:
+            k = int(rng.integers(K))
+        else:
+            k = min(bisect_right(cum, rng.random()), K - 1)
+        extra = model.finalize_extra(states[k], inputs, rng)
+        # the selected lineage, read back through the recorded ancestry
+        steps, a = [], k
+        for t in reversed(range(T)):
+            steps.append(lat_rows[t][a])
+            a = anc_rows[t][a]
+        v = Latents(tuple(reversed(steps)), extra)
     ps = ParticleSystem(K, tuple(lat_rows), tuple(w_rows), tuple(anc_rows), k, log_z)
     return v, ps
-
-
-def csmc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
-             pinned: Latents, num_particles: int, rng) -> ParticleSystem:
-    """Conditional sweep: one slot, drawn uniformly once, replays the pinned
-    trajectory at every step while the rest of the system runs as usual. The
-    pinned lineage survives resampling by always keeping itself as ancestor,
-    and is the selected trajectory of the returned system.
-    """
-    K = int(num_particles)
-    if K < 1:
-        raise ValueError("need at least one particle")
-    obs = model.unpack_outputs(outputs)
-    T = model.num_steps
-    if len(obs) != T:
-        raise SchemaError(f"expected {T} observation steps, got {len(obs)}")
-    if len(pinned.steps) != T:
-        raise SchemaError(f"pinned trajectory has {len(pinned.steps)} steps, want {T}")
-
-    slot = int(rng.integers(K))
-    log_k = math.log(K)
-    states = [model.initial_state(inputs)] * K
-    lat_rows, w_rows, anc_rows = [], [], []
-    log_z = 0.0
-    prev_w: list[float] | None = None
-
-    for t in range(T):
-        if t == 0:
-            anc = list(range(K))
-        else:
-            cum = _weights_to_cumulative(prev_w)
-            # K uniforms drawn either way; the pinned slot ignores its draw.
-            if cum is None:
-                anc = _uniform_row(K, rng)
-            else:
-                anc = _multinomial_row(cum, K, rng)
-            anc[slot] = slot
-            states = [states[a] for a in anc]
-        row_lat, row_w = [], []
-        ob = obs[t]
-        for p in range(K):
-            st = states[p]
-            lat = pinned.steps[t] if p == slot else model.prior_sample(t, st, inputs, rng)
-            row_lat.append(lat)
-            row_w.append(model.obs_log_weight(t, st, inputs, lat, ob))
-            states[p] = model.advance_state(t, st, inputs, lat, ob)
-        log_z += logsumexp(row_w) - log_k
-        lat_rows.append(tuple(row_lat))
-        w_rows.append(tuple(row_w))
-        anc_rows.append(tuple(anc))
-        prev_w = row_w
-
-    meta = MetaInferenceRecord(retained=tuple(pinned.steps), slots=(slot,) * T)
-    return ParticleSystem(
-        K, tuple(lat_rows), tuple(w_rows), tuple(anc_rows), slot, log_z, meta
-    )
 
 
 def recompute_log_z(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
@@ -314,59 +267,7 @@ class SmcModule(ProbModule):
         v = Latents(tuple(steps), extra)
         outputs = m.pack_outputs(obs)
         self.check_outputs(outputs)
-        ps = csmc_run(m, inputs, outputs, v, self.num_particles, rng)
+        _, ps = smc_run(m, inputs, outputs, self.num_particles, rng, pinned=v)
         if ps.log_z == -math.inf:
             raise DegenerateTraceError("conditional sweep scored the forward sample at zero")
         return outputs, ps.log_z, SmcAux(v, ps)
-
-
-def make_smc_module(model: SequentialModel, num_particles: int) -> ProbModule:
-    return SmcModule(model, num_particles)
-
-
-# -- serialization -----------------------------------------------------------
-#
-# Latent values must be JSON-representable (ints, floats, strings); that holds
-# for every model shipped here. -inf is encoded as the string "-inf" to keep
-# the documents valid standard JSON.
-
-
-def _enc_float(x: float):
-    return "-inf" if x == -math.inf else x
-
-
-def _dec_float(x) -> float:
-    return -math.inf if x == "-inf" else float(x)
-
-
-def particle_system_to_json(ps: ParticleSystem) -> dict:
-    doc = {
-        "num_particles": ps.num_particles,
-        "latents": [list(row) for row in ps.latents],
-        "log_weights": [[_enc_float(w) for w in row] for row in ps.log_weights],
-        "ancestors": [list(row) for row in ps.ancestors],
-        "selected": ps.selected,
-        "log_z": _enc_float(ps.log_z),
-        "meta": None,
-    }
-    if ps.meta is not None:
-        doc["meta"] = {"retained": list(ps.meta.retained), "slots": list(ps.meta.slots)}
-    return doc
-
-
-def particle_system_from_json(doc: dict) -> ParticleSystem:
-    meta = None
-    if doc.get("meta") is not None:
-        meta = MetaInferenceRecord(
-            retained=tuple(doc["meta"]["retained"]),
-            slots=tuple(int(s) for s in doc["meta"]["slots"]),
-        )
-    return ParticleSystem(
-        num_particles=int(doc["num_particles"]),
-        latents=tuple(tuple(row) for row in doc["latents"]),
-        log_weights=tuple(tuple(_dec_float(w) for w in row) for row in doc["log_weights"]),
-        ancestors=tuple(tuple(int(a) for a in row) for row in doc["ancestors"]),
-        selected=int(doc["selected"]),
-        log_z=_dec_float(doc["log_z"]),
-        meta=meta,
-    )

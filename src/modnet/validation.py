@@ -25,7 +25,7 @@ import numpy as np
 from . import outlier_oracle as oo
 from .experiment import parse_config, posterior_rate, run_experiment
 from .interface import bernoulli_module, normal_module, table_module
-from .inverse import exact_inverse, make_inverse_module, train_inverse
+from .inverse import InverseModule, exact_inverse, train_inverse
 from .mh import SiteProposal, discrete_uniform_proposal, flip_proposal, mh_update, run_chain
 from .network import EdgeSpec, NodeSpec, build_network
 from .oracle import log_evidence, posterior
@@ -74,24 +74,27 @@ class CriterionResult:
                 f" | {self.verdict} ({self.runtime_s:.1f}s)")
 
 
-def _timed(fn):
-    def wrapper(*args, **kw):
-        t0 = time.perf_counter()
-        res = fn(*args, **kw)
-        res.runtime_s = time.perf_counter() - t0
-        return res
-    return wrapper
-
-
-def _skipped(name: str, bound: str) -> CriterionResult:
-    return CriterionResult(name, None, "not run (reduced budget)", bound)
+def _criterion(name: str, bound: str):
+    """Declare a criterion's name and bound once. The decorated function
+    returns (passed, measured[, details]); the wrapper times it and builds
+    the CriterionResult, and its skipped() is the reduced-budget row."""
+    def deco(fn):
+        def run(*args, **kw):
+            t0 = time.perf_counter()
+            passed, measured, *details = fn(*args, **kw)
+            return CriterionResult(name, passed, measured, bound,
+                                   time.perf_counter() - t0, *details)
+        run.skipped = lambda: CriterionResult(
+            name, None, "not run (reduced budget)", bound)
+        return run
+    return deco
 
 
 # -- criterion 1: exact modules reduce to their closed-form log-density ------
 
 
-@_timed
-def exact_reduction() -> CriterionResult:
+@_criterion("1 exact reduction", "bit-stable and rel err <= 1e-15")
+def exact_reduction():
     theta, mu, sigma, x = 0.37, 0.8, 1.6, -0.3
     rows = {(0,): (0.25, 0.75), (1,): (0.6, 0.4)}
     cases = [
@@ -120,11 +123,8 @@ def exact_reduction() -> CriterionResult:
             deterministic = False
         lw = struct.unpack("<d", lws.pop())[0]
         worst = max(worst, abs(lw - closed) / abs(closed))
-    return CriterionResult(
-        "1 exact reduction", deterministic and worst <= 1e-15,
-        f"deterministic={deterministic}, max rel err {worst:.2e}",
-        "bit-stable and rel err <= 1e-15",
-    )
+    return (deterministic and worst <= 1e-15,
+            f"deterministic={deterministic}, max rel err {worst:.2e}")
 
 
 # -- criterion 2: exp(lw) is unbiased for the oracle evidence ----------------
@@ -138,14 +138,14 @@ def _mean_within_4se(draws: np.ndarray, truth: float) -> tuple[float, dict]:
     return z, {"mean": mean, "truth": truth, "se": se, "z": z, "n": len(draws)}
 
 
-@_timed
-def unbiasedness(fixtures: dict) -> CriterionResult:
+@_criterion("2 unbiasedness", "<= 4 SEs on every module")
+def unbiasedness(fixtures: dict):
     parts: dict[str, dict] = {}
     zs = []
 
     rng = np.random.default_rng(PINNED["c2_inverse"])
     spec = switch_prior_spec()
-    mod_a = make_inverse_module(spec, train_inverse(spec, 100_000, rng))
+    mod_a = InverseModule(spec, train_inverse(spec, 100_000, rng))
     out_a = {"a": discrete(1)}
     draws = np.fromiter(
         (math.exp(mod_a.regenerate({}, out_a, rng)[0]) for _ in range(100_000)),
@@ -183,18 +183,14 @@ def unbiasedness(fixtures: dict) -> CriterionResult:
     parts["discrete sequential model"] = info
 
     worst = max(zs)
-    return CriterionResult(
-        "2 unbiasedness", worst <= 4.0,
-        f"worst |mean - oracle| = {worst:.2f} estimated SEs",
-        "<= 4 SEs on every module", details=parts,
-    )
+    return worst <= 4.0, f"worst |mean - oracle| = {worst:.2f} estimated SEs", parts
 
 
 # -- criterion 3: the chain targets the enumerated posterior -----------------
 
 
-@_timed
-def chain3_posterior(iterations: int = 200_000) -> CriterionResult:
+@_criterion("3a chain stationarity", "< 0.01")
+def chain3_posterior(iterations: int = 200_000):
     oracle = posterior(chain3_oracle(), {"x3": 1}, ("x1", "x2"))
     rng = np.random.default_rng(PINNED["c3a"])
     net = chain3_network()
@@ -208,18 +204,15 @@ def chain3_posterior(iterations: int = 200_000) -> CriterionResult:
     run_chain(net, [flip_proposal(1, port="z"), flip_proposal(2, port="z")],
               iterations, rng, sink=sink)
     tv = 0.5 * sum(abs(counts.get(k, 0) / iterations - p) for k, p in oracle.items())
-    return CriterionResult(
-        "3a chain stationarity", tv < 0.01,
-        f"TV distance {tv:.4f} at {iterations} iterations", "< 0.01",
-        details={"empirical": {str(k): c / iterations for k, c in sorted(counts.items())},
-                 "oracle": {str(k): v for k, v in sorted(oracle.items())}},
-    )
+    return (tv < 0.01, f"TV distance {tv:.4f} at {iterations} iterations",
+            {"empirical": {str(k): c / iterations for k, c in sorted(counts.items())},
+             "oracle": {str(k): v for k, v in sorted(oracle.items())}})
 
 
-@_timed
+@_criterion("3b app posterior", "< 0.02")
 def app_posterior(fixtures: dict, out_dir, workers: int = 1,
                   chains: int = FULL_CHAINS,
-                  iterations: int = FULL_ITERATIONS) -> CriterionResult:
+                  iterations: int = FULL_ITERATIONS):
     cfg = parse_config({
         "network": "outlier_regression",
         "seed": PINNED["c3b"],
@@ -233,21 +226,18 @@ def app_posterior(fixtures: dict, out_dir, workers: int = 1,
     p_hat = posterior_rate(summary, "A", 1)
     target = fixtures["posterior_switch_one"]
     err = abs(p_hat - target)
-    return CriterionResult(
-        "3b app posterior", err < 0.02,
-        f"|P-hat(a=1) - {target:.6f}| = {err:.4f} "
-        f"({chains} chains x {iterations} iterations)",
-        "< 0.02",
-        details={"p_hat": p_hat, "target": target,
-                 "acceptance": summary["combined"]["acceptance_rates"]},
-    )
+    return (err < 0.02,
+            f"|P-hat(a=1) - {target:.6f}| = {err:.4f} "
+            f"({chains} chains x {iterations} iterations)",
+            {"p_hat": p_hat, "target": target,
+             "acceptance": summary["combined"]["acceptance_rates"]})
 
 
 # -- criterion 4: sweep log-weights tighten toward the oracle density --------
 
 
-@_timed
-def sweep_convergence(runs: int = 1000) -> CriterionResult:
+@_criterion("4 sweep convergence", "1.1x slack per step; final gap < 0.05")
+def sweep_convergence(runs: int = 1000):
     T, init, trans, emit = 5, 0.45, (0.25, 0.75), (0.2, 0.8)
     ys = (1, 0, 1, 1, 0)
     truth = log_evidence(hmm_oracle_model(T, init, trans, emit),
@@ -270,22 +260,19 @@ def sweep_convergence(runs: int = 1000) -> CriterionResult:
     gap_ok = all(gaps[i + 1] <= 1.1 * gaps[i] + 1e-9 for i in range(len(ks) - 1))
     final_err = abs(means[-1] - truth)
     ok = var_ok and gap_ok and final_err < 0.05
-    return CriterionResult(
-        "4 sweep convergence", ok,
-        f"var chain {'monotone' if var_ok else 'NOT monotone'}, "
-        f"mean-gap chain {'monotone' if gap_ok else 'NOT monotone'}, "
-        f"|mean lw(K=100) - log p| = {final_err:.4f}",
-        "1.1x slack per step; final gap < 0.05",
-        details={"K": list(ks), "variance": variances, "mean": means,
-                 "gap": gaps, "log_p": truth},
-    )
+    return (ok,
+            f"var chain {'monotone' if var_ok else 'NOT monotone'}, "
+            f"mean-gap chain {'monotone' if gap_ok else 'NOT monotone'}, "
+            f"|mean lw(K=100) - log p| = {final_err:.4f}",
+            {"K": list(ks), "variance": variances, "mean": means,
+             "gap": gaps, "log_p": truth})
 
 
 # -- criterion 5: more training data tightens the learned inverse ------------
 
 
-@_timed
-def inverse_limit() -> CriterionResult:
+@_criterion("5 inverse limit", "stddev strictly smaller; table err <= 0.005")
+def inverse_limit():
     spec = switch_prior_spec()
     rng = np.random.default_rng(PINNED["c5"])
     inv_small = train_inverse(spec, 100, rng)
@@ -302,7 +289,7 @@ def inverse_limit() -> CriterionResult:
     n = 20_000
 
     def lw_std(inv) -> float:
-        mod = make_inverse_module(spec, inv)
+        mod = InverseModule(spec, inv)
         lws = np.fromiter((mod.regenerate({}, out, rng)[0] for _ in range(n)),
                           dtype=float, count=n)
         return float(lws.std(ddof=1))
@@ -310,13 +297,10 @@ def inverse_limit() -> CriterionResult:
     std_small = lw_std(inv_small)
     std_big = lw_std(inv_big)
     ok = std_big < std_small and table_err <= 0.005
-    return CriterionResult(
-        "5 inverse limit", ok,
-        f"lw stddev {std_big:.5f} (n_train=1e6) vs {std_small:.5f} (n_train=1e2); "
-        f"max table err {table_err:.5f}",
-        "stddev strictly smaller; table err <= 0.005",
-        details={"std_small": std_small, "std_big": std_big, "table_err": table_err},
-    )
+    return (ok,
+            f"lw stddev {std_big:.5f} (n_train=1e6) vs {std_small:.5f} (n_train=1e2); "
+            f"max table err {table_err:.5f}",
+            {"std_small": std_small, "std_big": std_big, "table_err": table_err})
 
 
 # -- criterion 6: total_lw fluctuates inside constant-a stretches ------------
@@ -333,12 +317,11 @@ def _constant_runs(values: list[str], totals: list[str]):
     return runs
 
 
-@_timed
-def trace_variation(out_dir) -> CriterionResult:
+@_criterion("6 trace variation", ">= 2 distinct total_lw per run; a visits 0 and 1")
+def trace_variation(out_dir):
     paths = sorted(Path(out_dir).glob("trace_chain*.csv"))
     if not paths:
-        return CriterionResult("6 trace variation", False,
-                               f"no trace files under {out_dir}", "see criterion")
+        return False, f"no trace files under {out_dir}"
     qualifying = 0
     worst_distinct = math.inf
     visits_ok = True
@@ -355,12 +338,9 @@ def trace_variation(out_dir) -> CriterionResult:
                 qualifying += 1
                 worst_distinct = min(worst_distinct, distinct)
     ok = visits_ok and qualifying > 0 and worst_distinct >= 2
-    return CriterionResult(
-        "6 trace variation", ok,
-        f"{qualifying} constant-a runs of length >= 10, min distinct total_lw "
-        f"{worst_distinct if qualifying else 'n/a'}, both values visited: {visits_ok}",
-        ">= 2 distinct total_lw per run; a visits 0 and 1",
-    )
+    return (ok,
+            f"{qualifying} constant-a runs of length >= 10, min distinct total_lw "
+            f"{worst_distinct if qualifying else 'n/a'}, both values visited: {visits_ok}")
 
 
 # -- criterion 7: rejections change nothing; -inf always rejects -------------
@@ -399,8 +379,8 @@ class _OneWayFlip(SiteProposal):
                          log_density=density, port=port)
 
 
-@_timed
-def reject_purity() -> CriterionResult:
+@_criterion("7 reject purity", "bit-identical state, -inf always rejected")
+def reject_purity():
     failures = []
     rng = np.random.default_rng(PINNED["c7"])
 
@@ -469,20 +449,17 @@ def reject_purity() -> CriterionResult:
     if not saw_reverse_block:
         failures.append("never exercised the blocked direction")
 
-    return CriterionResult(
-        "7 reject purity", not failures,
-        "all rejection paths state-preserving" if not failures
-        else "; ".join(sorted(set(failures))),
-        "bit-identical state, -inf always rejected",
-        details={"natural_rejects": rejects},
-    )
+    return (not failures,
+            "all rejection paths state-preserving" if not failures
+            else "; ".join(sorted(set(failures))),
+            {"natural_rejects": rejects})
 
 
 # -- criterion 8: the integrated line matches the batch closed form ----------
 
 
-@_timed
-def conjugate_correctness(fixtures: dict | None) -> CriterionResult:
+@_criterion("8 conjugate recursion", "<= 1e-10 (fixture drift <= 1e-9)")
+def conjugate_correctness(fixtures: dict | None):
     doc = load_constants()
     reg = doc["regression"]
     ds = default_dataset()
@@ -532,16 +509,16 @@ def conjugate_correctness(fixtures: dict | None) -> CriterionResult:
             fixtures["posterior_switch_one"] - live["posterior_switch_one"]))
 
     ok = worst <= 1e-10 and collapse_err <= 1e-10 and fixture_err <= 1e-9
-    return CriterionResult(
-        "8 conjugate recursion", ok,
-        f"max |sequential - batch| {worst:.2e} over {1 << n} configs; "
-        f"collapse err {collapse_err:.2e}; fixture drift {fixture_err:.2e}",
-        "<= 1e-10 (fixture drift <= 1e-9)",
-        details={"collapse_err": collapse_err},
-    )
+    return (ok,
+            f"max |sequential - batch| {worst:.2e} over {1 << n} configs; "
+            f"collapse err {collapse_err:.2e}; fixture drift {fixture_err:.2e}",
+            {"collapse_err": collapse_err})
 
 
 # -- driver -------------------------------------------------------------------
+
+STATISTICAL = (unbiasedness, chain3_posterior, app_posterior, sweep_convergence,
+               inverse_limit, trace_variation)
 
 
 def run_all(fixtures: dict | None = None, out_dir=None, workers: int = 1,
@@ -561,25 +538,19 @@ def run_all(fixtures: dict | None = None, out_dir=None, workers: int = 1,
         if out_dir is None:
             tmp = tempfile.TemporaryDirectory(prefix="modnet-validate-")
             out_dir = tmp.name
-        results.append(unbiasedness(fixtures))
-        results.append(chain3_posterior())
-        results.append(app_posterior(fixtures, out_dir, workers=workers,
-                                     chains=chains, iterations=iterations))
-        results.append(sweep_convergence())
-        results.append(inverse_limit())
-        results.append(trace_variation(out_dir))
+        results += [
+            unbiasedness(fixtures),
+            chain3_posterior(),
+            app_posterior(fixtures, out_dir, workers=workers, chains=chains,
+                          iterations=iterations),
+            sweep_convergence(),
+            inverse_limit(),
+            trace_variation(out_dir),
+        ]
         if tmp is not None:
             tmp.cleanup()
     else:
-        results.append(_skipped("2 unbiasedness", "<= 4 SEs on every module"))
-        results.append(_skipped("3a chain stationarity", "< 0.01"))
-        results.append(_skipped("3b app posterior", "< 0.02"))
-        results.append(_skipped("4 sweep convergence",
-                                "1.1x slack per step; final gap < 0.05"))
-        results.append(_skipped("5 inverse limit",
-                                "stddev strictly smaller; table err <= 0.005"))
-        results.append(_skipped("6 trace variation",
-                                ">= 2 distinct total_lw per run; a visits 0 and 1"))
+        results += [c.skipped() for c in STATISTICAL]
     results.append(reject_purity())
     results.append(conjugate_correctness(fixtures))
     return results

@@ -114,6 +114,23 @@ def test_infer_config_errors_exit_two(tmp_path, capsys):
     assert "unknown config field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("network,proposal,why", [
+    ("chain3", {"site": "X1", "port": "z", "kind": "flip", "sigmaa": 3},
+     "unknown key 'sigmaa' for kind 'flip'"),
+    ("outlier_regression",
+     {"site": "A", "port": "a", "kind": "gaussian_walk", "sigma": -1},
+     "'sigma' must be a finite number > 0, got -1"),
+], ids=["unknown-key", "negative-sigma"])
+def test_infer_bad_proposal_exits_two(tmp_path, capsys, network, proposal, why):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"network": network, "seed": 1, "iterations": 5,
+                               "train_samples": 0, "proposals": [proposal]}))
+    out = tmp_path / "runs"
+    assert main(["infer", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"field 'proposals[0]': {why}" in capsys.readouterr().err
+    assert not out.exists()  # refused before any chain ran
+
+
 # -- validate ----------------------------------------------------------------------
 
 def test_reduced_validate_passes_and_skips(tmp_path, capsys):

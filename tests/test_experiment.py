@@ -3,9 +3,9 @@ import json
 import pytest
 
 from modnet.experiment import (
-    BUILTIN_NETWORKS,
     ConfigError,
     ExperimentConfig,
+    NETWORKS,
     load_config,
     parse_config,
     posterior_rate,
@@ -38,7 +38,7 @@ def test_defaults_and_frozen_proposals():
         (("kind", "flip"), ("port", "z"), ("site", "X1")),
         (("kind", "flip"), ("port", "z"), ("site", "X2")),
     )
-    assert "chain3" in BUILTIN_NETWORKS
+    assert "chain3" in NETWORKS
 
 
 @pytest.mark.parametrize("doc,why", [
@@ -63,6 +63,21 @@ def test_defaults_and_frozen_proposals():
      "needs 'site' and 'kind'"),
     ({"network": "chain3", "seed": 1, "proposals": [7]}, "must be an object"),
     ({"network": "chain3", "seed": 1, "out": 4}, "field 'out'"),
+    ({"network": "chain3", "seed": 1, "proposals": [{"site": "X1", "kind": "hop"}]},
+     r"proposals\[0\]': unknown proposal kind 'hop'"),
+    ({"network": "chain3", "seed": 1,
+      "proposals": [{"site": "X1", "kind": "discrete_uniform", "domain": []}]},
+     r"proposals\[0\]': 'domain' must be"),
+    ({"network": "chain3", "seed": 1,
+      "proposals": [{"site": "X1", "kind": "discrete_uniform", "domain": [0, 0]}]},
+     r"proposals\[0\]': 'domain' must be"),
+    ({"network": "chain3", "seed": 1,
+      "proposals": [{"site": "X1", "kind": "discrete_uniform", "domain": [0, 0.5]}]},
+     r"proposals\[0\]': 'domain' must be"),
+    ({"network": "chain3", "seed": 1,
+      "proposals": [{"site": "X1", "kind": "flip"},
+                    {"site": "X2", "kind": "gaussian_walk", "sigma": 0}]},
+     r"proposals\[1\]': 'sigma' must be"),
 ])
 def test_bad_configs_are_named(doc, why):
     with pytest.raises(ConfigError, match=why):

@@ -7,13 +7,13 @@ from scipy import stats
 from modnet import values
 from modnet.interface import (
     DegenerateTraceError,
+    ExactModule,
     SchemaError,
     bernoulli_module,
     categorical_module,
     check_log_weight,
     normal_module,
     table_module,
-    wrap_exact,
 )
 
 
@@ -113,18 +113,20 @@ def test_simulate_frequencies_match_density():
 
 def test_inconsistent_exact_sampler_is_a_defect():
     # sampler emits a value its own density says is impossible
-    bad = wrap_exact(
+    bad = ExactModule(
         lambda inputs, rng: {"z": values.discrete(2)},
         lambda inputs, outputs: -math.inf,
+        (), ("z",),
     )
     with pytest.raises(DegenerateTraceError):
         bad.simulate({}, default_rng(0))
 
 
-def test_wrap_exact_rejects_bad_log_weights():
-    nan_mod = wrap_exact(
+def test_exact_module_rejects_bad_log_weights():
+    nan_mod = ExactModule(
         lambda inputs, rng: {"z": values.discrete(0)},
         lambda inputs, outputs: math.nan,
+        (), ("z",),
     )
     with pytest.raises(SchemaError):
         nan_mod.regenerate({}, {"z": values.discrete(0)}, _NoRng())

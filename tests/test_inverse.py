@@ -7,11 +7,11 @@ import pytest
 from modnet.interface import SchemaError
 from modnet.inverse import (
     DiscreteModelSpec,
+    InverseModule,
     VariableSpec,
     exact_inverse,
     forward_sample,
     load_inverse,
-    make_inverse_module,
     sample_batch,
     save_inverse,
     train_inverse,
@@ -118,7 +118,7 @@ def test_exact_inverse_rows_are_rational_and_normalized():
 
 
 def test_exact_inverse_weight_is_the_output_probability_bit_for_bit():
-    module = make_inverse_module(_spec(), exact_inverse(_spec()))
+    module = InverseModule(_spec(), exact_inverse(_spec()))
     for z in (0, 1):
         seen = set()
         for seed in range(60):
@@ -175,7 +175,7 @@ def test_unseen_contexts_fall_back_to_uniform():
 def test_learned_weight_is_joint_over_inverse():
     spec = _spec()
     inv = train_inverse(spec, 500, np.random.default_rng(4))
-    module = make_inverse_module(spec, inv)
+    module = InverseModule(spec, inv)
     z, lw, aux = module.simulate({}, np.random.default_rng(9))
     assign = {"u1": aux["u1"], "u2": aux["u2"], "z": z["z"].data}
     lp = math.log(_joint(assign["u1"], assign["u2"], assign["z"]))
@@ -190,7 +190,7 @@ def test_learned_weight_is_joint_over_inverse():
 
 def test_module_ports_and_mismatch_guard():
     spec = _spec()
-    module = make_inverse_module(spec, exact_inverse(spec))
+    module = InverseModule(spec, exact_inverse(spec))
     assert module.input_ports == ()
     assert module.output_ports == ("z",)
     other = DiscreteModelSpec(
@@ -198,11 +198,11 @@ def test_module_ports_and_mismatch_guard():
         outputs=(VariableSpec("z", (0, 1), ("w",), U2),),
     )
     with pytest.raises(SchemaError, match="do not match"):
-        make_inverse_module(spec, exact_inverse(other))
+        InverseModule(spec, exact_inverse(other))
 
 
 def test_off_domain_output_scores_zero_with_empty_latents():
-    module = make_inverse_module(_spec(), exact_inverse(_spec()))
+    module = InverseModule(_spec(), exact_inverse(_spec()))
     lw, aux = module.regenerate({}, {"z": discrete(5)}, np.random.default_rng(0))
     assert lw == -math.inf
     assert aux == {"u1": None, "u2": None}
@@ -212,8 +212,8 @@ def test_off_domain_output_scores_zero_with_empty_latents():
 
 def test_learned_module_weight_is_unbiased_for_the_output_probability():
     spec = _spec()
-    module = make_inverse_module(spec, train_inverse(spec, 300,
-                                                     np.random.default_rng(6)))
+    module = InverseModule(spec, train_inverse(spec, 300,
+                                               np.random.default_rng(6)))
     rng = np.random.default_rng(123)
     ws = np.empty(20_000)
     for i in range(ws.size):
@@ -225,8 +225,8 @@ def test_learned_module_weight_is_unbiased_for_the_output_probability():
 
 def test_learned_module_satisfies_the_harmonic_identity():
     spec = _spec()
-    module = make_inverse_module(spec, train_inverse(spec, 300,
-                                                     np.random.default_rng(7)))
+    module = InverseModule(spec, train_inverse(spec, 300,
+                                               np.random.default_rng(7)))
     rng = np.random.default_rng(55)
     acc = np.zeros(20_000)
     for i in range(acc.size):
@@ -240,8 +240,8 @@ def test_learned_module_satisfies_the_harmonic_identity():
 def test_more_training_data_stabilizes_the_weight():
     spec = _spec()
     rng = np.random.default_rng(14)
-    rough = make_inverse_module(spec, train_inverse(spec, 200, rng))
-    tight = make_inverse_module(spec, train_inverse(spec, 50_000, rng))
+    rough = InverseModule(spec, train_inverse(spec, 200, rng))
+    tight = InverseModule(spec, train_inverse(spec, 50_000, rng))
     draws = np.random.default_rng(15)
     var = {}
     for name, module in (("rough", rough), ("tight", tight)):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from modnet.interface import SchemaError, bernoulli_module, table_module, wrap_exact
+from modnet.interface import ExactModule, SchemaError, bernoulli_module, table_module
 from modnet.mh import (
     SiteProposal,
-    acceptance_stats,
     discrete_uniform_proposal,
     flip_proposal,
     gaussian_walk_proposal,
@@ -18,6 +17,7 @@ from modnet.mh import (
 from modnet.network import EdgeSpec, NodeSpec, build_network
 from modnet.oracle import posterior
 from modnet.reference_models import CHAIN3, chain3_network, chain3_oracle
+from modnet.traceio import TraceAccumulator
 from modnet.values import discrete, real
 
 
@@ -98,10 +98,10 @@ def test_gaussian_walk_proposal_matches_normal_density():
 # -- port resolution and guard rails --------------------------------------------
 
 def test_resolve_port():
-    two_port = wrap_exact(
+    two_port = ExactModule(
         lambda inputs, rng: {"a": discrete(0), "b": discrete(0)},
         lambda inputs, outputs: 0.0,
-        output_ports=("a", "b"),
+        input_ports=(), output_ports=("a", "b"),
     )
     net = build_network([NodeSpec(1, two_port)], [], {})
     noop = lambda *args: None
@@ -317,26 +317,20 @@ def test_summary_and_stats_agree_with_records():
     rng = np.random.default_rng(13)
     net.initialize(rng)
     records = []
-    summary = run_chain(net, [flip_proposal(1), flip_proposal(2)], 500, rng,
-                        sink=records.append, scan="random")
-    assert summary.iterations == 500
-    assert sum(summary.proposals.values()) == 500
+    acc = TraceAccumulator(node_names={i: net.name_of(i) for i in net.node_ids()})
+
+    def sink(rec):
+        records.append(rec)
+        acc(rec)
+
+    assert run_chain(net, [flip_proposal(1), flip_proposal(2)], 500, rng,
+                     sink=sink, scan="random") is None
+    assert acc.iterations == len(records) == 500
+    assert sum(acc.proposals.values()) == 500
+    rates = acc.to_jsonable()["acceptance_rates"]
     for site in (1, 2):
         manual = [r.accepted for r in records if r.site == site]
-        assert summary.proposals[site] == len(manual)
-        assert summary.acceptance_rate(site) == pytest.approx(
-            sum(manual) / len(manual), abs=0.0
-        )
-    stats_doc = acceptance_stats(records)
-    assert stats_doc["iterations"] == 500
-    assert stats_doc["proposals"] == summary.proposals
-    assert stats_doc["neg_inf_proposals"] == sum(
-        r.neg_inf_proposal for r in records
-    )
-    lw3 = [r.log_weights[3] for r in records]
-    assert stats_doc["log_weight_stats"][3]["mean"] == pytest.approx(
-        sum(lw3) / len(lw3), rel=1e-12
-    )
-    assert math.isnan(summary.acceptance_rate(99))
-    with pytest.raises(ValueError):
-        acceptance_stats([])
+        assert acc.proposals[site] == len(manual)
+        assert acc.accepts.get(site, 0) == sum(manual)
+        assert rates[net.name_of(site)] == sum(manual) / len(manual)
+    assert acc.neg_inf_proposals == sum(r.neg_inf_proposal for r in records)

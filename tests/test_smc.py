@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,16 +7,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 from modnet.interface import DegenerateTraceError, SchemaError
 from modnet.oracle import log_evidence
 from modnet.reference_models import BinaryHmm, hmm_oracle_model, hmm_observation
-from modnet.smc import (
-    Latents,
-    csmc_run,
-    logsumexp,
-    make_smc_module,
-    particle_system_from_json,
-    particle_system_to_json,
-    recompute_log_z,
-    smc_run,
-)
+from modnet.smc import Latents, SmcModule, logsumexp, recompute_log_z, smc_run
 from modnet.values import discrete
 
 INIT_P1 = 0.6
@@ -65,6 +55,25 @@ def test_single_particle_log_z_is_the_path_score():
         assert ps.ancestors == ((0,), (0,))
         assert ps.log_z == sum(row[0] for row in ps.log_weights)
         assert v.steps == tuple(row[0] for row in ps.latents)
+        # pinned, the only particle is the pinned path: same score, bit for bit
+        _, cps = smc_run(_model(), {}, hmm_observation(YS), 1, rng, pinned=v)
+        assert cps.log_z == ps.log_z
+
+
+def test_selected_trajectory_is_the_ancestral_lineage():
+    model = _model(num_steps=5)
+    outputs = hmm_observation([1, 0, 1, 1, 0])
+    rng = np.random.default_rng(8)
+    moved = 0
+    for _ in range(50):
+        v, ps = smc_run(model, {}, outputs, 6, rng)
+        lineage, a = [], ps.selected
+        for t in reversed(range(5)):
+            lineage.append(ps.latents[t][a])
+            a = ps.ancestors[t][a]
+        assert v.steps == tuple(reversed(lineage))
+        moved += any(row != tuple(range(6)) for row in ps.ancestors[1:])
+    assert moved > 0  # resampling really relabeled particles
 
 
 def test_estimate_is_unbiased_for_the_evidence():
@@ -82,7 +91,7 @@ def test_estimate_is_unbiased_for_the_evidence():
 
 def test_simulated_weight_satisfies_the_harmonic_identity():
     # For a fixed output z*, exp(-lw) 1{z = z*} averages to one under simulate.
-    module = make_smc_module(_model(), 5)
+    module = SmcModule(_model(), 5)
     rng = np.random.default_rng(99)
     target = tuple(YS)
     acc = np.zeros(20_000)
@@ -98,11 +107,9 @@ def test_conditional_sweep_pins_one_slot():
     pinned = Latents((1, 0))
     rng = np.random.default_rng(17)
     for _ in range(10):
-        ps = csmc_run(_model(), {}, hmm_observation(YS), pinned, 6, rng)
+        v, ps = smc_run(_model(), {}, hmm_observation(YS), 6, rng, pinned=pinned)
         slot = ps.selected
-        assert ps.meta is not None
-        assert ps.meta.slots == (slot, slot)
-        assert ps.meta.retained == pinned.steps
+        assert v is pinned
         for t in range(2):
             assert ps.latents[t][slot] == pinned.steps[t]
         assert ps.ancestors[0] == tuple(range(6))
@@ -116,7 +123,7 @@ def test_replay_reproduces_log_z_bit_for_bit():
         rng = np.random.default_rng(seed)
         v, ps = smc_run(model, {}, outputs, 4, rng)
         assert recompute_log_z(model, {}, outputs, ps) == ps.log_z
-        cps = csmc_run(model, {}, outputs, v, 4, rng)
+        _, cps = smc_run(model, {}, outputs, 4, rng, pinned=v)
         assert recompute_log_z(model, {}, outputs, cps) == cps.log_z
 
 
@@ -130,7 +137,7 @@ def test_dead_inputs_give_minus_inf_without_raising():
     assert ps.log_z == -math.inf
     assert len(v.steps) == 2
     assert all(0 <= a < 5 for row in ps.ancestors for a in row)
-    module = make_smc_module(model, 5)
+    module = SmcModule(model, 5)
     lw, aux = module.regenerate(inputs, hmm_observation(YS), rng)
     assert lw == -math.inf
     assert aux.particles.log_z == -math.inf
@@ -141,7 +148,7 @@ def test_inconsistent_forward_sampler_is_rejected():
         def obs_sample(self, t, state, inputs, latent, rng):
             return 2  # outside what obs_log_weight accepts
 
-    module = make_smc_module(BrokenHmm(2, INIT_P1, EMIT, trans=TRANS), 3)
+    module = SmcModule(BrokenHmm(2, INIT_P1, EMIT, trans=TRANS), 3)
     with pytest.raises(DegenerateTraceError):
         module.simulate({}, np.random.default_rng(0))
 
@@ -149,7 +156,7 @@ def test_inconsistent_forward_sampler_is_rejected():
 def test_module_wires_ports_and_aux():
     model = BinaryHmm(2, INIT_P1, EMIT,
                       trans_by_input={0: TRANS, 1: (0.5, 0.5)}, input_port="s")
-    module = make_smc_module(model, 4)
+    module = SmcModule(model, 4)
     assert module.input_ports == ("s",)
     assert module.output_ports == ("y",)
     rng = np.random.default_rng(3)
@@ -165,25 +172,14 @@ def test_size_validation():
     with pytest.raises(ValueError):
         smc_run(_model(), {}, hmm_observation(YS), 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        csmc_run(_model(), {}, hmm_observation(YS), Latents((0, 0)), 0,
-                 np.random.default_rng(0))
+        smc_run(_model(), {}, hmm_observation(YS), 0, np.random.default_rng(0),
+                pinned=Latents((0, 0)))
     with pytest.raises(ValueError):
-        make_smc_module(_model(), 0)
+        SmcModule(_model(), 0)
     with pytest.raises(SchemaError, match="observation steps"):
         smc_run(_model(), {}, hmm_observation([1, 0, 1]), 3,
                 np.random.default_rng(0))
     with pytest.raises(SchemaError, match="pinned trajectory"):
-        csmc_run(_model(), {}, hmm_observation(YS), Latents((0,)), 3,
-                 np.random.default_rng(0))
+        smc_run(_model(), {}, hmm_observation(YS), 3, np.random.default_rng(0),
+                pinned=Latents((0,)))
 
-
-def test_particle_system_survives_json_round_trip():
-    rng = np.random.default_rng(21)
-    v, ps = smc_run(_model(), {}, hmm_observation(YS), 4, rng)
-    cps = csmc_run(_model(), {}, hmm_observation(YS), v, 4, rng)
-    dead_model = BinaryHmm(2, INIT_P1, EMIT,
-                           trans_by_input={0: TRANS}, input_port="s")
-    _, dead = smc_run(dead_model, {"s": discrete(9)}, hmm_observation(YS), 3, rng)
-    for system in (ps, cps, dead):
-        wire = json.loads(json.dumps(particle_system_to_json(system)))
-        assert particle_system_from_json(wire) == system
