@@ -20,6 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .interface import SchemaError
 from .mh import (SiteProposal, discrete_uniform_proposal, flip_proposal,
                  gaussian_walk_proposal, resolve_port, run_chain)
 from .network import ModuleNetwork
@@ -210,7 +211,12 @@ def build_proposal(net: ModuleNetwork, spec: tuple) -> SiteProposal:
         raise ConfigError(f"proposal site {p['site']!r} is not a node name")
     make, settings = PROPOSAL_KINDS[p["kind"]]
     kw = {k: check(p.get(k, default)) for k, (default, check) in settings.items()}
-    return make(site, port=p.get("port"), **kw)
+    proposal = make(site, port=p.get("port"), **kw)
+    try:
+        resolve_port(net, proposal)
+    except SchemaError as e:
+        raise ConfigError(f"proposal at site {p['site']!r}: {e}")
+    return proposal
 
 
 def run_one_chain(cfg: ExperimentConfig, index: int,
@@ -226,6 +232,9 @@ def run_one_chain(cfg: ExperimentConfig, index: int,
         run_chain(net, schedule, cfg.iterations, rng, sink=acc, scan=cfg.scan)
         return acc
 
+    # created only once the proposals are known to fit the network, so a
+    # refused config leaves nothing behind
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     path = Path(out_dir) / f"trace_chain{index}.csv"
     with TraceWriter(path, net, site_ports) as writer:
         def sink(rec):
@@ -246,7 +255,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     also write trace_chain<i>.csv per chain plus summary.json."""
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.workers > 1 and cfg.chains > 1:
         doc = asdict(cfg)

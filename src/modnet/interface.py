@@ -198,29 +198,33 @@ def table_module(
     domain: tuple[int, ...] = (0, 1),
     port: str = "z",
 ) -> ProbModule:
-    """Exact CPT over a finite domain, rows keyed by discrete input tuples."""
+    """Exact CPT over a finite domain, rows keyed by discrete input tuples.
+
+    An input combination with no row has no support: log_density scores it
+    -inf, so a proposal that leads there is rejected rather than raising.
+    """
     domain = tuple(domain)
     rows = {tuple(k): tuple(float(p) for p in v) for k, v in rows.items()}
     for key, probs in rows.items():
         if len(probs) != len(domain) or abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError(f"bad CPT row {key!r}")
 
-    def row_for(inputs):
-        key = tuple(
+    def key_of(inputs):
+        return tuple(
             _require_kind(inputs[p], values.DISCRETE, f"table input {p!r}").data
             for p in input_ports
         )
-        if key not in rows:
-            raise SchemaError(f"table: no row for input combination {key!r}")
-        return rows[key]
 
     def sample(inputs, rng):
-        return {port: values.discrete(_walk(domain, row_for(inputs), rng.random()))}
+        key = key_of(inputs)
+        if key not in rows:
+            raise SchemaError(f"table: no row for input combination {key!r}")
+        return {port: values.discrete(_walk(domain, rows[key], rng.random()))}
 
     def log_density(inputs, outputs):
-        probs = row_for(inputs)
+        probs = rows.get(key_of(inputs))
         z = _require_kind(outputs[port], values.DISCRETE, "table output").data
-        if z in domain:
+        if probs is not None and z in domain:
             p = probs[domain.index(z)]
             if p > 0.0:
                 return math.log(p)

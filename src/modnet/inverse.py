@@ -145,8 +145,11 @@ def sample_batch(spec: DiscreteModelSpec, n: int, rng) -> dict[str, np.ndarray]:
             table[k] = probs
         cum = np.cumsum(table, axis=1)
         u = rng.random(n)
-        idx = (u[:, None] >= cum[code]).sum(axis=1)
-        cols[v.name] = np.minimum(idx, len(v.domain) - 1).astype(np.int64)
+        # one gather-and-compare per bound; the last bound would only clamp
+        idx = np.zeros(n, dtype=np.int64)
+        for j in range(len(v.domain) - 1):
+            idx += u >= cum[:, j][code]
+        cols[v.name] = idx
     return cols
 
 

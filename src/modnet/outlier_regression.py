@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .interface import ProbModule, SchemaError
 from .inverse import (DiscreteModelSpec, InverseModule, VariableSpec,
@@ -36,8 +36,7 @@ def load_constants() -> dict:
 # -- conjugate line posterior -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugateLineState:
+class ConjugateLineState(NamedTuple):
     """Gaussian posterior over (intercept, slope) after some observations.
 
     Plain scalar recursion; s00/s01/s11 are the covariance entries. Each
@@ -57,24 +56,25 @@ class ConjugateLineState:
         v1 = self.s01 + x * self.s11
         return self.m0 + self.m1 * x, sigma * sigma + v0 + x * v1
 
+    def condition(self, x: float, b: float,
+                  sigma: float) -> tuple[float, "ConjugateLineState"]:
+        """The log predictive density of b at x and the posterior after
+        observing it, both from one shared predictive."""
+        m0, m1, s00, s01, s11 = self
+        v0 = s00 + x * s01
+        v1 = s01 + x * s11
+        var = sigma * sigma + v0 + x * v1
+        r = b - (m0 + m1 * x)
+        return (-0.5 * (_LOG_2PI + math.log(var) + r * r / var),
+                ConjugateLineState(m0 + v0 / var * r, m1 + v1 / var * r,
+                                   s00 - v0 * v0 / var, s01 - v0 * v1 / var,
+                                   s11 - v1 * v1 / var))
+
     def log_predictive(self, x: float, b: float, sigma: float) -> float:
-        mean, var = self.predictive(x, sigma)
-        d = b - mean
-        return -0.5 * (_LOG_2PI + math.log(var) + d * d / var)
+        return self.condition(x, b, sigma)[0]
 
     def update(self, x: float, b: float, sigma: float) -> "ConjugateLineState":
-        v0 = self.s00 + x * self.s01
-        v1 = self.s01 + x * self.s11
-        mean = self.m0 + self.m1 * x
-        var = sigma * sigma + v0 + x * v1
-        r = b - mean
-        return ConjugateLineState(
-            m0=self.m0 + v0 / var * r,
-            m1=self.m1 + v1 / var * r,
-            s00=self.s00 - v0 * v0 / var,
-            s01=self.s01 - v0 * v1 / var,
-            s11=self.s11 - v1 * v1 / var,
-        )
+        return self.condition(x, b, sigma)[1]
 
     def sample_line(self, rng) -> tuple[float, float]:
         """Draw (intercept, slope); lower-triangular square root by hand."""
@@ -117,37 +117,38 @@ class RegressionSequentialModel(SequentialModel):
         self.sigma_out = float(reg["sigma_outlier"])
         self._prior = prior_line_state(doc)
 
-    def _sigma(self, latent: int) -> float:
-        return self.sigma_out if latent == 1 else self.sigma_in
-
     def initial_state(self, inputs):
-        # state = (line posterior, outlier rate); rate is None off-support
+        # a state is the line posterior; the outlier rate is read from inputs
         a = inputs["a"]
         if a.kind != "discrete":
             raise SchemaError(f"port 'a' expects a discrete value, got {a.kind}")
-        return (self._prior, self.rates.get(a.data))
+        return self._prior
 
-    def prior_sample(self, t, state, inputs, rng):
-        rate = state[1]
+    def prior_sample(self, t, states, inputs, rng):
+        rate = self.rates.get(inputs["a"].data)
         if rate is None:
-            return 0
-        return 1 if rng.random() < rate else 0
+            return [0] * len(states)
+        return [1 if u < rate else 0 for u in rng.random(len(states)).tolist()]
 
     def obs_sample(self, t, state, inputs, latent, rng):
-        mean, var = state[0].predictive(self.covariates[t], self._sigma(latent))
+        sigma = self.sigma_out if latent == 1 else self.sigma_in
+        mean, var = state.predictive(self.covariates[t], sigma)
         return mean + math.sqrt(var) * rng.standard_normal()
 
-    def obs_log_weight(self, t, state, inputs, latent, obs):
-        line, rate = state
-        if rate is None:
-            return -math.inf
-        return line.log_predictive(self.covariates[t], obs, self._sigma(latent))
-
-    def advance_state(self, t, state, inputs, latent, obs):
-        return (state[0].update(self.covariates[t], obs, self._sigma(latent)), state[1])
+    def step(self, t, states, inputs, latents, obs):
+        x = self.covariates[t]
+        sigma_in, sigma_out = self.sigma_in, self.sigma_out
+        log_w, new_states = [], []
+        for line, lat in zip(states, latents):
+            w, after = line.condition(x, obs, sigma_out if lat == 1 else sigma_in)
+            log_w.append(w)
+            new_states.append(after)
+        if self.rates.get(inputs["a"].data) is None:
+            log_w = [-math.inf] * len(log_w)
+        return log_w, new_states
 
     def finalize_extra(self, state, inputs, rng):
-        return state[0].sample_line(rng)
+        return state.sample_line(rng)
 
     def pack_outputs(self, obs_list):
         return {"b": real_vector(obs_list)}

@@ -52,39 +52,45 @@ class BinaryHmm(SequentialModel):
         self.input_port = input_port
         self.input_ports = (input_port,) if input_port else ()
 
-    def initial_state(self, inputs):
-        # state = (previous hidden value or None, transition pair or None)
+        # log p(y | h), indexed [y][h]; a zero-probability emission is -inf
+        e0, e1 = self.emit
+        self._log_emit = tuple(
+            tuple(math.log(p) if p > 0.0 else -math.inf for p in probs)
+            for probs in ((1.0 - e0, 1.0 - e1), (e0, e1)))
+
+    def _row(self, inputs) -> tuple[float, float] | None:
+        """This sweep's transition pair; None for an input with no entry."""
         if self.input_port is None:
-            return (None, self.trans)
-        s = inputs[self.input_port]
-        if s.kind != "discrete":
-            raise SchemaError(
-                f"port {self.input_port!r} expects a discrete value, got {s.kind}")
-        return (None, self.trans_by_input.get(s.data))
+            return self.trans
+        return self.trans_by_input.get(inputs[self.input_port].data)
 
-    def _step_p1(self, state) -> float | None:
-        prev, row = state
+    def initial_state(self, inputs):
+        # a state is the previous hidden value; None before the first step
+        if self.input_port is not None:
+            s = inputs[self.input_port]
+            if s.kind != "discrete":
+                raise SchemaError(
+                    f"port {self.input_port!r} expects a discrete value, got {s.kind}")
+        return None
+
+    def prior_sample(self, t, states, inputs, rng):
+        row = self._row(inputs)
         if row is None:
-            return None
-        return self.init_p1 if prev is None else row[prev]
-
-    def prior_sample(self, t, state, inputs, rng):
-        p = self._step_p1(state)
-        if p is None:
-            return 0
-        return 1 if rng.random() < p else 0
+            return [0] * len(states)
+        us = rng.random(len(states)).tolist()
+        if t == 0:
+            p = self.init_p1
+            return [1 if u < p else 0 for u in us]
+        return [1 if u < row[h] else 0 for h, u in zip(states, us)]
 
     def obs_sample(self, t, state, inputs, latent, rng):
         return 1 if rng.random() < self.emit[latent] else 0
 
-    def obs_log_weight(self, t, state, inputs, latent, obs):
-        if state[1] is None or obs not in (0, 1):
-            return -math.inf
-        p = self.emit[latent] if obs == 1 else 1.0 - self.emit[latent]
-        return math.log(p) if p > 0.0 else -math.inf
-
-    def advance_state(self, t, state, inputs, latent, obs):
-        return (latent, state[1])
+    def step(self, t, states, inputs, latents, obs):
+        if self._row(inputs) is None or obs not in (0, 1):
+            return [-math.inf] * len(latents), latents
+        lw = self._log_emit[obs]
+        return [lw[h] for h in latents], latents
 
     def pack_outputs(self, obs_list):
         return {"y": discrete_vector(obs_list)}

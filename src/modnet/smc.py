@@ -1,8 +1,10 @@
 """Sequential Monte Carlo as a module backend.
 
 A SequentialModel describes per-step latents proposed from their prior and a
-per-step observation likelihood; smc_run estimates the normalizing constant
-with multinomial resampling at every step, and the resulting log Z-hat is the
+per-step observation likelihood, and it works on the whole particle
+population at once: each model call draws, scores or advances all K
+particles of one step. smc_run estimates the normalizing constant with
+multinomial resampling at every step, and the resulting log Z-hat is the
 module log-weight. The conditional variant (smc_run with pinned=...) runs the
 same sweep with one uniformly chosen particle slot pinned to a given latent
 trajectory; it is what simulate uses to score a forward sample. Why log Z-hat
@@ -25,19 +27,26 @@ from .interface import DegenerateTraceError, ModuleIO, ProbModule, SchemaError
 
 
 def logsumexp(vals) -> float:
-    m = max(vals)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+    return _normalise(list(vals))[0]
 
 
 class SequentialModel:
     """Stepwise model contract consumed by smc_run.
 
-    States are treated as immutable: advance_state returns a new state and
-    must be deterministic, which is what makes replay verification exact.
-    finalize_extra samples any non-sequential latents from their exact
-    conditional given the final state (return None when there are none).
+    Every sweep call covers the whole particle population: prior_sample gets
+    a list of states and returns one latent per state, and step scores and
+    advances every particle at once, returning (log_weights, new_states).
+    Anything constant over a sweep (a transition row, a rate picked by an
+    input) is read from inputs rather than carried in each state.
+
+    States are treated as immutable and step must be deterministic, which is
+    what makes replay verification exact. Neither method may modify the
+    lists it is given. prior_sample must draw its randomness in particle
+    order, so a population call draws exactly what one call per particle
+    would; given no states it draws nothing. obs_sample draws one particle's
+    observation for the forward pass of simulate. finalize_extra samples any
+    non-sequential latents from their exact conditional given the final
+    state (return None when there are none).
     """
 
     num_steps: int
@@ -47,16 +56,14 @@ class SequentialModel:
     def initial_state(self, inputs: ModuleIO):
         raise NotImplementedError
 
-    def prior_sample(self, t: int, state, inputs: ModuleIO, rng):
+    def prior_sample(self, t: int, states: list, inputs: ModuleIO, rng) -> list:
+        raise NotImplementedError
+
+    def step(self, t: int, states: list, inputs: ModuleIO, latents,
+             obs) -> tuple[list[float], list]:
         raise NotImplementedError
 
     def obs_sample(self, t: int, state, inputs: ModuleIO, latent, rng):
-        raise NotImplementedError
-
-    def obs_log_weight(self, t: int, state, inputs: ModuleIO, latent, obs) -> float:
-        raise NotImplementedError
-
-    def advance_state(self, t: int, state, inputs: ModuleIO, latent, obs):
         raise NotImplementedError
 
     def finalize_extra(self, state, inputs: ModuleIO, rng):
@@ -102,12 +109,13 @@ class SmcAux:
     particles: ParticleSystem
 
 
-def _weights_to_cumulative(log_w) -> list[float] | None:
-    """Normalized cumulative weights, or None when everything is -inf."""
-    m = max(log_w)
+def _normalise(row_w) -> tuple[float, list[float] | None]:
+    """logsumexp of one step's log-weights and their normalized cumulative
+    sum (None when everything is -inf), from one pass of exponentials."""
+    m = max(row_w)
     if m == -math.inf:
-        return None
-    probs = [math.exp(w - m) for w in log_w]
+        return -math.inf, None
+    probs = [math.exp(w - m) for w in row_w]
     total = sum(probs)
     cum = []
     acc = 0.0
@@ -115,7 +123,7 @@ def _weights_to_cumulative(log_w) -> list[float] | None:
         acc += p / total
         cum.append(acc)
     cum[-1] = 1.0
-    return cum
+    return m + math.log(total), cum
 
 
 def _multinomial_row(cum, K, rng) -> list[int]:
@@ -159,39 +167,35 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
     states = [model.initial_state(inputs)] * K
     lat_rows, w_rows, anc_rows = [], [], []
     log_z = 0.0
-    prev_w: list[float] | None = None
+    cum: list[float] | None = None
     prior_sample = model.prior_sample
-    obs_log_weight = model.obs_log_weight
-    advance_state = model.advance_state
+    step = model.step
 
     for t in range(T):
         if t == 0:
             anc = list(range(K))
         else:
-            cum = _weights_to_cumulative(prev_w)
             # K uniforms drawn either way; a pinned slot ignores its draw.
             anc = _uniform_row(K, rng) if cum is None else _multinomial_row(cum, K, rng)
             if pinned is not None:
                 anc[slot] = slot
             states = [states[a] for a in anc]
-        row_lat, row_w = [], []
-        ob = obs[t]
-        for p in range(K):
-            st = states[p]
-            lat = pinned.steps[t] if p == slot else prior_sample(t, st, inputs, rng)
-            row_lat.append(lat)
-            row_w.append(obs_log_weight(t, st, inputs, lat, ob))
-            states[p] = advance_state(t, st, inputs, lat, ob)
-        log_z += logsumexp(row_w) - log_k
+        if pinned is None:
+            row_lat = prior_sample(t, states, inputs, rng)
+        else:
+            # the free particles draw in slot order, the pinned one not at all
+            row_lat = prior_sample(t, states[:slot] + states[slot + 1:], inputs, rng)
+            row_lat.insert(slot, pinned.steps[t])
+        row_w, states = step(t, states, inputs, row_lat, obs[t])
+        lse, cum = _normalise(row_w)
+        log_z += lse - log_k
         lat_rows.append(tuple(row_lat))
         w_rows.append(tuple(row_w))
         anc_rows.append(tuple(anc))
-        prev_w = row_w
 
     if pinned is not None:
         k, v = slot, pinned
     else:
-        cum = _weights_to_cumulative(prev_w)
         if cum is None:
             k = int(rng.integers(K))
         else:
@@ -218,17 +222,10 @@ def recompute_log_z(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
     states = [model.initial_state(inputs)] * K
     log_z = 0.0
     for t in range(len(obs)):
-        anc = ps.ancestors[t]
         if t > 0:
-            states = [states[a] for a in anc]
-        row_w = []
-        ob = obs[t]
-        for p in range(K):
-            st = states[p]
-            lat = ps.latents[t][p]
-            row_w.append(model.obs_log_weight(t, st, inputs, lat, ob))
-            states[p] = model.advance_state(t, st, inputs, lat, ob)
-        log_z += logsumexp(row_w) - log_k
+            states = [states[a] for a in ps.ancestors[t]]
+        row_w, states = model.step(t, states, inputs, list(ps.latents[t]), obs[t])
+        log_z += _normalise(row_w)[0] - log_k
     return log_z
 
 
@@ -258,9 +255,9 @@ class SmcModule(ProbModule):
         state = m.initial_state(inputs)
         steps, obs = [], []
         for t in range(m.num_steps):
-            lat = m.prior_sample(t, state, inputs, rng)
+            lat = m.prior_sample(t, [state], inputs, rng)[0]
             ob = m.obs_sample(t, state, inputs, lat, rng)
-            state = m.advance_state(t, state, inputs, lat, ob)
+            _, (state,) = m.step(t, [state], inputs, [lat], ob)
             steps.append(lat)
             obs.append(ob)
         extra = m.finalize_extra(state, inputs, rng)

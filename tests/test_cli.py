@@ -116,19 +116,40 @@ def test_infer_config_errors_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("network,proposal,why", [
     ("chain3", {"site": "X1", "port": "z", "kind": "flip", "sigmaa": 3},
-     "unknown key 'sigmaa' for kind 'flip'"),
+     "field 'proposals[0]': unknown key 'sigmaa' for kind 'flip'"),
     ("outlier_regression",
      {"site": "A", "port": "a", "kind": "gaussian_walk", "sigma": -1},
-     "'sigma' must be a finite number > 0, got -1"),
-], ids=["unknown-key", "negative-sigma"])
+     "field 'proposals[0]': 'sigma' must be a finite number > 0, got -1"),
+    # only the built network knows its ports, so this one is refused after
+    # the build but still before any file is written
+    ("chain3", {"site": "X1", "port": "q", "kind": "flip"},
+     "proposal at site 'X1': node 1 has no output port 'q'"),
+], ids=["unknown-key", "negative-sigma", "unknown-port"])
 def test_infer_bad_proposal_exits_two(tmp_path, capsys, network, proposal, why):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"network": network, "seed": 1, "iterations": 5,
                                "train_samples": 0, "proposals": [proposal]}))
     out = tmp_path / "runs"
     assert main(["infer", "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"field 'proposals[0]': {why}" in capsys.readouterr().err
+    assert why in capsys.readouterr().err
     assert not out.exists()  # refused before any chain ran
+
+
+def test_infer_off_support_proposal_is_a_rejection(tmp_path, capsys):
+    # X1 = 2 has no row in X2's table: every such move scores -inf and is
+    # rejected, and the run completes
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "network": "chain3", "seed": 3, "iterations": 200,
+        "proposals": [{"site": "X1", "port": "z", "kind": "discrete_uniform",
+                       "domain": [0, 1, 2]}]}))
+    out = tmp_path / "runs"
+    assert main(["infer", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    combined = summary["combined"]
+    assert combined["neg_inf_proposals"] > 0
+    assert set(combined["value_counts"]["X1"]) <= {"0", "1"}
+    capsys.readouterr()
 
 
 # -- validate ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -178,3 +179,37 @@ def test_other_builtin_networks_run_end_to_end(tmp_path):
         header = (tmp_path / network / "trace_chain0.csv").read_text().splitlines()[0]
         assert header.startswith("iteration,a,")
         assert header.endswith("total_lw,accepted")
+
+
+# sha256 of every file run_experiment writes for two chains of 200
+# iterations at seed 2024 with each network's default settings. Speed work
+# on the sweep, the inverse or the trace sinks must leave these unchanged; a
+# change that alters RNG consumption or arithmetic on purpose re-pins them
+# and says so. They assume numpy's PCG64 streams and IEEE doubles.
+PINNED_DIGESTS = {
+    "chain3": {
+        "summary.json": "9387df05fde36b1a8eb2d4320170963fb32691ca6ba8aeef1db71c6371b42ac8",
+        "trace_chain0.csv": "1d30095caf27959f08fb470eded4b75604a37b2176f6dd8bba3a87abab39b075",
+        "trace_chain1.csv": "88a5413a8dd3a045f524bccb4e94c20dfa351339a2c05482827f71c81736dc66",
+    },
+    "outlier_regression": {
+        "summary.json": "130eee142f0cb7c8532bff4a0eff6779d336db0768f735e2776192b8b8e44197",
+        "trace_chain0.csv": "9ac14db7a35bd312d049fffc1d2ef12d28bc6be1791255c8b0a413dee8c83f6f",
+        "trace_chain1.csv": "0ba2a3cbad7e655c92c4d2a1fa878a2bf4bda016e677a0ff7cc5eca7dda23772",
+    },
+    "switch_hmm": {
+        "summary.json": "75999f63d729210c60b54ca6141f47069936b83cd24e08f7606268657280b139",
+        "trace_chain0.csv": "d151e3deffaedc12b3ace1f1851061d226db722d695093b4bb7f860711ef3d15",
+        "trace_chain1.csv": "156d3d6ca2a6aa408adc636270acbfdf3a7852a00a7040e507717b8c8e702180",
+    },
+}
+
+
+@pytest.mark.parametrize("network", sorted(PINNED_DIGESTS))
+def test_run_artifacts_match_pinned_digests(tmp_path, network):
+    cfg = parse_config({"network": network, "seed": 2024, "chains": 2,
+                        "iterations": 200})
+    run_experiment(cfg, out_dir=tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == PINNED_DIGESTS[network]

@@ -76,8 +76,11 @@ def test_table_module_rows_and_missing_key():
     m = table_module(("x",), {(0,): (0.9, 0.1), (1,): (0.4, 0.6)})
     lw, _ = m.regenerate({"x": values.discrete(1)}, {"z": values.discrete(0)}, _NoRng())
     assert lw == math.log(0.4)
-    with pytest.raises(SchemaError):
-        m.regenerate({"x": values.discrete(7)}, {"z": values.discrete(0)}, _NoRng())
+    # no row: scored as impossible, so an MH move there is a cheap rejection
+    lw, _ = m.regenerate({"x": values.discrete(7)}, {"z": values.discrete(0)}, _NoRng())
+    assert lw == -math.inf
+    with pytest.raises(SchemaError, match="no row"):
+        m.simulate({"x": values.discrete(7)}, default_rng(0))
     zero = table_module(("x",), {(0,): (1.0, 0.0)})
     lw, _ = zero.regenerate({"x": values.discrete(0)}, {"z": values.discrete(1)}, _NoRng())
     assert lw == -math.inf

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modnet.interface import SchemaError
+from modnet.interface import SchemaError, _walk
 from modnet.inverse import (
     DiscreteModelSpec,
     InverseModule,
@@ -100,6 +100,28 @@ def test_sample_batch_matches_forward_distribution():
     mask = cols["u1"] == 1
     se = math.sqrt(U2[(1,)][1] * U2[(1,)][0] / mask.sum())
     assert abs(cols["u2"][mask].mean() - U2[(1,)][1]) < 4 * se
+
+
+def test_sample_batch_agrees_with_the_scalar_walk():
+    # the batched index is the value _walk picks from the same uniforms,
+    # including zero-probability entries and a non-zero-based domain
+    spec = DiscreteModelSpec(
+        latents=(VariableSpec("u", (0, 1, 2), (), {(): (0.2, 0.5, 0.3)}),),
+        outputs=(VariableSpec("w", (3, 5, 7, 9), ("u",), {
+            (0,): (0.1, 0.2, 0.3, 0.4),
+            (1,): (0.0, 0.5, 0.5, 0.0),
+            (2,): (0.25, 0.25, 0.25, 0.25)}),),
+    )
+    n = 4000
+    cols = sample_batch(spec, n, np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    u_draws = rng.random(n)
+    w_draws = rng.random(n)
+    for i in range(n):
+        u = _walk((0, 1, 2), (0.2, 0.5, 0.3), u_draws[i])
+        row = spec.variable("w").table[(u,)]
+        w = _walk((3, 5, 7, 9), row, w_draws[i])
+        assert (cols["u"][i], cols["w"][i]) == (u, (3, 5, 7, 9).index(w))
 
 
 # -- exact inverse ---------------------------------------------------------------

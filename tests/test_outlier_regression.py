@@ -107,12 +107,13 @@ def test_sample_line_has_the_posterior_moments():
 def test_first_step_weight_is_the_prior_predictive(constants):
     model = RegressionSequentialModel()
     ds = constants["dataset"]
-    state = model.initial_state({"a": discrete(0)})
-    got = model.obs_log_weight(0, state, {}, 0, ds["responses"][0])
-    want = prior_line_state().log_predictive(
-        ds["covariates"][0], ds["responses"][0],
-        constants["regression"]["sigma_inlier"])
-    assert got == want
+    inputs = {"a": discrete(0)}
+    state = model.initial_state(inputs)
+    x, b = ds["covariates"][0], ds["responses"][0]
+    sigma = constants["regression"]["sigma_inlier"]
+    got, (line,) = model.step(0, [state], inputs, [0], b)
+    assert got == [prior_line_state().log_predictive(x, b, sigma)]
+    assert line == prior_line_state().update(x, b, sigma)
     assert model.covariates == reg_covariates()
     assert model.num_steps == 9
 

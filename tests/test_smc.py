@@ -6,9 +6,10 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from modnet.interface import DegenerateTraceError, SchemaError
 from modnet.oracle import log_evidence
+from modnet.outlier_regression import RegressionSequentialModel, default_dataset
 from modnet.reference_models import BinaryHmm, hmm_oracle_model, hmm_observation
 from modnet.smc import Latents, SmcModule, logsumexp, recompute_log_z, smc_run
-from modnet.values import discrete
+from modnet.values import discrete, real_vector
 
 INIT_P1 = 0.6
 TRANS = (0.3, 0.8)
@@ -117,14 +118,18 @@ def test_conditional_sweep_pins_one_slot():
 
 
 def test_replay_reproduces_log_z_bit_for_bit():
-    model = _model()
-    outputs = hmm_observation(YS)
-    for seed in range(50):
-        rng = np.random.default_rng(seed)
-        v, ps = smc_run(model, {}, outputs, 4, rng)
-        assert recompute_log_z(model, {}, outputs, ps) == ps.log_z
-        _, cps = smc_run(model, {}, outputs, 4, rng, pinned=v)
-        assert recompute_log_z(model, {}, outputs, cps) == cps.log_z
+    cases = [
+        (_model(), {}, hmm_observation(YS)),
+        (RegressionSequentialModel(), {"a": discrete(1)},
+         {"b": real_vector(default_dataset()["responses"])}),
+    ]
+    for model, inputs, outputs in cases:
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            v, ps = smc_run(model, inputs, outputs, 4, rng)
+            assert recompute_log_z(model, inputs, outputs, ps) == ps.log_z
+            _, cps = smc_run(model, inputs, outputs, 4, rng, pinned=v)
+            assert recompute_log_z(model, inputs, outputs, cps) == cps.log_z
 
 
 def test_dead_inputs_give_minus_inf_without_raising():
@@ -146,7 +151,7 @@ def test_dead_inputs_give_minus_inf_without_raising():
 def test_inconsistent_forward_sampler_is_rejected():
     class BrokenHmm(BinaryHmm):
         def obs_sample(self, t, state, inputs, latent, rng):
-            return 2  # outside what obs_log_weight accepts
+            return 2  # outside what step accepts
 
     module = SmcModule(BrokenHmm(2, INIT_P1, EMIT, trans=TRANS), 3)
     with pytest.raises(DegenerateTraceError):
