@@ -38,8 +38,6 @@ from .inverse import (
     InverseNetwork,
     VariableSpec,
     exact_inverse,
-    load_inverse,
-    save_inverse,
     train_inverse,
 )
 from .mh import (
@@ -119,7 +117,6 @@ __all__ = [
     "gaussian_walk_proposal",
     "generate_dataset",
     "load_config",
-    "load_inverse",
     "mh_update",
     "normal_module",
     "parse_config",
@@ -129,7 +126,6 @@ __all__ = [
     "recompute_log_z",
     "run_chain",
     "run_experiment",
-    "save_inverse",
     "smc_run",
     "summary_document",
     "table_module",

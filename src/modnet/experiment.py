@@ -28,6 +28,7 @@ from .outlier_regression import build_outlier_network
 from .reference_models import chain3_network, switch_hmm_network
 from .seeds import derive_seed
 from .traceio import TraceAccumulator, TraceWriter, summary_document, write_summary
+from .values import DISCRETE, REAL
 
 
 class ConfigError(Exception):
@@ -65,12 +66,13 @@ def _sigma(v) -> float:
     return float(v)
 
 
-# proposal kind -> (constructor, {setting: (default, check)}); every kind
-# also takes 'site' and an optional 'port'
+# proposal kind -> (constructor, value kind it acts on, {setting: (default,
+# check)}); every kind also takes 'site' and an optional 'port'
 PROPOSAL_KINDS = {
-    "flip": (flip_proposal, {}),
-    "discrete_uniform": (discrete_uniform_proposal, {"domain": ((0, 1), _domain)}),
-    "gaussian_walk": (gaussian_walk_proposal, {"sigma": (1.0, _sigma)}),
+    "flip": (flip_proposal, DISCRETE, {}),
+    "discrete_uniform": (discrete_uniform_proposal, DISCRETE,
+                         {"domain": ((0, 1), _domain)}),
+    "gaussian_walk": (gaussian_walk_proposal, REAL, {"sigma": (1.0, _sigma)}),
 }
 
 
@@ -145,7 +147,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if p["kind"] not in PROPOSAL_KINDS:
             raise ConfigError(f"{where}: unknown proposal kind {p['kind']!r}; "
                               f"expected one of {list(PROPOSAL_KINDS)}")
-        settings = PROPOSAL_KINDS[p["kind"]][1]
+        settings = PROPOSAL_KINDS[p["kind"]][2]
         for key, v in p.items():
             if key in settings:
                 try:
@@ -204,18 +206,25 @@ def build_configured_network(cfg: ExperimentConfig, rng) -> ModuleNetwork:
 
 
 def build_proposal(net: ModuleNetwork, spec: tuple) -> SiteProposal:
+    """The proposal a config entry describes, checked against the initialized
+    network: the site must exist, have the port, and hold the value kind the
+    proposal acts on."""
     p = dict(spec)
     try:
         site = net.id_of(p["site"])
     except KeyError:
         raise ConfigError(f"proposal site {p['site']!r} is not a node name")
-    make, settings = PROPOSAL_KINDS[p["kind"]]
+    make, value_kind, settings = PROPOSAL_KINDS[p["kind"]]
     kw = {k: check(p.get(k, default)) for k, (default, check) in settings.items()}
     proposal = make(site, port=p.get("port"), **kw)
     try:
-        resolve_port(net, proposal)
+        port = resolve_port(net, proposal)
     except SchemaError as e:
         raise ConfigError(f"proposal at site {p['site']!r}: {e}")
+    held = net.outputs_of(site)[port].kind
+    if held != value_kind:
+        raise ConfigError(f"proposal at site {p['site']!r}: kind {p['kind']!r} "
+                          f"acts on {value_kind} values, port {port!r} holds {held}")
     return proposal
 
 
@@ -244,12 +253,6 @@ def run_one_chain(cfg: ExperimentConfig, index: int,
     return acc
 
 
-def _chain_job(args) -> TraceAccumulator:
-    doc, index, out_dir = args
-    cfg = parse_config(doc)
-    return run_one_chain(cfg, index, Path(out_dir) if out_dir else None)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run all chains and return the summary document. When out_dir is set,
     also write trace_chain<i>.csv per chain plus summary.json."""
@@ -257,11 +260,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         out_dir = Path(out_dir)
 
     if cfg.workers > 1 and cfg.chains > 1:
-        doc = asdict(cfg)
-        doc["proposals"] = [dict(p) for p in cfg.proposals]
-        jobs = [(doc, i, str(out_dir) if out_dir else None) for i in range(cfg.chains)]
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.chains)) as pool:
-            accs = list(pool.map(_chain_job, jobs))
+        n = cfg.chains
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, n)) as pool:
+            accs = list(pool.map(run_one_chain, [cfg] * n, range(n), [out_dir] * n))
     else:
         accs = [run_one_chain(cfg, i, out_dir) for i in range(cfg.chains)]
 

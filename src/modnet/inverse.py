@@ -16,7 +16,6 @@ latents were drawn.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .interface import ModuleIO, ProbModule, SchemaError, _walk
+from .interface import ProbModule, SchemaError, _walk
 from .values import Value, discrete
 
 PROB_ROW_TOL = 1e-9
@@ -117,32 +116,53 @@ class InverseNetwork:
                     raise SchemaError(f"{f.var}: learned row {key} has a zero entry")
 
 
-# -- forward sampling ---------------------------------------------------------
+# -- table rows and sampling --------------------------------------------------
+
+
+def _sample(rows, assign: dict[str, int], rng) -> dict[str, int]:
+    """Draw each row's variable in order, one uniform per row, given the
+    values already in assign."""
+    for var, domain, cond, table in rows:
+        assign[var] = _walk(domain, table[tuple(assign[c] for c in cond)], rng.random())
+    return assign
+
+
+def _forward_rows(spec: DiscreteModelSpec) -> tuple:
+    return tuple((v.name, v.domain, v.parents, v.table) for v in spec.variables)
 
 
 def forward_sample(spec: DiscreteModelSpec, rng) -> dict[str, int]:
-    assign: dict[str, int] = {}
-    for v in spec.variables:
-        probs = v.table[tuple(assign[p] for p in v.parents)]
-        assign[v.name] = _walk(v.domain, probs, rng.random())
-    return assign
+    return _sample(_forward_rows(spec), {}, rng)
+
+
+def _row_probs(rows, assign: Mapping[str, int]) -> list:
+    """The probability each (variable, domain, conditioning, table) row
+    assigns to the variable's value in assign."""
+    return [table[tuple(assign[c] for c in cond)][domain.index(assign[var])]
+            for var, domain, cond, table in rows]
+
+
+def _encode(cols: Mapping[str, np.ndarray], variables, n: int):
+    """Mixed-radix code of each sample's values of `variables`, first variable
+    most significant, so codes count up in itertools.product order; also the
+    number of codes."""
+    code = np.zeros(n, dtype=np.int64)
+    radix = 1
+    for v in reversed(variables):
+        code += cols[v.name] * radix
+        radix *= len(v.domain)
+    return code, radix
 
 
 def sample_batch(spec: DiscreteModelSpec, n: int, rng) -> dict[str, np.ndarray]:
     """Forward-sample n assignments at once; columns hold domain indices."""
     cols: dict[str, np.ndarray] = {}
     for v in spec.variables:
-        radix = 1
-        code = np.zeros(n, dtype=np.int64)
-        for p in reversed(v.parents):
-            code += cols[p] * radix
-            radix *= len(spec.variable(p).domain)
+        parents = [spec.variable(p) for p in v.parents]
+        code, radix = _encode(cols, parents, n)
         table = np.empty((radix, len(v.domain)))
-        for key, probs in v.table.items():
-            k = 0
-            for p, val in zip(v.parents, key):
-                k = k * len(spec.variable(p).domain) + spec.variable(p).domain.index(val)
-            table[k] = probs
+        for k, key in enumerate(product(*[p.domain for p in parents])):
+            table[k] = v.table[key]
         cum = np.cumsum(table, axis=1)
         u = rng.random(n)
         # one gather-and-compare per bound; the last bound would only clamp
@@ -183,12 +203,8 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng,
     for var, ctx in _sampling_plan(spec):
         v = spec.variable(var)
         d = len(v.domain)
-        radix = 1
-        code = np.zeros(n_samples, dtype=np.int64)
         ctx_vars = [spec.variable(c) for c in ctx]
-        for c in reversed(ctx_vars):
-            code += cols[c.name] * radix
-            radix *= len(c.domain)
+        code, radix = _encode(cols, ctx_vars, n_samples)
         joint = np.bincount(code * d + cols[var], minlength=radix * d)
         joint = joint.reshape(radix, d).astype(np.float64)
         counts = joint.sum(axis=1, keepdims=True)
@@ -209,13 +225,10 @@ def exact_inverse(spec: DiscreteModelSpec) -> InverseNetwork:
     conditional. Every float in the forward tables converts to a Fraction
     exactly, so these tables carry no rounding at all."""
     names = [v.name for v in spec.variables]
+    rows = _forward_rows(spec)
     joint: dict[tuple, Fraction] = {}
     for combo in product(*[v.domain for v in spec.variables]):
-        assign = dict(zip(names, combo))
-        pr = Fraction(1)
-        for v in spec.variables:
-            row = v.table[tuple(assign[p] for p in v.parents)]
-            pr *= Fraction(row[v.domain.index(assign[v.name])])
+        pr = math.prod(map(Fraction, _row_probs(rows, dict(zip(names, combo)))))
         if pr:
             joint[combo] = pr
 
@@ -238,63 +251,23 @@ def exact_inverse(spec: DiscreteModelSpec) -> InverseNetwork:
                 table[key] = tuple(cond[key].get(d, Fraction(0)) / marg[key]
                                    for d in v.domain)
             else:
-                # context has zero probability; never reached when sampling
+                # context has zero probability: only an impossible output
+                # reaches it, and that output weighs -inf
                 table[key] = (Fraction(1, len(v.domain)),) * len(v.domain)
         factors.append(InverseFactor(var, v.domain, ctx, table))
     return InverseNetwork(tuple(factors), 0.0, 0, exact=True)
 
 
-# -- weights ------------------------------------------------------------------
-
-
-def _log_joint(spec: DiscreteModelSpec, assign: Mapping[str, int]) -> float:
-    out = 0.0
-    for v in spec.variables:
-        row = v.table[tuple(assign[p] for p in v.parents)]
-        p = float(row[v.domain.index(assign[v.name])])
-        if p == 0.0:
-            return -math.inf
-        out += math.log(p)
-    return out
-
-
-def _log_inverse(inv: InverseNetwork, assign: Mapping[str, int]) -> float:
-    out = 0.0
-    for f in inv.factors:
-        row = f.table[tuple(assign[c] for c in f.context)]
-        p = float(row[f.domain.index(assign[f.var])])
-        if p == 0.0:
-            return -math.inf
-        out += math.log(p)
-    return out
-
-
-def _fraction_ratio(spec: DiscreteModelSpec, inv: InverseNetwork,
-                    assign: Mapping[str, int]) -> Fraction:
-    num = Fraction(1)
-    for v in spec.variables:
-        row = v.table[tuple(assign[p] for p in v.parents)]
-        num *= Fraction(row[v.domain.index(assign[v.name])])
-    den = Fraction(1)
-    for f in inv.factors:
-        row = f.table[tuple(assign[c] for c in f.context)]
-        den *= row[f.domain.index(assign[f.var])]
-    return num / den
-
-
-def _log_fraction(r: Fraction) -> float:
-    # works for magnitudes far outside float range
-    return math.log(r.numerator) - math.log(r.denominator)
-
-
-def _log_weight(spec, inv, assign) -> float:
-    if inv.exact:
-        return _log_fraction(_fraction_ratio(spec, inv, assign))
-    lp = _log_joint(spec, assign)
-    return -math.inf if lp == -math.inf else lp - _log_inverse(inv, assign)
-
-
 # -- module wrapper -----------------------------------------------------------
+
+
+def _sum_log(probs) -> float:
+    out = 0.0
+    for p in probs:
+        if p == 0:
+            return -math.inf
+        out += math.log(p)
+    return out
 
 
 class InverseModule(ProbModule):
@@ -306,18 +279,37 @@ class InverseModule(ProbModule):
             raise SchemaError("inverse factors do not match the model's latents")
         self.spec = spec
         self.inv = inv
+        # (variable, domain, conditioning, table) rows, in sampling order
+        self._forward = _forward_rows(spec)
+        self._inverse = tuple((f.var, f.domain, f.context, f.table)
+                              for f in inv.factors)
+        self._latents = tuple(v.name for v in spec.latents)
         self.input_ports = ()
         self.output_ports = tuple(o.name for o in spec.outputs)
         if name:
             self.name = name
 
+    def _log_weight(self, assign: Mapping[str, int]) -> float:
+        """log p(u, z) - log q(u | z) at one full assignment."""
+        if self.inv.exact:
+            # in rationals, so the ratio is exactly p(z) whatever u was drawn
+            r = math.prod(map(Fraction, _row_probs(self._forward, assign)))
+            if not r:
+                return -math.inf
+            r /= math.prod(_row_probs(self._inverse, assign))
+            # works for magnitudes far outside float range
+            return math.log(r.numerator) - math.log(r.denominator)
+        lp = _sum_log(_row_probs(self._forward, assign))
+        if lp == -math.inf:
+            return lp
+        return lp - _sum_log(_row_probs(self._inverse, assign))
+
     def simulate(self, inputs, rng):
         self.check_inputs(inputs)
-        assign = forward_sample(self.spec, rng)
-        lw = _log_weight(self.spec, self.inv, assign)
-        z = {o.name: discrete(assign[o.name]) for o in self.spec.outputs}
-        aux = {name: assign[name] for name in (v.name for v in self.spec.latents)}
-        return z, lw, aux
+        assign = _sample(self._forward, {}, rng)
+        z = {name: discrete(assign[name]) for name in self.output_ports}
+        aux = {name: assign[name] for name in self._latents}
+        return z, self._log_weight(assign), aux
 
     def regenerate(self, inputs, outputs, rng):
         self.check_inputs(inputs)
@@ -326,77 +318,13 @@ class InverseModule(ProbModule):
         for o in self.spec.outputs:
             val = _discrete_value(outputs[o.name], o.name)
             if val not in o.domain:
-                return -math.inf, {v.name: None for v in self.spec.latents}
+                return -math.inf, dict.fromkeys(self._latents)
             assign[o.name] = val
-        for f in self.inv.factors:
-            row = f.table[tuple(assign[c] for c in f.context)]
-            assign[f.var] = _walk(f.domain, row, rng.random())
-        lw = _log_weight(self.spec, self.inv, assign)
-        aux = {name: assign[name] for name in (v.name for v in self.spec.latents)}
-        return lw, aux
+        assign = _sample(self._inverse, assign, rng)
+        return self._log_weight(assign), {name: assign[name] for name in self._latents}
 
 
 def _discrete_value(v: Value, port: str) -> int:
     if v.kind != "discrete":
         raise SchemaError(f"port {port!r} expects a discrete value, got {v.kind}")
     return v.data
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def _enc_prob(p):
-    if isinstance(p, Fraction):
-        return f"{p.numerator}/{p.denominator}"
-    return float(p)
-
-
-def _dec_prob(p):
-    if isinstance(p, str):
-        num, den = p.split("/")
-        return Fraction(int(num), int(den))
-    return float(p)
-
-
-def inverse_to_json(inv: InverseNetwork) -> dict:
-    return {
-        "smoothing": inv.smoothing,
-        "n_train": inv.n_train,
-        "exact": inv.exact,
-        "factors": [
-            {
-                "var": f.var,
-                "domain": list(f.domain),
-                "context": list(f.context),
-                "table": [
-                    {"key": list(k), "probs": [_enc_prob(p) for p in row]}
-                    for k, row in sorted(f.table.items())
-                ],
-            }
-            for f in inv.factors
-        ],
-    }
-
-
-def inverse_from_json(doc: dict) -> InverseNetwork:
-    factors = []
-    for fd in doc["factors"]:
-        table = {
-            tuple(r["key"]): tuple(_dec_prob(p) for p in r["probs"])
-            for r in fd["table"]
-        }
-        factors.append(InverseFactor(fd["var"], tuple(fd["domain"]),
-                                     tuple(fd["context"]), table))
-    return InverseNetwork(tuple(factors), float(doc["smoothing"]),
-                          int(doc["n_train"]), bool(doc["exact"]))
-
-
-def save_inverse(inv: InverseNetwork, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(inverse_to_json(inv), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_inverse(path) -> InverseNetwork:
-    with open(path) as fh:
-        return inverse_from_json(json.load(fh))

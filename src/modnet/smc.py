@@ -101,14 +101,6 @@ class ParticleSystem:
     log_z: float
 
 
-@dataclass(frozen=True)
-class SmcAux:
-    """Auxiliary record stored in the network: trajectory plus its sweep."""
-
-    latents: Latents
-    particles: ParticleSystem
-
-
 def _normalise(row_w) -> tuple[float, list[float] | None]:
     """logsumexp of one step's log-weights and their normalized cumulative
     sum (None when everything is -inf), from one pass of exponentials."""
@@ -126,9 +118,10 @@ def _normalise(row_w) -> tuple[float, list[float] | None]:
     return m + math.log(total), cum
 
 
+# Neither here nor in smc_run's final draw does bisect_right(cum, u) need a
+# clamp to K - 1: _normalise sets cum[-1] = 1.0 and every uniform u is < 1.
 def _multinomial_row(cum, K, rng) -> list[int]:
-    us = rng.random(K).tolist()
-    return [min(bisect_right(cum, u), K - 1) for u in us]
+    return [bisect_right(cum, u) for u in rng.random(K).tolist()]
 
 
 def _uniform_row(K, rng) -> list[int]:
@@ -199,7 +192,7 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
         if cum is None:
             k = int(rng.integers(K))
         else:
-            k = min(bisect_right(cum, rng.random()), K - 1)
+            k = bisect_right(cum, rng.random())
         extra = model.finalize_extra(states[k], inputs, rng)
         # the selected lineage, read back through the recorded ancestry
         steps, a = [], k
@@ -231,7 +224,8 @@ def recompute_log_z(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
 
 class SmcModule(ProbModule):
     """Module whose regenerate is an SMC sweep and whose simulate scores its
-    own forward sample with a conditional sweep."""
+    own forward sample with a conditional sweep. The log-weight is the
+    sweep's log Z-hat and the aux is the selected Latents."""
 
     def __init__(self, model: SequentialModel, num_particles: int, name=None):
         if num_particles < 1:
@@ -247,7 +241,7 @@ class SmcModule(ProbModule):
         self.check_inputs(inputs)
         self.check_outputs(outputs)
         v, ps = smc_run(self.model, inputs, outputs, self.num_particles, rng)
-        return ps.log_z, SmcAux(v, ps)
+        return ps.log_z, v
 
     def simulate(self, inputs, rng):
         self.check_inputs(inputs)
@@ -267,4 +261,4 @@ class SmcModule(ProbModule):
         _, ps = smc_run(m, inputs, outputs, self.num_particles, rng, pinned=v)
         if ps.log_z == -math.inf:
             raise DegenerateTraceError("conditional sweep scored the forward sample at zero")
-        return outputs, ps.log_z, SmcAux(v, ps)
+        return outputs, ps.log_z, v

@@ -48,11 +48,6 @@ class Value:
             if any(not math.isfinite(v) for v in self.data):
                 raise ValueError("real_vector payload must be finite")
 
-    def __len__(self) -> int:
-        if self.kind in (DISCRETE, REAL):
-            raise TypeError(f"{self.kind} value has no length")
-        return len(self.data)
-
 
 def discrete(v: int) -> Value:
     return Value(DISCRETE, int(v))
@@ -69,22 +64,3 @@ def discrete_vector(vs) -> Value:
 def real_vector(vs) -> Value:
     return Value(REAL_VECTOR, tuple(float(v) for v in vs))
 
-
-def to_json(value: Value) -> dict:
-    data = list(value.data) if isinstance(value.data, tuple) else value.data
-    return {"kind": value.kind, "value": data}
-
-
-def from_json(doc: dict) -> Value:
-    if not isinstance(doc, dict) or set(doc) != {"kind", "value"}:
-        raise ValueError(f"malformed value document: {doc!r}")
-    kind, data = doc["kind"], doc["value"]
-    if kind == DISCRETE:
-        return discrete(data)
-    if kind == REAL:
-        return real(data)
-    if kind == DISCRETE_VECTOR:
-        return discrete_vector(data)
-    if kind == REAL_VECTOR:
-        return real_vector(data)
-    raise ValueError(f"unknown value kind {kind!r}")

@@ -124,7 +124,10 @@ def test_infer_config_errors_exit_two(tmp_path, capsys):
     # the build but still before any file is written
     ("chain3", {"site": "X1", "port": "q", "kind": "flip"},
      "proposal at site 'X1': node 1 has no output port 'q'"),
-], ids=["unknown-key", "negative-sigma", "unknown-port"])
+    ("switch_hmm", {"site": "A", "kind": "gaussian_walk"},
+     "proposal at site 'A': kind 'gaussian_walk' acts on real values, "
+     "port 'a' holds discrete"),
+], ids=["unknown-key", "negative-sigma", "unknown-port", "kind-mismatch"])
 def test_infer_bad_proposal_exits_two(tmp_path, capsys, network, proposal, why):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"network": network, "seed": 1, "iterations": 5,

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modnet.interface import SchemaError, _walk
 from modnet.inverse import (
@@ -11,11 +14,10 @@ from modnet.inverse import (
     VariableSpec,
     exact_inverse,
     forward_sample,
-    load_inverse,
     sample_batch,
-    save_inverse,
     train_inverse,
 )
+from modnet.oracle import Factor, FactoredDiscreteModel, log_evidence
 from modnet.values import discrete, real
 
 U1 = (0.7, 0.3)
@@ -161,6 +163,20 @@ def test_exact_inverse_conditional_matches_bayes():
         assert float(u2_given_z[(z,)][1]) == pytest.approx(want, rel=1e-13)
 
 
+def test_exact_weight_of_an_impossible_output_is_minus_inf():
+    # z = 1 is in the domain but has probability zero; the exact inverse
+    # falls back to a uniform row for it and the ratio is 0, not an error
+    spec = DiscreteModelSpec(
+        latents=(VariableSpec("u", (0, 1), (), {(): (0.5, 0.5)}),),
+        outputs=(VariableSpec("z", (0, 1), ("u",),
+                              {(0,): (1.0, 0.0), (1,): (1.0, 0.0)}),),
+    )
+    module = InverseModule(spec, exact_inverse(spec))
+    lw, aux = module.regenerate({}, {"z": discrete(1)}, np.random.default_rng(0))
+    assert lw == -math.inf
+    assert aux["u"] in (0, 1)
+
+
 # -- learned inverse --------------------------------------------------------------
 
 def test_trained_tables_approach_the_true_conditionals():
@@ -274,12 +290,64 @@ def test_more_training_data_stabilizes_the_weight():
     assert var["tight"] < 1e-2
 
 
-# -- serialization --------------------------------------------------------------------
+# -- random specs ---------------------------------------------------------------------
 
-def test_save_load_round_trip(tmp_path):
-    spec = _spec()
-    for inv in (exact_inverse(spec),
-                train_inverse(spec, 1000, np.random.default_rng(2))):
-        path = tmp_path / "inv.json"
-        save_inverse(inv, path)
-        assert load_inverse(path) == inv
+@st.composite
+def small_specs(draw):
+    """2-4 variables over 2-3 values, random parents among earlier variables,
+    rows from integer weights 0-3 so some entries are zero."""
+    n = draw(st.integers(2, 4))
+    n_latent = draw(st.integers(1, n - 1))
+    made: list[VariableSpec] = []
+    for i in range(n):
+        domain = tuple(range(draw(st.integers(2, 3))))
+        parents = tuple(p.name for p in made if draw(st.booleans()))
+        table = {}
+        for key in product(*[p.domain for p in made if p.name in parents]):
+            weights = draw(st.lists(st.integers(0, 3), min_size=len(domain),
+                                    max_size=len(domain)).filter(any))
+            table[key] = tuple(w / sum(weights) for w in weights)
+        made.append(VariableSpec(f"v{i}", domain, parents, table))
+    return DiscreteModelSpec(tuple(made[:n_latent]), tuple(made[n_latent:]))
+
+
+def _hand_log_weight(spec, inv, assign):
+    lp = 0.0
+    for v in spec.variables:
+        p = v.table[tuple(assign[q] for q in v.parents)][v.domain.index(assign[v.name])]
+        if p == 0.0:
+            return -math.inf
+        lp += math.log(p)
+    lq = 0.0
+    for f in inv.factors:
+        lq += math.log(f.table[tuple(assign[c] for c in f.context)][
+            f.domain.index(assign[f.var])])
+    return lp - lq
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(spec=small_specs(), seed=st.integers(0, 2**32 - 1))
+def test_inverse_weights_on_random_specs(spec, seed):
+    oracle = FactoredDiscreteModel(
+        [Factor(v.name, v.domain, v.parents, v.table) for v in spec.variables])
+    exact = InverseModule(spec, exact_inverse(spec))
+    learned_inv = train_inverse(spec, 200, np.random.default_rng(seed))
+    learned = InverseModule(spec, learned_inv)
+    rng = np.random.default_rng(seed)
+    for zs in product(*[o.domain for o in spec.outputs]):
+        z = dict(zip(learned.output_ports, zs))
+        outputs = {k: discrete(v) for k, v in z.items()}
+        # exact: log p(z) whatever latents were drawn, to the bit
+        want = log_evidence(oracle, z)
+        lws = {exact.regenerate({}, outputs, rng)[0] for _ in range(5)}
+        assert len(lws) == 1
+        lw = lws.pop()
+        if want == -math.inf:
+            assert lw == -math.inf
+        else:
+            assert lw == pytest.approx(want, rel=1e-12, abs=1e-12)
+        # learned: log p(u, z) - log q(u | z) at the drawn latents
+        for _ in range(5):
+            lw, aux = learned.regenerate({}, outputs, rng)
+            assert lw == pytest.approx(
+                _hand_log_weight(spec, learned_inv, {**z, **aux}), rel=1e-12)

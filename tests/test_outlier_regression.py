@@ -128,8 +128,8 @@ def test_regression_module_tracks_the_enumerated_evidence(oracle_fixtures,
                                     np.random.default_rng(40 + a))
         want = oracle_fixtures["log_evidence_by_switch"][str(a)]
         assert abs(lw - want) < 0.2
-        assert len(aux.latents.steps) == 9
-        assert aux.latents.extra is not None and len(aux.latents.extra) == 2
+        assert len(aux.steps) == 9
+        assert aux.extra is not None and len(aux.extra) == 2
 
 
 def test_off_support_switch_value_weights_to_minus_inf(constants):

@@ -145,7 +145,7 @@ def test_dead_inputs_give_minus_inf_without_raising():
     module = SmcModule(model, 5)
     lw, aux = module.regenerate(inputs, hmm_observation(YS), rng)
     assert lw == -math.inf
-    assert aux.particles.log_z == -math.inf
+    assert isinstance(aux, Latents) and len(aux.steps) == 2
 
 
 def test_inconsistent_forward_sampler_is_rejected():
@@ -167,10 +167,13 @@ def test_module_wires_ports_and_aux():
     rng = np.random.default_rng(3)
     with pytest.raises(SchemaError):
         module.regenerate({}, hmm_observation(YS), rng)
-    lw, aux = module.regenerate({"s": discrete(0)}, hmm_observation(YS), rng)
-    assert aux.particles.log_z == lw
-    assert len(aux.latents.steps) == 2
-    assert aux.particles.selected in range(4)
+    # the aux is the selected trajectory; lw is the sweep's log Z-hat
+    lw, aux = module.regenerate({"s": discrete(0)}, hmm_observation(YS),
+                                np.random.default_rng(3))
+    v, ps = smc_run(model, {"s": discrete(0)}, hmm_observation(YS), 4,
+                    np.random.default_rng(3))
+    assert (lw, aux) == (ps.log_z, v)
+    assert len(aux.steps) == 2
 
 
 def test_size_validation():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -44,32 +43,3 @@ def test_values_are_immutable_and_hashable():
         v.data = (3.0,)
     assert len({discrete(1), discrete(1), discrete(0)}) == 2
     assert discrete(1) != real(1.0)
-
-
-def test_len_only_on_vectors():
-    assert len(discrete_vector([1, 0])) == 2
-    assert len(real_vector([])) == 0
-    with pytest.raises(TypeError):
-        len(discrete(1))
-    with pytest.raises(TypeError):
-        len(real(1.0))
-
-
-@pytest.mark.parametrize("v", [
-    discrete(5),
-    real(-0.25),
-    discrete_vector([0, 1, 1]),
-    real_vector([0.5, -1.5]),
-])
-def test_json_round_trip(v):
-    doc = json.loads(json.dumps(values.to_json(v)))
-    assert values.from_json(doc) == v
-
-
-def test_from_json_rejects_malformed_documents():
-    with pytest.raises(ValueError):
-        values.from_json({"kind": "discrete"})
-    with pytest.raises(ValueError):
-        values.from_json({"kind": "no-such-kind", "value": 1})
-    with pytest.raises(ValueError):
-        values.from_json([1, 2])
