@@ -182,6 +182,10 @@ def cmd_validate(args) -> int:
     fixtures = _require_object(
         read_config_document(fixtures_path), fixtures_path
     )
+    missing = {"switch_marginal", "log_evidence_by_switch",
+               "posterior_switch_one"} - set(fixtures)
+    if missing:
+        raise ConfigError(f"fixtures file {fixtures_path} lacks {sorted(missing)}")
 
     log.info("validating against %s", fixtures_path)
     results = validation.run_all(

@@ -6,7 +6,7 @@ with derive_seed(master, i): network construction (including any inverse
 training), initialization, and the chain itself all draw from that one
 stream, so results depend only on (config, master seed, i) and never on how
 chains are scheduled across workers. Each chain writes trace_chain<i>.csv;
-a single summary.json is written after every chain has finished.
+a single summary.json, written after every chain has finished, marks a run done.
 """
 
 from __future__ import annotations
@@ -241,9 +241,10 @@ def run_one_chain(cfg: ExperimentConfig, index: int,
         run_chain(net, schedule, cfg.iterations, rng, sink=acc, scan=cfg.scan)
         return acc
 
-    # created only once the proposals are known to fit the network, so a
-    # refused config leaves nothing behind
+    # created only once the proposals fit the network, so a refused config
+    # touches nothing; an old summary must not vouch for this run's traces
     Path(out_dir).mkdir(parents=True, exist_ok=True)
+    (Path(out_dir) / "summary.json").unlink(missing_ok=True)
     path = Path(out_dir) / f"trace_chain{index}.csv"
     with TraceWriter(path, net, site_ports) as writer:
         def sink(rec):

@@ -158,22 +158,8 @@ def bernoulli_module(theta: float, port: str = "z") -> ProbModule:
 
 def categorical_module(probs, port: str = "z") -> ProbModule:
     """Exact categorical over values 0..k-1 with the given probabilities."""
-    probs = tuple(float(p) for p in probs)
-    if not probs or any(p < 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
-        raise ValueError("probs must be nonnegative and sum to 1")
-
-    support = range(len(probs))
-
-    def sample(inputs, rng):
-        return {port: values.discrete(_walk(support, probs, rng.random()))}
-
-    def log_density(inputs, outputs):
-        z = _require_kind(outputs[port], values.DISCRETE, "categorical").data
-        if 0 <= z < len(probs) and probs[z] > 0.0:
-            return math.log(probs[z])
-        return -math.inf
-
-    return ExactModule(sample, log_density, (), (port,))
+    probs = tuple(probs)
+    return table_module((), {(): probs}, tuple(range(len(probs))), port)
 
 
 def normal_module(mu: float, sigma: float, port: str = "z") -> ProbModule:
@@ -206,8 +192,9 @@ def table_module(
     domain = tuple(domain)
     rows = {tuple(k): tuple(float(p) for p in v) for k, v in rows.items()}
     for key, probs in rows.items():
-        if len(probs) != len(domain) or abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError(f"bad CPT row {key!r}")
+        if (len(probs) != len(domain) or not all(p >= 0.0 for p in probs)
+                or abs(sum(probs) - 1.0) > 1e-9):
+            raise ValueError(f"bad CPT row {key!r}: not a distribution over {domain}")
 
     def key_of(inputs):
         return tuple(

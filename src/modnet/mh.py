@@ -14,8 +14,9 @@ when the decision is already forced, so the stream position never depends on
 the outcome.
 
 On accept, the target's outputs and every touched node's (log-weight, aux)
-pair and recorded inputs are swapped in together. On reject, nothing is
-touched: the discarded call results simply go out of scope.
+pair are swapped in together; inputs are never stored, since the network
+derives them from the parents' outputs. On reject, nothing is touched: the
+discarded call results simply go out of scope.
 """
 
 from __future__ import annotations
@@ -108,24 +109,18 @@ def mh_update(net: ModuleNetwork, proposal: SiteProposal, rng) -> UpdateInfo:
     old_outputs = net.outputs_of(i)
     old_value = old_outputs[port]
     new_value = proposal.sample(old_value, rng)
-    new_outputs = dict(old_outputs)
-    new_outputs[port] = new_value
+    new_outputs = {**old_outputs, port: new_value}
     override = {i: new_outputs}
 
-    touched = [i] + [j for j in net.children(i) if j != i]
-    regen: dict[int, tuple[dict, dict, float, Any]] = {}
+    regen: dict[int, tuple[float, Any]] = {}
     delta = 0.0
     neg_inf = False
-    for j in touched:
-        if j == i:
-            x_j = net.inputs_of(i)
-            z_j = new_outputs
-        else:
-            x_j = net.assemble_inputs(j, override=override)
-            z_j = net.outputs_of(j)
-        lw_new, aux_new = net.module_of(j).regenerate(x_j, z_j, rng)
+    for j in (i, *net.children(i)):
+        z_j = new_outputs if j == i else net.outputs_of(j)
+        lw_new, aux_new = net.module_of(j).regenerate(
+            net.assemble_inputs(j, override), z_j, rng)
         lw_new = check_log_weight(lw_new)
-        regen[j] = (x_j, z_j, lw_new, aux_new)
+        regen[j] = (lw_new, aux_new)
         if lw_new == -math.inf:
             neg_inf = True
         else:
@@ -148,9 +143,8 @@ def mh_update(net: ModuleNetwork, proposal: SiteProposal, rng) -> UpdateInfo:
 
     if accepted:
         net.set_outputs(i, new_outputs)
-        for j, (x_j, _z_j, lw_new, aux_new) in regen.items():
+        for j, (lw_new, aux_new) in regen.items():
             net.update_log_weight(j, lw_new, aux_new)
-            net.set_inputs(j, x_j)
 
     return UpdateInfo(
         site=i,
@@ -159,7 +153,7 @@ def mh_update(net: ModuleNetwork, proposal: SiteProposal, rng) -> UpdateInfo:
         accepted=accepted,
         neg_inf_proposal=neg_inf,
         log_alpha=log_alpha,
-        regen_log_weights={j: r[2] for j, r in regen.items()},
+        regen_log_weights={j: r[0] for j, r in regen.items()},
     )
 
 

@@ -4,7 +4,8 @@ A network owns all mutable inference state: current outputs per node, plus the
 (log-weight, aux) pair from the most recent call that produced them. The pair
 lives in a single slot and is only ever replaced whole, so a log-weight can
 never be paired with auxiliary state from a different call. Observed nodes
-have their outputs fixed at construction and never change.
+have their outputs fixed at construction and never change. Inputs are not
+stored: assemble_inputs derives them from the wiring and the parents' outputs.
 """
 
 from __future__ import annotations
@@ -51,10 +52,7 @@ class EdgeSpec:
 
 
 class _Node:
-    __slots__ = (
-        "id", "name", "module", "observed", "wiring",
-        "inputs", "outputs", "state",
-    )
+    __slots__ = ("id", "name", "module", "observed", "wiring", "outputs", "state")
 
     def __init__(self, spec: NodeSpec, observed: bool):
         self.id = spec.id
@@ -62,7 +60,6 @@ class _Node:
         self.module = spec.module
         self.observed = observed
         self.wiring: dict[str, tuple[int, str]] = {}  # dst_port -> (src id, src port)
-        self.inputs: ModuleIO | None = None
         self.outputs: ModuleIO | None = None
         self.state: tuple[float, Any] | None = None  # (log-weight, aux), one slot
 
@@ -73,13 +70,13 @@ class ModuleNetwork:
     def __init__(self, nodes: dict[int, _Node], order: tuple[int, ...],
                  children: dict[int, tuple[int, ...]]):
         self._nodes = nodes
-        self.order = order
+        self._order = order
         self._children = children
 
     # -- topology ----------------------------------------------------------
 
     def node_ids(self) -> tuple[int, ...]:
-        return self.order
+        return self._order
 
     def children(self, node_id: int) -> tuple[int, ...]:
         return self._children[node_id]
@@ -99,9 +96,6 @@ class ModuleNetwork:
     def module_of(self, node_id: int) -> ProbModule:
         return self._node(node_id).module
 
-    def unobserved_ids(self) -> tuple[int, ...]:
-        return tuple(i for i in self.order if not self._nodes[i].observed)
-
     def _node(self, node_id: int) -> _Node:
         try:
             return self._nodes[node_id]
@@ -115,12 +109,6 @@ class ModuleNetwork:
         if node.outputs is None:
             raise UninitializedNodeError(f"node {node_id} has no outputs yet")
         return node.outputs
-
-    def inputs_of(self, node_id: int) -> ModuleIO:
-        node = self._node(node_id)
-        if node.inputs is None:
-            raise UninitializedNodeError(f"node {node_id} has no recorded inputs yet")
-        return node.inputs
 
     def lookup_log_weight(self, node_id: int) -> float:
         node = self._node(node_id)
@@ -144,7 +132,7 @@ class ModuleNetwork:
     def total_log_weight(self) -> float:
         """Sum of per-node log-weights in topological order; -inf absorbs."""
         total = 0.0
-        for i in self.order:
+        for i in self._order:
             node = self._nodes[i]
             if node.state is None:
                 raise UninitializedNodeError(f"node {i} has no log-weight yet")
@@ -153,11 +141,9 @@ class ModuleNetwork:
 
     def assemble_inputs(self, node_id: int,
                         override: Mapping[int, ModuleIO] | None = None) -> ModuleIO:
-        """Gather a node's inputs from its parents' current outputs.
-
-        override maps node id to a replacement outputs dict, used to evaluate
-        a child under a proposed parent value without mutating anything.
-        """
+        """A node's inputs, read through its wiring from the parents' current
+        outputs, or from override (node id -> outputs) for a proposed or staged
+        parent. Inputs are never stored; this is the only place they are formed."""
         node = self._node(node_id)
         inputs: ModuleIO = {}
         for dst_port, (src, src_port) in node.wiring.items():
@@ -174,11 +160,6 @@ class ModuleNetwork:
             raise SchemaError(f"node {node_id} is observed; outputs are immutable")
         node.module.check_outputs(outputs)
         node.outputs = dict(outputs)
-
-    def set_inputs(self, node_id: int, inputs: ModuleIO) -> None:
-        node = self._node(node_id)
-        node.module.check_inputs(inputs)
-        node.inputs = dict(inputs)
 
     # -- initialization ----------------------------------------------------
 
@@ -201,15 +182,12 @@ class ModuleNetwork:
         )
 
     def _try_initialize(self, rng) -> bool:
-        staged: dict[int, tuple[ModuleIO, ModuleIO, float, Any]] = {}
-        outputs_so_far: dict[int, ModuleIO] = {}
-        for i in self.order:
+        # topological order: every parent's outputs are staged before a child
+        staged: dict[int, ModuleIO] = {}
+        slots: dict[int, tuple[float, Any]] = {}
+        for i in self._order:
             node = self._nodes[i]
-            inputs = {
-                port: outputs_so_far[src][src_port]
-                for port, (src, src_port) in node.wiring.items()
-            }
-            node.module.check_inputs(inputs)
+            inputs = self.assemble_inputs(i, staged)
             if node.observed:
                 lw, aux = node.module.regenerate(inputs, node.outputs, rng)
                 lw = check_log_weight(lw)
@@ -223,14 +201,13 @@ class ModuleNetwork:
                     return False
                 node.module.check_outputs(outs)
                 lw = check_log_weight(lw)
-            staged[i] = (inputs, outs, lw, aux)
-            outputs_so_far[i] = outs
-        for i, (inputs, outs, lw, aux) in staged.items():
+            staged[i] = outs
+            slots[i] = (lw, aux)
+        for i, slot in slots.items():
             node = self._nodes[i]
-            node.inputs = inputs
             if not node.observed:
-                node.outputs = dict(outs)
-            node.state = (lw, aux)
+                node.outputs = dict(staged[i])
+            node.state = slot
         return True
 
 

@@ -177,10 +177,6 @@ def log_evidence(model: FactoredDiscreteModel, observation: Mapping[str, Any]) -
     return _logsumexp(terms)
 
 
-def evidence(model: FactoredDiscreteModel, observation: Mapping[str, Any]) -> float:
-    return math.exp(log_evidence(model, observation))
-
-
 def posterior(
     model: FactoredDiscreteModel,
     observation: Mapping[str, Any],

@@ -3,7 +3,8 @@ summary of what the chain did.
 
 Formatting is pinned so identical runs produce identical bytes: floats go
 through repr (shortest round-trip form), vectors join entries with ';', and
-JSON is dumped with sorted keys.
+JSON is dumped with sorted keys. Files are written as <name>.partial and
+renamed only when complete, so no half-written file carries a final name.
 
 CSV schema, versioned below: one column per scheduled site holding that
 site's current output value, named after the site's proposal port (falling
@@ -19,9 +20,11 @@ fluctuating even across stretches where every value column is constant.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 from .mh import ChainRecord
@@ -50,17 +53,31 @@ def site_column_names(net: ModuleNetwork, site_ports: dict[int, str]) -> dict[in
     }
 
 
+@contextlib.contextmanager
+def _atomic_open(path, newline=None):
+    """<path>.partial for writing; renamed to path on a clean exit, else deleted."""
+    partial = f"{path}.partial"
+    fh = open(partial, "w", newline=newline)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(partial)
+        raise
+    os.replace(partial, path)
+
+
 class TraceWriter:
-    """Streams ChainRecords to one CSV file. Use as the sink for run_chain;
-    close (or use as a context manager) to flush."""
+    """Streams ChainRecords to one CSV file, as the sink for run_chain. close (or
+    a clean exit from a with block) moves it to path; an exception deletes it."""
 
     def __init__(self, path, net: ModuleNetwork, site_ports: dict[int, str]):
         self.site_ids = tuple(site_ports)
         self.node_ids = tuple(net.node_ids())
         names = {i: net.name_of(i) for i in net.node_ids()}
         cols = site_column_names(net, site_ports)
-        self._fh = open(path, "w", newline="")
-        self._csv = csv.writer(self._fh)
+        self._file = _atomic_open(path, newline="")
+        self._csv = csv.writer(self._file.__enter__())
         header = ["iteration"]
         header += [cols[s] for s in self.site_ids]
         header += [f"lw_{names[i]}" for i in self.node_ids]
@@ -75,13 +92,14 @@ class TraceWriter:
         self._csv.writerow(row)
 
     def close(self) -> None:
-        self._fh.close()
+        """Flush and move the finished trace to path."""
+        self._file.__exit__(None, None, None)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
+        self._file.__exit__(*exc)
         return False
 
 
@@ -213,6 +231,6 @@ def summary_document(per_chain: list[TraceAccumulator]) -> dict:
 
 
 def write_summary(path, doc: dict) -> None:
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

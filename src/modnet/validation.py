@@ -354,7 +354,6 @@ def _state_fingerprint(net) -> list:
             tuple((p, id(v)) for p, v in sorted(net.outputs_of(i).items())),
             struct.pack("<d", net.lookup_log_weight(i)),
             id(net.lookup_aux(i)),
-            tuple((p, id(v)) for p, v in sorted(net.inputs_of(i).items())),
         ))
     return fp
 

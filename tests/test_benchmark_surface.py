@@ -1,0 +1,30 @@
+"""The benchmark under perfbench/ times the package by rebinding its entry
+points by name. This checks, on a short traced run, that every name it
+rebinds still exists and is still the one called, so renaming or inlining
+one fails here rather than silently emptying a layer metric."""
+
+from pathlib import Path
+
+import numpy as np
+
+import modnet
+from modnet.experiment import parse_config
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+SPANS = ("experiment.run_one_chain", "mh.run_chain", "network.initialize",
+         "smc.regenerate", "inverse.regenerate", "inverse.train",
+         "traceio.writer", "traceio.accumulator", "traceio.write_summary")
+
+
+def test_traced_run_reaches_every_benchmarked_layer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    cfg = parse_config({"network": "switch_hmm", "seed": 3, "chains": 1,
+                        "iterations": 40, "particles": 4, "train_samples": 200})
+    with tracing.traced(tracing.Tracer(), modnet) as tracer:
+        modnet.experiment.run_experiment(cfg, tmp_path)
+    names = np.array(tracer.names)[tracer.arrays()["name"]]
+    assert int((names == "mh.mh_update").sum()) == 40
+    assert not set(SPANS) - set(names)

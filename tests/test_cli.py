@@ -210,6 +210,14 @@ def test_validate_config_errors_exit_two(tmp_path, capsys):
                  "--iters", "0"]) == 2
     assert "iterations" in capsys.readouterr().err
 
+    empty = tmp_path / "empty_fixtures.json"
+    empty.write_text("{}")
+    assert main(["validate", "--config",
+                 _validate_config(tmp_path, fixtures=str(empty))]) == 2
+    err = capsys.readouterr().err
+    for key in ("switch_marginal", "log_evidence_by_switch", "posterior_switch_one"):
+        assert key in err
+
 
 # -- environment and plumbing ---------------------------------------------------------
 

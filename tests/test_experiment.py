@@ -16,6 +16,7 @@ from modnet.experiment import (
 )
 from modnet.oracle import posterior
 from modnet.reference_models import chain3_oracle
+from modnet.traceio import TraceAccumulator
 
 
 def _chain3_doc(**kw):
@@ -140,6 +141,35 @@ def test_chains_use_split_seed_streams(tmp_path):
     acc = run_one_chain(cfg, 1, None)
     doc = run_experiment(cfg)
     assert acc.to_jsonable() == doc["chains"][1]
+
+
+def test_interrupted_rerun_leaves_no_finished_looking_run(tmp_path, monkeypatch):
+    cfg = parse_config(_chain3_doc())
+    run_experiment(cfg, out_dir=tmp_path)
+
+    class Interrupted(Exception):
+        pass
+
+    calls = []
+    record = TraceAccumulator.__call__
+
+    def interrupted(self, rec):
+        # chain 0 runs whole, chain 1 stops halfway
+        calls.append(rec.iteration)
+        if len(calls) > cfg.iterations + cfg.iterations // 2:
+            raise Interrupted
+        record(self, rec)
+
+    monkeypatch.setattr(TraceAccumulator, "__call__", interrupted)
+    with pytest.raises(Interrupted):
+        run_experiment(cfg.replace(seed=cfg.seed + 1), out_dir=tmp_path)
+    assert not (tmp_path / "summary.json").exists()
+    assert not list(tmp_path.glob("*.partial"))
+    traces = sorted(p.name for p in tmp_path.glob("trace_chain*.csv"))
+    assert traces == ["trace_chain0.csv", "trace_chain1.csv"]
+    for name in traces:
+        text = (tmp_path / name).read_text()
+        assert text.count("\n") == 1 + cfg.iterations
 
 
 def test_worker_count_cannot_change_results(tmp_path):

@@ -84,6 +84,9 @@ def test_table_module_rows_and_missing_key():
     zero = table_module(("x",), {(0,): (1.0, 0.0)})
     lw, _ = zero.regenerate({"x": values.discrete(0)}, {"z": values.discrete(1)}, _NoRng())
     assert lw == -math.inf
+    # a row that sums to 1 through a negative entry is no distribution
+    with pytest.raises(ValueError, match="bad CPT row"):
+        table_module(("x",), {(0,): (1.5, -0.5), (1,): (0.5, 0.5)})
 
 
 def test_port_schema_enforced_on_both_paths():

@@ -191,8 +191,18 @@ def test_records_report_the_evaluated_configuration():
     net.initialize(rng)
     cur = {1: net.outputs_of(1)["z"].data, 2: net.outputs_of(2)["z"].data}
     records = []
+
+    def sink(rec):
+        # the stored slot must be what the module gives for the inputs the
+        # wiring derives now; exact modules draw nothing from rng
+        records.append(rec)
+        for j in net.node_ids():
+            lw, _ = net.module_of(j).regenerate(net.assemble_inputs(j),
+                                                net.outputs_of(j), rng)
+            assert lw.hex() == net.lookup_log_weight(j).hex()
+
     run_chain(net, [flip_proposal(1), flip_proposal(2)], 400, rng,
-              sink=records.append, scan="random")
+              sink=sink, scan="random")
     for r in records:
         v = r.proposed_value
         if r.site == 1:

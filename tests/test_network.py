@@ -113,7 +113,7 @@ def test_topology_and_naming():
     assert net.node_ids() == (1, 2, 3)
     assert net.children(1) == (2,)
     assert net.children(3) == ()
-    assert net.unobserved_ids() == (1, 2)
+    assert [i for i in net.node_ids() if not net.is_observed(i)] == [1, 2]
     assert net.is_observed(3) and not net.is_observed(1)
     assert net.name_of(1) == "X1"
     assert net.id_of("X2") == 2
@@ -134,10 +134,11 @@ def test_order_is_topological_regardless_of_declaration_order():
 
 def test_uninitialized_access_raises():
     net = _line()
-    for probe in (net.outputs_of, net.inputs_of, net.lookup_log_weight,
-                  net.lookup_aux):
+    for probe in (net.outputs_of, net.lookup_log_weight, net.lookup_aux):
         with pytest.raises(UninitializedNodeError):
             probe(1)
+    with pytest.raises(UninitializedNodeError):
+        net.assemble_inputs(2)
     with pytest.raises(UninitializedNodeError):
         net.total_log_weight()
 
@@ -154,7 +155,7 @@ def test_initialize_populates_everything():
         total += lw
     assert net.total_log_weight() == pytest.approx(total, abs=0.0)
     assert net.outputs_of(3)["z"].data == CHAIN3["observed_x3"]
-    assert net.inputs_of(2) == {"x": net.outputs_of(1)["z"]}
+    assert net.assemble_inputs(2) == {"x": net.outputs_of(1)["z"]}
 
 
 def test_initialize_retries_until_observation_is_reachable():
