@@ -11,8 +11,10 @@ rather than defaulted from the clock, so rerunning a command reproduces its
 files byte for byte.
 
 Exit codes: 0 success, 1 a validation criterion failed, 2 configuration
-error (unparseable JSON, unknown fields, missing files). Set MODNET_LOG=INFO
-or DEBUG for progress output on stderr.
+error (unparseable JSON, unknown fields, missing files), 3 any other error
+the package raises on purpose (a ModnetError: a schema violation, a
+degenerate trace, a bad network). Set MODNET_LOG=INFO or DEBUG for progress
+output on stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from importlib import resources
@@ -33,6 +36,7 @@ from .experiment import (
     read_config_document,
     run_experiment,
 )
+from .interface import ModnetError
 
 log = logging.getLogger("modnet.cli")
 
@@ -153,6 +157,30 @@ def cmd_oracle(args) -> int:
 # -- validate -----------------------------------------------------------------
 
 
+def _finite_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _check_fixtures(fixtures: dict, path) -> None:
+    """The three constants the battery reads, present and of the right type:
+    by-switch maps with entries "0" and "1", and a posterior number, all
+    finite."""
+    missing = {"switch_marginal", "log_evidence_by_switch",
+               "posterior_switch_one"} - set(fixtures)
+    if missing:
+        raise ConfigError(f"fixtures file {path} lacks {sorted(missing)}")
+    for key in ("switch_marginal", "log_evidence_by_switch"):
+        by_switch = fixtures[key]
+        if not (isinstance(by_switch, dict) and all(
+                _finite_number(by_switch.get(k)) for k in ("0", "1"))):
+            raise ConfigError(f"fixtures file {path}: {key!r} must map "
+                              f'"0" and "1" to finite numbers, got {by_switch!r}')
+    if not _finite_number(fixtures["posterior_switch_one"]):
+        raise ConfigError(f"fixtures file {path}: 'posterior_switch_one' must be "
+                          f"a finite number, got {fixtures['posterior_switch_one']!r}")
+
+
 def cmd_validate(args) -> int:
     doc: dict = {}
     if args.config is not None:
@@ -182,10 +210,7 @@ def cmd_validate(args) -> int:
     fixtures = _require_object(
         read_config_document(fixtures_path), fixtures_path
     )
-    missing = {"switch_marginal", "log_evidence_by_switch",
-               "posterior_switch_one"} - set(fixtures)
-    if missing:
-        raise ConfigError(f"fixtures file {fixtures_path} lacks {sorted(missing)}")
+    _check_fixtures(fixtures, fixtures_path)
 
     log.info("validating against %s", fixtures_path)
     results = validation.run_all(
@@ -268,6 +293,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except ModnetError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -208,7 +208,7 @@ def build_configured_network(cfg: ExperimentConfig, rng) -> ModuleNetwork:
 def build_proposal(net: ModuleNetwork, spec: tuple) -> SiteProposal:
     """The proposal a config entry describes, checked against the initialized
     network: the site must exist, have the port, and hold the value kind the
-    proposal acts on."""
+    proposal acts on. The returned proposal names its resolved port."""
     p = dict(spec)
     try:
         site = net.id_of(p["site"])
@@ -225,7 +225,7 @@ def build_proposal(net: ModuleNetwork, spec: tuple) -> SiteProposal:
     if held != value_kind:
         raise ConfigError(f"proposal at site {p['site']!r}: kind {p['kind']!r} "
                           f"acts on {value_kind} values, port {port!r} holds {held}")
-    return proposal
+    return replace(proposal, port=port)
 
 
 def run_one_chain(cfg: ExperimentConfig, index: int,
@@ -234,7 +234,7 @@ def run_one_chain(cfg: ExperimentConfig, index: int,
     net = build_configured_network(cfg, rng)
     net.initialize(rng)
     schedule = [build_proposal(net, p) for p in cfg.proposals]
-    site_ports = {p.target: resolve_port(net, p) for p in schedule}
+    site_ports = {p.target: p.port for p in schedule}
     acc = TraceAccumulator(node_names={i: net.name_of(i) for i in net.node_ids()})
 
     if out_dir is None:

@@ -101,6 +101,7 @@ class ExactModule(ProbModule):
         self._log_density = log_density
         self.input_ports = tuple(input_ports)
         self.output_ports = tuple(output_ports)
+        self._port_sets = (frozenset(self.input_ports), frozenset(self.output_ports))
         if name:
             self.name = name
 
@@ -117,6 +118,16 @@ class ExactModule(ProbModule):
         self.check_inputs(inputs)
         self.check_outputs(outputs)
         return check_log_weight(self._log_density(inputs, outputs)), None
+
+    # The key views compare against the declared ports without building a
+    # set per call; the base checks run, and raise, only on a mismatch.
+    def check_inputs(self, inputs):
+        if inputs.keys() != self._port_sets[0]:
+            super().check_inputs(inputs)
+
+    def check_outputs(self, outputs):
+        if outputs.keys() != self._port_sets[1]:
+            super().check_outputs(outputs)
 
 
 def _walk(domain, probs, u: float):
@@ -196,11 +207,16 @@ def table_module(
                 or abs(sum(probs) - 1.0) > 1e-9):
             raise ValueError(f"bad CPT row {key!r}: not a distribution over {domain}")
 
+    # log p per (input key, z) over the nonzero entries; anything else is -inf
+    column = [(z, domain.index(z)) for z in domain]
+    log_p = {(key, z): math.log(probs[k]) for key, probs in rows.items()
+             for z, k in column if probs[k] > 0.0}
+
     def key_of(inputs):
-        return tuple(
+        return tuple([
             _require_kind(inputs[p], values.DISCRETE, f"table input {p!r}").data
             for p in input_ports
-        )
+        ])
 
     def sample(inputs, rng):
         key = key_of(inputs)
@@ -209,12 +225,8 @@ def table_module(
         return {port: values.discrete(_walk(domain, rows[key], rng.random()))}
 
     def log_density(inputs, outputs):
-        probs = rows.get(key_of(inputs))
+        key = key_of(inputs)
         z = _require_kind(outputs[port], values.DISCRETE, "table output").data
-        if probs is not None and z in domain:
-            p = probs[domain.index(z)]
-            if p > 0.0:
-                return math.log(p)
-        return -math.inf
+        return log_p.get((key, z), -math.inf)
 
     return ExactModule(sample, log_density, tuple(input_ports), (port,))

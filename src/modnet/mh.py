@@ -13,21 +13,28 @@ id), then exactly one uniform for the accept test. The uniform is drawn even
 when the decision is already forced, so the stream position never depends on
 the outcome.
 
-On accept, the target's outputs and every touched node's (log-weight, aux)
-pair are swapped in together; inputs are never stored, since the network
-derives them from the parents' outputs. On reject, nothing is touched: the
-discarded call results simply go out of scope.
+Each regenerated log-weight is checked against the range contract exactly
+once, by mh_update as it comes back from the module. On accept, the target's
+outputs and every touched node's (log-weight, aux) pair are swapped in
+together, written straight to the node handles with no second check; inputs
+are never stored, since each node derives them from its parents' outputs. On
+reject, nothing is touched: the discarded call results simply go out of scope.
+
+UpdateInfo and ChainRecord are named tuples: one of each is built per
+iteration, so they stay as cheap as a plain tuple. A proposal whose port is
+named and exists is used as is; any other goes through resolve_port, so the
+configured proposals, which carry their resolved port, skip that lookup.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import values
 from .interface import SchemaError, check_log_weight
-from .network import ModuleNetwork
+from .network import ModuleNetwork, UninitializedNodeError
 from .values import Value
 
 
@@ -46,8 +53,7 @@ class SiteProposal:
     port: str | None = None
 
 
-@dataclass(frozen=True)
-class UpdateInfo:
+class UpdateInfo(NamedTuple):
     """What one update did: the site and proposed value, the fresh log-weight
     of every regenerated node (target plus children), and the outcome."""
 
@@ -60,8 +66,7 @@ class UpdateInfo:
     regen_log_weights: dict[int, float]
 
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(NamedTuple):
     """One iteration of trace output.
 
     site_values is the chain state after the update, so its series is the
@@ -102,29 +107,35 @@ def resolve_port(net: ModuleNetwork, proposal: SiteProposal) -> str:
 def mh_update(net: ModuleNetwork, proposal: SiteProposal, rng) -> UpdateInfo:
     """One accept/reject step at proposal.target. See module docstring."""
     i = proposal.target
-    if net.is_observed(i):
+    node = net.node(i)
+    if node.observed:
         raise SchemaError(f"node {i} is observed and cannot be a proposal site")
-    port = resolve_port(net, proposal)
+    if node.state is None:
+        raise UninitializedNodeError(f"node {i} was never initialized")
+    port = proposal.port
+    if port not in node.module.output_ports:
+        port = resolve_port(net, proposal)
 
-    old_outputs = net.outputs_of(i)
+    old_outputs = node.outputs
     old_value = old_outputs[port]
     new_value = proposal.sample(old_value, rng)
     new_outputs = {**old_outputs, port: new_value}
     override = {i: new_outputs}
 
-    regen: dict[int, tuple[float, Any]] = {}
+    # an initialized target means an initialized network: initialize fills
+    # every node's slot in one pass, so the handles below are all populated
+    regen = []
     delta = 0.0
     neg_inf = False
-    for j in (i, *net.children(i)):
-        z_j = new_outputs if j == i else net.outputs_of(j)
-        lw_new, aux_new = net.module_of(j).regenerate(
-            net.assemble_inputs(j, override), z_j, rng)
-        lw_new = check_log_weight(lw_new)
-        regen[j] = (lw_new, aux_new)
-        if lw_new == -math.inf:
+    for n in (node, *node.children):
+        lw, aux = n.module.regenerate(
+            n.inputs(override), new_outputs if n is node else n.outputs, rng)
+        lw = check_log_weight(lw)
+        regen.append((n, lw, aux))
+        if lw == -math.inf:
             neg_inf = True
         else:
-            delta += lw_new - net.lookup_log_weight(j)
+            delta += lw - n.state[0]
 
     if neg_inf:
         log_alpha = -math.inf
@@ -142,19 +153,12 @@ def mh_update(net: ModuleNetwork, proposal: SiteProposal, rng) -> UpdateInfo:
     accepted = log_alpha != -math.inf and log_s <= log_alpha
 
     if accepted:
-        net.set_outputs(i, new_outputs)
-        for j, (lw_new, aux_new) in regen.items():
-            net.update_log_weight(j, lw_new, aux_new)
+        node.outputs = new_outputs
+        for n, lw, aux in regen:
+            n.state = (lw, aux)
 
-    return UpdateInfo(
-        site=i,
-        port=port,
-        proposed_value=new_value.data,
-        accepted=accepted,
-        neg_inf_proposal=neg_inf,
-        log_alpha=log_alpha,
-        regen_log_weights={j: r[0] for j, r in regen.items()},
-    )
+    return UpdateInfo(i, port, new_value.data, accepted, neg_inf, log_alpha,
+                      {n.id: lw for n, lw, _ in regen})
 
 
 def run_chain(
@@ -179,29 +183,23 @@ def run_chain(
         if net.is_observed(prop.target):
             raise SchemaError(f"schedule targets observed node {prop.target}")
     site_ports = {p.target: resolve_port(net, p) for p in schedule}
+    sites = [(s, net.node(s), p) for s, p in site_ports.items()]
+    nodes = [net.node(j) for j in net.node_ids()]
 
     for it in range(iterations):
         k = int(rng.integers(len(schedule))) if scan == "random" else it % len(schedule)
-        prop = schedule[k]
-        info = mh_update(net, prop, rng)
+        info = mh_update(net, schedule[k], rng)
         if sink is not None:
-            lws = {j: net.lookup_log_weight(j) for j in net.node_ids()}
+            lws = {n.id: n.state[0] for n in nodes}
             lws.update(info.regen_log_weights)
             total = 0.0
             for lw in lws.values():
                 total += lw
             sink(ChainRecord(
-                iteration=it,
-                site=info.site,
-                proposed_value=info.proposed_value,
-                accepted=info.accepted,
-                neg_inf_proposal=info.neg_inf_proposal,
-                site_values={
-                    s: net.outputs_of(s)[p].data for s, p in site_ports.items()
-                },
-                log_weights=lws,
-                total_log_weight=total,
-            ))
+                it, info.site, info.proposed_value, info.accepted,
+                info.neg_inf_proposal,
+                {s: n.outputs[p].data for s, n, p in sites},
+                lws, total))
 
 
 # -- proposal library -------------------------------------------------------
@@ -210,10 +208,12 @@ def run_chain(
 def flip_proposal(target: int, port: str | None = None) -> SiteProposal:
     """Deterministic 0/1 flip; symmetric, so the ratio term vanishes."""
 
+    flipped = (values.discrete(1), values.discrete(0))
+
     def sample(current: Value, rng) -> Value:
         if current.kind != values.DISCRETE or current.data not in (0, 1):
             raise SchemaError("flip proposal needs a current value in {0, 1}")
-        return values.discrete(1 - current.data)
+        return flipped[current.data]
 
     def log_density(candidate: Value, current: Value) -> float:
         return 0.0 if candidate.data == 1 - current.data else -math.inf

@@ -5,7 +5,7 @@ A network owns all mutable inference state: current outputs per node, plus the
 lives in a single slot and is only ever replaced whole, so a log-weight can
 never be paired with auxiliary state from a different call. Observed nodes
 have their outputs fixed at construction and never change. Inputs are not
-stored: assemble_inputs derives them from the wiring and the parents' outputs.
+stored: each node derives them from its wiring and the parents' outputs.
 """
 
 from __future__ import annotations
@@ -52,26 +52,41 @@ class EdgeSpec:
 
 
 class _Node:
-    __slots__ = ("id", "name", "module", "observed", "wiring", "outputs", "state")
+    """A node's live state handle. wiring maps each input port to the parent
+    handle and port that drive it; children are the handles of the nodes this
+    one drives, by ascending id."""
+
+    __slots__ = ("id", "name", "module", "observed", "wiring", "children",
+                 "outputs", "state")
 
     def __init__(self, spec: NodeSpec, observed: bool):
         self.id = spec.id
         self.name = spec.name if spec.name is not None else str(spec.id)
         self.module = spec.module
         self.observed = observed
-        self.wiring: dict[str, tuple[int, str]] = {}  # dst_port -> (src id, src port)
+        self.wiring: dict[str, tuple[_Node, str]] = {}  # dst_port -> (src, src port)
+        self.children: tuple[_Node, ...] = ()
         self.outputs: ModuleIO | None = None
         self.state: tuple[float, Any] | None = None  # (log-weight, aux), one slot
+
+    def inputs(self, override: Mapping[int, ModuleIO]) -> ModuleIO:
+        """Inputs read through the wiring from each parent's current outputs,
+        or from override (node id -> outputs) for a proposed or staged parent.
+        Every parent read must be populated. Inputs are never stored; this is
+        the only place they are formed."""
+        inputs: ModuleIO = {}
+        for dst_port, (src, src_port) in self.wiring.items():
+            outputs = override.get(src.id)
+            inputs[dst_port] = (src.outputs if outputs is None else outputs)[src_port]
+        return inputs
 
 
 class ModuleNetwork:
     """Built via build_network; see module docstring for the state protocol."""
 
-    def __init__(self, nodes: dict[int, _Node], order: tuple[int, ...],
-                 children: dict[int, tuple[int, ...]]):
+    def __init__(self, nodes: dict[int, _Node], order: tuple[int, ...]):
         self._nodes = nodes
         self._order = order
-        self._children = children
 
     # -- topology ----------------------------------------------------------
 
@@ -79,13 +94,13 @@ class ModuleNetwork:
         return self._order
 
     def children(self, node_id: int) -> tuple[int, ...]:
-        return self._children[node_id]
+        return tuple(c.id for c in self.node(node_id).children)
 
     def is_observed(self, node_id: int) -> bool:
-        return self._node(node_id).observed
+        return self.node(node_id).observed
 
     def name_of(self, node_id: int) -> str:
-        return self._node(node_id).name
+        return self.node(node_id).name
 
     def id_of(self, name: str) -> int:
         for node in self._nodes.values():
@@ -94,9 +109,11 @@ class ModuleNetwork:
         raise KeyError(name)
 
     def module_of(self, node_id: int) -> ProbModule:
-        return self._node(node_id).module
+        return self.node(node_id).module
 
-    def _node(self, node_id: int) -> _Node:
+    def node(self, node_id: int) -> _Node:
+        """The node's live state handle, for the sampler's hot path. Writers
+        replace outputs and the (log-weight, aux) slot whole, never in part."""
         try:
             return self._nodes[node_id]
         except KeyError:
@@ -105,26 +122,26 @@ class ModuleNetwork:
     # -- state access ------------------------------------------------------
 
     def outputs_of(self, node_id: int) -> ModuleIO:
-        node = self._node(node_id)
+        node = self.node(node_id)
         if node.outputs is None:
             raise UninitializedNodeError(f"node {node_id} has no outputs yet")
         return node.outputs
 
     def lookup_log_weight(self, node_id: int) -> float:
-        node = self._node(node_id)
+        node = self.node(node_id)
         if node.state is None:
             raise UninitializedNodeError(f"node {node_id} has no log-weight yet")
         return node.state[0]
 
     def lookup_aux(self, node_id: int) -> Any:
-        node = self._node(node_id)
+        node = self.node(node_id)
         if node.state is None:
             raise UninitializedNodeError(f"node {node_id} has no aux state yet")
         return node.state[1]
 
     def update_log_weight(self, node_id: int, lw: float, aux: Any) -> None:
         """Overwrite a node's (log-weight, aux) pair atomically."""
-        node = self._node(node_id)
+        node = self.node(node_id)
         if node.state is None:
             raise UninitializedNodeError(f"node {node_id} was never initialized")
         node.state = (check_log_weight(lw), aux)
@@ -141,21 +158,18 @@ class ModuleNetwork:
 
     def assemble_inputs(self, node_id: int,
                         override: Mapping[int, ModuleIO] | None = None) -> ModuleIO:
-        """A node's inputs, read through its wiring from the parents' current
-        outputs, or from override (node id -> outputs) for a proposed or staged
-        parent. Inputs are never stored; this is the only place they are formed."""
-        node = self._node(node_id)
-        inputs: ModuleIO = {}
-        for dst_port, (src, src_port) in node.wiring.items():
-            src_outputs = None if override is None else override.get(src)
-            if src_outputs is None:
-                src_outputs = self.outputs_of(src)
-            inputs[dst_port] = src_outputs[src_port]
-        return inputs
+        """A node's inputs from the parents' current outputs, or from override
+        (node id -> outputs) for a proposed or staged parent; see _Node.inputs."""
+        node = self.node(node_id)
+        override = override or {}
+        for src, _ in node.wiring.values():
+            if src.outputs is None and src.id not in override:
+                raise UninitializedNodeError(f"node {src.id} has no outputs yet")
+        return node.inputs(override)
 
     def set_outputs(self, node_id: int, outputs: ModuleIO) -> None:
-        """Replace an unobserved node's outputs (accepted proposals only)."""
-        node = self._node(node_id)
+        """Replace an unobserved node's outputs, checked against its ports."""
+        node = self.node(node_id)
         if node.observed:
             raise SchemaError(f"node {node_id} is observed; outputs are immutable")
         node.module.check_outputs(outputs)
@@ -187,7 +201,7 @@ class ModuleNetwork:
         slots: dict[int, tuple[float, Any]] = {}
         for i in self._order:
             node = self._nodes[i]
-            inputs = self.assemble_inputs(i, staged)
+            inputs = node.inputs(staged)
             if node.observed:
                 lw, aux = node.module.regenerate(inputs, node.outputs, rng)
                 lw = check_log_weight(lw)
@@ -260,7 +274,7 @@ def build_network(
             raise NetworkBuildError(
                 f"input port {e.dst_port!r} of node {e.dst} is driven twice"
             )
-        by_id[e.dst].wiring[e.dst_port] = (e.src, e.src_port)
+        by_id[e.dst].wiring[e.dst_port] = (by_id[e.src], e.src_port)
 
     for node in by_id.values():
         missing = set(node.module.input_ports) - set(node.wiring)
@@ -273,7 +287,7 @@ def build_network(
     children: dict[int, set[int]] = {i: set() for i in by_id}
     indeg = {}
     for node in by_id.values():
-        parents = {src for src, _ in node.wiring.values()}
+        parents = {src.id for src, _ in node.wiring.values()}
         for src in parents:
             children[src].add(node.id)
         indeg[node.id] = len(parents)
@@ -305,8 +319,6 @@ def build_network(
                 )
         node.outputs = dict(outs)
 
-    return ModuleNetwork(
-        by_id,
-        tuple(order),
-        {i: tuple(sorted(children[i])) for i in by_id},
-    )
+    for i, node in by_id.items():
+        node.children = tuple(by_id[c] for c in sorted(children[i]))
+    return ModuleNetwork(by_id, tuple(order))

@@ -32,6 +32,8 @@ from .network import ModuleNetwork
 
 CSV_SCHEMA_VERSION = 1
 
+_NEG_INF = -math.inf
+
 
 def format_cell(v) -> str:
     if isinstance(v, bool):
@@ -85,11 +87,15 @@ class TraceWriter:
         self._csv.writerow(header)
 
     def __call__(self, rec: ChainRecord) -> None:
-        row = [str(rec.iteration)]
-        row += [format_cell(rec.site_values[s]) for s in self.site_ids]
-        row += [format_cell(rec.log_weights[i]) for i in self.node_ids]
-        row += [format_cell(rec.total_log_weight), "1" if rec.accepted else "0"]
-        self._csv.writerow(row)
+        # log-weights are floats by the range contract, so repr is their cell
+        values, lws = rec.site_values, rec.log_weights
+        self._csv.writerow([
+            str(rec.iteration),
+            *[format_cell(values[s]) for s in self.site_ids],
+            *[repr(lws[i]) for i in self.node_ids],
+            repr(rec.total_log_weight),
+            "1" if rec.accepted else "0",
+        ])
 
     def close(self) -> None:
         """Flush and move the finished trace to path."""
@@ -103,7 +109,7 @@ class TraceWriter:
         return False
 
 
-@dataclass
+@dataclass(slots=True)
 class _Moments:
     count: int = 0
     mean: float = 0.0
@@ -138,7 +144,8 @@ class TraceAccumulator:
     and acceptance counts, plus per-node log-weight moments grouped by the
     site value each evaluation used, which is the proposed value at the
     updated site and the current value elsewhere (infinite log-weights are
-    counted, not averaged). Accumulators merge, so chains summarize
+    counted, not averaged). lw_moments maps (site, value cell) to that
+    group's moments per node. Accumulators merge, so chains summarize
     independently and combine."""
 
     node_names: dict[int, str]
@@ -151,24 +158,36 @@ class TraceAccumulator:
 
     def __call__(self, rec: ChainRecord) -> None:
         self.iterations += 1
-        self.proposals[rec.site] = self.proposals.get(rec.site, 0) + 1
+        site = rec.site
+        self.proposals[site] = self.proposals.get(site, 0) + 1
         if rec.accepted:
-            self.accepts[rec.site] = self.accepts.get(rec.site, 0) + 1
+            self.accepts[site] = self.accepts.get(site, 0) + 1
         if rec.neg_inf_proposal:
             self.neg_inf_proposals += 1
+        # (node, lw) pairs of this row that enter the moments, total last
+        finite = [(node, lw) for node, lw in rec.log_weights.items()
+                  if lw != _NEG_INF]
+        if rec.total_log_weight != _NEG_INF:
+            finite.append(("total", rec.total_log_weight))
         for s, v in rec.site_values.items():
             key = format_cell(v)
-            per_site = self.frequencies.setdefault(s, {})
-            per_site[key] = per_site.get(key, 0) + 1
-            used = rec.proposed_value if s == rec.site else v
-            by_val = self.lw_moments.setdefault(s, {}).setdefault(
-                format_cell(used), {}
-            )
-            for node, lw in rec.log_weights.items():
-                if lw != -math.inf:
-                    by_val.setdefault(node, _Moments()).add(lw)
-            if rec.total_log_weight != -math.inf:
-                by_val.setdefault("total", _Moments()).add(rec.total_log_weight)
+            counts = self.frequencies.get(s)
+            if counts is None:
+                counts = self.frequencies[s] = {}
+            counts[key] = counts.get(key, 0) + 1
+            used = format_cell(rec.proposed_value) if s == site else key
+            group = self.lw_moments.get((s, used))
+            if group is None:
+                group = self.lw_moments[s, used] = {}
+            # Welford's update, inline; the same arithmetic as _Moments.add
+            for node, x in finite:
+                m = group.get(node)
+                if m is None:
+                    m = group[node] = _Moments()
+                m.count += 1
+                d = x - m.mean
+                m.mean += d / m.count
+                m.m2 += d * (x - m.mean)
 
     def merge(self, other: "TraceAccumulator") -> None:
         self.iterations += other.iterations
@@ -181,18 +200,21 @@ class TraceAccumulator:
             mine = self.frequencies.setdefault(s, {})
             for k, n in per_site.items():
                 mine[k] = mine.get(k, 0) + n
-        for s, per_site in other.lw_moments.items():
-            mine = self.lw_moments.setdefault(s, {})
-            for k, by_node in per_site.items():
-                row = mine.setdefault(k, {})
-                for node, mom in by_node.items():
-                    row.setdefault(node, _Moments()).merge(mom)
+        for group_key, by_node in other.lw_moments.items():
+            mine = self.lw_moments.setdefault(group_key, {})
+            for node, mom in by_node.items():
+                mine.setdefault(node, _Moments()).merge(mom)
 
     def to_jsonable(self) -> dict:
         def label(node) -> str:
             return node if node == "total" else f"lw_{self.node_names[node]}"
 
         name = self.node_names
+        lw_variance: dict = {}
+        for (s, k), by_node in sorted(self.lw_moments.items()):
+            lw_variance.setdefault(name[s], {})[k] = {
+                label(node): by_node[node].variance
+                for node in sorted(by_node, key=str)}
         return {
             "iterations": self.iterations,
             "neg_inf_proposals": self.neg_inf_proposals,
@@ -208,14 +230,7 @@ class TraceAccumulator:
                 name[s]: self.accepts.get(s, 0) / n
                 for s, n in sorted(self.proposals.items()) if n
             },
-            "lw_variance_by_value": {
-                name[s]: {
-                    k: {label(node): by_node[node].variance
-                        for node in sorted(by_node, key=str)}
-                    for k, by_node in sorted(per.items())
-                }
-                for s, per in sorted(self.lw_moments.items())
-            },
+            "lw_variance_by_value": lw_variance,
         }
 
 

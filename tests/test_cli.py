@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from modnet import cli
 from modnet.cli import main
+from modnet.interface import SchemaError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "oracle_fixtures.json"
 
@@ -218,8 +220,39 @@ def test_validate_config_errors_exit_two(tmp_path, capsys):
     for key in ("switch_marginal", "log_evidence_by_switch", "posterior_switch_one"):
         assert key in err
 
+    # the three keys present, each with a wrong type or value
+    good = json.loads(FIXTURES.read_text())
+    for key, bad in (("switch_marginal", 1), ("switch_marginal", {"0": 0.5}),
+                     ("log_evidence_by_switch", {"0": -1.0, "1": "x"}),
+                     ("log_evidence_by_switch", [1, 2]),
+                     ("posterior_switch_one", "0.97"),
+                     ("posterior_switch_one", None),
+                     ("posterior_switch_one", float("nan"))):
+        typed = tmp_path / "typed_fixtures.json"
+        typed.write_text(json.dumps({**good, key: bad}))
+        assert main(["validate", "--config",
+                     _validate_config(tmp_path, fixtures=str(typed))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+    typed.write_text(json.dumps({"switch_marginal": 1, "log_evidence_by_switch": 1,
+                                 "posterior_switch_one": 1}))
+    assert main(["validate", "--config",
+                 _validate_config(tmp_path, fixtures=str(typed))]) == 2
+    assert "'switch_marginal'" in capsys.readouterr().err
+
 
 # -- environment and plumbing ---------------------------------------------------------
+
+def test_package_errors_exit_three_with_one_line(tmp_path, capsys, monkeypatch):
+    def refuse(cfg, out_dir=None):
+        raise SchemaError("node 1: output ports ['q'] != declared ['z']")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    assert main(["infer", *INFER_FLAGS, "--out", str(tmp_path / "runs")]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: SchemaError: node 1: output ports ['q'] "
+                   "!= declared ['z']\n")
+
 
 def test_bad_log_level_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MODNET_LOG", "banana")

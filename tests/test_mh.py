@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from modnet import mh, network
 from modnet.interface import ExactModule, SchemaError, bernoulli_module, table_module
 from modnet.mh import (
     SiteProposal,
@@ -16,7 +17,8 @@ from modnet.mh import (
 )
 from modnet.network import EdgeSpec, NodeSpec, build_network
 from modnet.oracle import posterior
-from modnet.reference_models import CHAIN3, chain3_network, chain3_oracle
+from modnet.reference_models import (CHAIN3, chain3_network, chain3_oracle,
+                                     switch_hmm_network)
 from modnet.traceio import TraceAccumulator
 from modnet.values import discrete, real
 
@@ -344,3 +346,47 @@ def test_summary_and_stats_agree_with_records():
         assert acc.accepts.get(site, 0) == sum(manual)
         assert rates[net.name_of(site)] == sum(manual) / len(manual)
     assert acc.neg_inf_proposals == sum(r.neg_inf_proposal for r in records)
+
+
+# -- hot-path bookkeeping -------------------------------------------------------------
+
+def _chain3_updates():
+    net = chain3_network()
+    rng = np.random.default_rng(3)
+    net.initialize(rng)
+    return net, [flip_proposal(1, port="z"), flip_proposal(2, port="z")], rng
+
+
+def _switch_hmm_updates():
+    rng = np.random.default_rng(4)
+    net = switch_hmm_network(num_particles=4, train_samples=0, rng=rng)
+    net.initialize(rng)
+    return net, [discrete_uniform_proposal(net.id_of("A"), (0, 1), port="a")], rng
+
+
+@pytest.mark.parametrize("setup", [_chain3_updates, _switch_hmm_updates],
+                         ids=["chain3", "switch_hmm"])
+def test_each_regenerated_weight_is_checked_once(setup, monkeypatch):
+    net, schedule, rng = setup()
+    calls = {"mh": 0, "network": 0}
+
+    def counting(where, check):
+        def counted(lw):
+            calls[where] += 1
+            return check(lw)
+        return counted
+
+    monkeypatch.setattr(mh, "check_log_weight",
+                        counting("mh", mh.check_log_weight))
+    monkeypatch.setattr(network, "check_log_weight",
+                        counting("network", network.check_log_weight))
+    accepted = 0
+    for it in range(300):
+        before = calls["mh"]
+        info = mh_update(net, schedule[it % len(schedule)], rng)
+        regenerated = 1 + len(net.children(info.site))
+        assert len(info.regen_log_weights) == regenerated
+        assert calls["mh"] - before == regenerated
+        accepted += info.accepted
+    # the accept path writes the slot without a second check
+    assert accepted > 0 and calls["network"] == 0

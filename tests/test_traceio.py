@@ -177,6 +177,88 @@ def test_merged_chains_equal_one_long_pass():
     _walk_close(left.to_jsonable(), whole.to_jsonable())
 
 
+def _reference_document(records, names):
+    """The accumulator as first written: nested setdefault groups and one
+    _Moments.add per node, site and row, in record order."""
+    freq, proposals, accepts, moments, neg_inf = {}, {}, {}, {}, 0
+    for rec in records:
+        proposals[rec.site] = proposals.get(rec.site, 0) + 1
+        if rec.accepted:
+            accepts[rec.site] = accepts.get(rec.site, 0) + 1
+        neg_inf += rec.neg_inf_proposal
+        for s, v in rec.site_values.items():
+            per_site = freq.setdefault(s, {})
+            per_site[format_cell(v)] = per_site.get(format_cell(v), 0) + 1
+            used = rec.proposed_value if s == rec.site else v
+            by_val = moments.setdefault(s, {}).setdefault(format_cell(used), {})
+            for node, lw in rec.log_weights.items():
+                if lw != -math.inf:
+                    by_val.setdefault(node, _Moments()).add(lw)
+            if rec.total_log_weight != -math.inf:
+                by_val.setdefault("total", _Moments()).add(rec.total_log_weight)
+    n = len(records)
+    label = {**{i: f"lw_{name}" for i, name in names.items()}, "total": "total"}
+    return {
+        "iterations": n,
+        "neg_inf_proposals": neg_inf,
+        "value_counts": {names[s]: per for s, per in freq.items()},
+        "value_rates": {names[s]: {k: c / n for k, c in per.items()}
+                        for s, per in freq.items()},
+        "acceptance_rates": {names[s]: accepts.get(s, 0) / c
+                             for s, c in proposals.items()},
+        "lw_variance_by_value": {
+            names[s]: {k: {label[node]: m.variance for node, m in by_node.items()}
+                       for k, by_node in per.items()}
+            for s, per in moments.items()},
+    }
+
+
+def _random_records(seed, n):
+    """A chain-shaped record stream over a discrete site and a real one:
+    rejected rows keep the old value and carry a different proposed one,
+    and about one node weight in ten is -inf."""
+    rng = np.random.default_rng(seed)
+    reals = (-0.5, 0.25, 1.0, 2.75)
+    cur = {1: 0, 2: 0.25}
+    records = []
+    for it in range(n):
+        site = int(rng.integers(1, 3))
+        proposed = (int(rng.integers(3)) if site == 1
+                    else reals[int(rng.integers(len(reals)))])
+        lws = {node: (-math.inf if rng.random() < 0.1
+                      else float(rng.normal(-3.0, 2.0)))
+               for node in (1, 2, 3)}
+        neg_inf = -math.inf in lws.values()
+        accepted = not neg_inf and bool(rng.random() < 0.5)
+        if accepted:
+            cur[site] = proposed
+        records.append(_rec(it, site, proposed, accepted, neg_inf, dict(cur), lws))
+    return records
+
+
+def test_accumulator_is_bit_identical_to_the_reference_loop():
+    names = {1: "A", 2: "B", 3: "C"}
+    for seed in (0, 1, 2):
+        records = _random_records(seed, 400)
+        assert any(not r.accepted and r.proposed_value != r.site_values[r.site]
+                   for r in records)
+        assert any(r.neg_inf_proposal for r in records)
+        acc = TraceAccumulator(node_names=dict(names))
+        for rec in records:
+            acc(rec)
+        assert acc.to_jsonable() == _reference_document(records, names)
+
+        left = TraceAccumulator(node_names=dict(names))
+        right = TraceAccumulator(node_names=dict(names))
+        for rec in records[:157]:
+            left(rec)
+        for rec in records[157:]:
+            right(rec)
+        assert left.to_jsonable() == _reference_document(records[:157], names)
+        left.merge(right)
+        _walk_close(left.to_jsonable(), acc.to_jsonable())
+
+
 # -- summary documents ----------------------------------------------------------------------
 
 def test_summary_document_shape_and_combination():
