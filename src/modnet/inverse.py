@@ -5,13 +5,16 @@ output variables, each with a conditional probability table over its parents.
 The inverse runs the other way: conditioned on the outputs, latents are
 sampled last-to-first, each from a conditional table over the outputs plus
 the latents already drawn. Tables are either estimated from forward samples
-(with additive smoothing, so every row stays strictly positive) or computed
-exactly by enumeration in rational arithmetic.
+(with additive smoothing, so every row stays strictly positive; one count
+of every full assignment serves all the tables) or enumerated exactly in
+rational arithmetic.
 
 An inverse wrapped as a module reports lw = log p(u, z) - log q(u | z). With
 the exact inverse that ratio telescopes to p(z) identically, and evaluating
 it in rationals keeps the reported value bit-for-bit independent of which
-latents were drawn.
+latents were drawn. The module samples exact tables through float copies of
+their rows, which draw the same values, and computes each full assignment's
+weight once, in rationals for an exact inverse, then looks it up.
 """
 
 from __future__ import annotations
@@ -199,14 +202,20 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng,
         raise ValueError("smoothing must be positive")
     cols = sample_batch(spec, n_samples, rng)
 
+    # One count of every full assignment, coded in sampling order: outputs,
+    # then latents last to first. Each factor's (context, variable) is a
+    # prefix of that order, so its joint counts are the full counts with the
+    # later variables summed out, exactly, in integers.
+    code, radix = _encode(cols, (*spec.outputs, *reversed(spec.latents)), n_samples)
+    prefix = np.bincount(code, minlength=radix)
     factors = []
-    for var, ctx in _sampling_plan(spec):
+    for var, ctx in reversed(_sampling_plan(spec)):
         v = spec.variable(var)
         d = len(v.domain)
         ctx_vars = [spec.variable(c) for c in ctx]
-        code, radix = _encode(cols, ctx_vars, n_samples)
-        joint = np.bincount(code * d + cols[var], minlength=radix * d)
-        joint = joint.reshape(radix, d).astype(np.float64)
+        joint = prefix.reshape(-1, d)
+        prefix = joint.sum(axis=1)
+        joint = joint.astype(np.float64)
         counts = joint.sum(axis=1, keepdims=True)
         table_arr = (joint + smoothing) / (counts + smoothing * d)
 
@@ -217,7 +226,8 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng,
             else:
                 table[key] = tuple(table_arr[i])
         factors.append(InverseFactor(var, v.domain, ctx, table))
-    return InverseNetwork(tuple(factors), float(smoothing), int(n_samples))
+    return InverseNetwork(tuple(reversed(factors)), float(smoothing),
+                          int(n_samples))
 
 
 def exact_inverse(spec: DiscreteModelSpec) -> InverseNetwork:
@@ -279,11 +289,20 @@ class InverseModule(ProbModule):
             raise SchemaError("inverse factors do not match the model's latents")
         self.spec = spec
         self.inv = inv
-        # (variable, domain, conditioning, table) rows, in sampling order
+        # (variable, domain, conditioning, table) rows, in sampling order;
+        # draws walk float copies of the inverse rows, the same floats _walk
+        # makes of an exact table's rationals
         self._forward = _forward_rows(spec)
         self._inverse = tuple((f.var, f.domain, f.context, f.table)
                               for f in inv.factors)
+        self._inverse_float = tuple(
+            (var, domain, cond, {key: tuple(map(float, row))
+                                 for key, row in table.items()})
+            for var, domain, cond, table in self._inverse)
         self._latents = tuple(v.name for v in spec.latents)
+        self._names = tuple(v.name for v in spec.variables)
+        # log-weight per full assignment (spec.variables order), lazily filled
+        self._weights: dict[tuple, float] = {}
         self.input_ports = ()
         self.output_ports = tuple(o.name for o in spec.outputs)
         if name:
@@ -291,6 +310,13 @@ class InverseModule(ProbModule):
 
     def _log_weight(self, assign: Mapping[str, int]) -> float:
         """log p(u, z) - log q(u | z) at one full assignment."""
+        key = tuple(map(assign.__getitem__, self._names))
+        lw = self._weights.get(key)
+        if lw is None:
+            lw = self._weights[key] = self._compute_log_weight(assign)
+        return lw
+
+    def _compute_log_weight(self, assign: Mapping[str, int]) -> float:
         if self.inv.exact:
             # in rationals, so the ratio is exactly p(z) whatever u was drawn
             r = math.prod(map(Fraction, _row_probs(self._forward, assign)))
@@ -320,7 +346,7 @@ class InverseModule(ProbModule):
             if val not in o.domain:
                 return -math.inf, dict.fromkeys(self._latents)
             assign[o.name] = val
-        assign = _sample(self._inverse, assign, rng)
+        assign = _sample(self._inverse_float, assign, rng)
         return self._log_weight(assign), {name: assign[name] for name in self._latents}
 
 

@@ -136,13 +136,21 @@ class RegressionSequentialModel(SequentialModel):
         return mean + math.sqrt(var) * rng.standard_normal()
 
     def step(self, t, states, inputs, latents, obs):
+        # Resampling copies parents, so particles often share a (line,
+        # indicator) pair: condition once per pair. Keying on id() is safe
+        # because `states` keeps every parent alive for the whole call.
         x = self.covariates[t]
         sigma_in, sigma_out = self.sigma_in, self.sigma_out
+        done = {}
         log_w, new_states = [], []
         for line, lat in zip(states, latents):
-            w, after = line.condition(x, obs, sigma_out if lat == 1 else sigma_in)
-            log_w.append(w)
-            new_states.append(after)
+            key = (id(line), lat)
+            hit = done.get(key)
+            if hit is None:
+                hit = done[key] = line.condition(
+                    x, obs, sigma_out if lat == 1 else sigma_in)
+            log_w.append(hit[0])
+            new_states.append(hit[1])
         if self.rates.get(inputs["a"].data) is None:
             log_w = [-math.inf] * len(log_w)
         return log_w, new_states

@@ -40,13 +40,15 @@ class SequentialModel:
     input) is read from inputs rather than carried in each state.
 
     States are treated as immutable and step must be deterministic, which is
-    what makes replay verification exact. Neither method may modify the
-    lists it is given. prior_sample must draw its randomness in particle
-    order, so a population call draws exactly what one call per particle
-    would; given no states it draws nothing. obs_sample draws one particle's
-    observation for the forward pass of simulate. finalize_extra samples any
-    non-sequential latents from their exact conditional given the final
-    state (return None when there are none).
+    what makes replay verification exact, and what lets a model compute one
+    result per distinct (state, latent) pair: resampling copies parents, so
+    the same state object often recurs in one population. Neither method
+    may modify the lists it is given. prior_sample must draw its randomness
+    in particle order, so a population call draws exactly what one call per
+    particle would; given no states it draws nothing. obs_sample draws one
+    particle's observation for the forward pass of simulate. finalize_extra
+    samples any non-sequential latents from their exact conditional given
+    the final state (return None when there are none).
     """
 
     num_steps: int

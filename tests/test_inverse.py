@@ -351,3 +351,87 @@ def test_inverse_weights_on_random_specs(spec, seed):
             lw, aux = learned.regenerate({}, outputs, rng)
             assert lw == pytest.approx(
                 _hand_log_weight(spec, learned_inv, {**z, **aux}), rel=1e-12)
+
+
+def _reference_tables(spec, n, rng):
+    """train_inverse's tables counted one factor at a time, each with its own
+    bincount over (context, variable)."""
+    cols = sample_batch(spec, n, rng)
+    tables = []
+    ctx = list(spec.outputs)
+    for v in reversed(spec.latents):
+        d = len(v.domain)
+        code = np.zeros(n, dtype=np.int64)
+        radix = 1
+        for c in reversed(ctx):
+            code += cols[c.name] * radix
+            radix *= len(c.domain)
+        joint = np.bincount(code * d + cols[v.name], minlength=radix * d)
+        joint = joint.reshape(radix, d).astype(np.float64)
+        counts = joint.sum(axis=1, keepdims=True)
+        arr = (joint + 1.0) / (counts + 1.0 * d)
+        table = {}
+        for i, key in enumerate(product(*[c.domain for c in ctx])):
+            table[key] = (1.0 / d,) * d if counts[i, 0] == 0.0 else tuple(arr[i])
+        tables.append((v.name, tuple(c.name for c in ctx), table))
+        ctx.append(v)
+    return tables
+
+
+def _reference_log_weight(spec, inv, assign):
+    """The module's weight recomputed from the factor tables themselves:
+    rationals for an exact inverse, float logs for a learned one."""
+    if not inv.exact:
+        return _hand_log_weight(spec, inv, assign)
+    r = math.prod(Fraction(v.table[tuple(assign[q] for q in v.parents)][
+        v.domain.index(assign[v.name])]) for v in spec.variables)
+    if not r:
+        return -math.inf
+    r /= math.prod(f.table[tuple(assign[c] for c in f.context)][
+        f.domain.index(assign[f.var])] for f in inv.factors)
+    return math.log(r.numerator) - math.log(r.denominator)
+
+
+def _reference_regenerate(spec, inv, z, rng):
+    assign = dict(z)
+    for f in inv.factors:
+        assign[f.var] = _walk(f.domain, f.table[tuple(assign[c] for c in f.context)],
+                              rng.random())
+    aux = {v.name: assign[v.name] for v in spec.latents}
+    return _reference_log_weight(spec, inv, assign), aux
+
+
+def _reference_simulate(spec, inv, rng):
+    assign = {}
+    for v in spec.variables:
+        assign[v.name] = _walk(v.domain, v.table[tuple(assign[q] for q in v.parents)],
+                               rng.random())
+    z = {o.name: discrete(assign[o.name]) for o in spec.outputs}
+    aux = {v.name: assign[v.name] for v in spec.latents}
+    return z, _reference_log_weight(spec, inv, assign), aux
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(spec=small_specs(), seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([1, 2, 5, 40, 2000]))
+def test_training_and_weight_memo_match_the_per_call_reference(spec, seed, n):
+    inv = train_inverse(spec, n, np.random.default_rng(seed))
+    want = _reference_tables(spec, n, np.random.default_rng(seed))
+    assert [(f.var, f.context, f.table) for f in inv.factors] == want
+
+    for inv in (exact_inverse(spec), inv):
+        module = InverseModule(spec, inv)
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # every output value several times, so later calls read the memo
+        for _ in range(3):
+            for zs in product(*[o.domain for o in spec.outputs]):
+                z = dict(zip(module.output_ports, zs))
+                outputs = {k: discrete(v) for k, v in z.items()}
+                lw, aux = module.regenerate({}, outputs, got_rng)
+                ref_lw, ref_aux = _reference_regenerate(spec, inv, z, ref_rng)
+                assert (repr(lw), aux) == (repr(ref_lw), ref_aux)
+                assert got_rng.random() == ref_rng.random()
+            out, lw, aux = module.simulate({}, got_rng)
+            ref_out, ref_lw, ref_aux = _reference_simulate(spec, inv, ref_rng)
+            assert (out, repr(lw), aux) == (ref_out, repr(ref_lw), ref_aux)
+            assert got_rng.random() == ref_rng.random()

@@ -10,6 +10,7 @@ from modnet.outlier_oracle import conjugate_log_marginal
 from modnet.outlier_regression import (
     REGRESSION_NODE,
     SWITCH_NODE,
+    ConjugateLineState,
     RegressionSequentialModel,
     build_outlier_network,
     build_regression_module,
@@ -21,6 +22,7 @@ from modnet.outlier_regression import (
     reg_covariates,
     switch_prior_spec,
 )
+from modnet.smc import smc_run
 from modnet.values import discrete, real_vector
 
 
@@ -130,6 +132,58 @@ def test_regression_module_tracks_the_enumerated_evidence(oracle_fixtures,
         assert abs(lw - want) < 0.2
         assert len(aux.steps) == 9
         assert aux.extra is not None and len(aux.extra) == 2
+
+
+def _swept_populations(constants, K, a, seed):
+    """Every (t, states, inputs, latents, obs) that one seeded sweep passed
+    to step, states in particle order after resampling."""
+    model = RegressionSequentialModel()
+    calls = []
+    step = model.step
+
+    def recording(t, states, inputs, latents, obs):
+        calls.append((t, list(states), inputs, list(latents), obs))
+        return step(t, states, inputs, latents, obs)
+
+    model.step = recording
+    b = real_vector(constants["dataset"]["responses"])
+    smc_run(model, {"a": discrete(a)}, {"b": b}, K, np.random.default_rng(seed))
+    return calls
+
+
+def test_step_shares_work_per_parent_and_indicator(constants, monkeypatch):
+    model = RegressionSequentialModel()
+    condition = ConjugateLineState.condition
+    calls = 0
+
+    def counting(self, x, b, sigma):
+        nonlocal calls
+        calls += 1
+        return condition(self, x, b, sigma)
+
+    repeats = both = 0
+    for K in (1, 30, 300):
+        for a, seed in ((0, 11), (1, 12), (1, 13)):
+            for t, states, inputs, latents, obs in _swept_populations(
+                    constants, K, a, seed):
+                x = model.covariates[t]
+                want = [condition(line, x, obs, model.sigma_out if lat == 1
+                                  else model.sigma_in)
+                        for line, lat in zip(states, latents)]
+                pairs = {(id(line), lat) for line, lat in zip(states, latents)}
+                monkeypatch.setattr(ConjugateLineState, "condition", counting)
+                calls = 0
+                log_w, after = model.step(t, states, inputs, latents, obs)
+                monkeypatch.setattr(ConjugateLineState, "condition", condition)
+                assert calls == len(pairs)
+                assert repr(log_w) == repr([w for w, _ in want])
+                assert repr(after) == repr([s for _, s in want])
+                repeats += len(pairs) < len(states)
+                both += any((id(line), 1 - lat) in pairs
+                            for line, lat in zip(states, latents))
+    # the populations did exercise the sharing: repeated pairs, and one
+    # parent carrying both indicators
+    assert repeats > 0 and both > 0
 
 
 def test_off_support_switch_value_weights_to_minus_inf(constants):
