@@ -5,6 +5,14 @@ explicit sums over every configuration, nothing shared with the inference
 engine. Models are factored as CPTs in topological order, optionally with one
 continuous leaf whose marginal density given a full discrete configuration is
 available in closed form.
+
+One generator walks the configurations consistent with an observation, in
+enumeration order, and yields each one's log joint; log_evidence, posterior
+and evidence_and_posterior are sums over that one stream, so a caller that
+needs several of them pays for one pass. Each factor's table is compiled at
+construction into a lookup keyed by its parents' values and its own, so a
+configuration's probability is the same product of table entries, taken in
+factor order, without searching a domain.
 """
 
 from __future__ import annotations
@@ -49,6 +57,16 @@ class FactoredDiscreteModel:
         self.factors = tuple(factors)
         self.leaf = leaf
         self._validate()
+        # Per factor, in factor order: the names whose values select an entry
+        # (parents, then the variable) and the entry for each such value tuple.
+        self._lookups = tuple(
+            (
+                (*f.parents, f.var),
+                {(*key, val): p for key, row in f.table.items()
+                 for val, p in zip(f.domain, row)},
+            )
+            for f in self.factors
+        )
 
     def _validate(self):
         seen: list[str] = []
@@ -62,7 +80,9 @@ class FactoredDiscreteModel:
                     )
             if not f.domain:
                 raise ValueError(f"factor {f.var!r} has empty domain")
-            parent_domains = [d for v in f.parents for d in [self._domain(v)]]
+            if len(set(f.domain)) != len(f.domain):
+                raise ValueError(f"factor {f.var!r} has duplicate domain values")
+            parent_domains = [self._domain(v) for v in f.parents]
             expected_rows = 1
             for d in parent_domains:
                 expected_rows *= len(d)
@@ -71,12 +91,16 @@ class FactoredDiscreteModel:
                     f"factor {f.var!r}: expected {expected_rows} rows, got {len(f.table)}"
                 )
             for key, probs in f.table.items():
-                if len(key) != len(f.parents):
+                if len(key) != len(f.parents) or any(
+                    v not in d for v, d in zip(key, parent_domains)
+                ):
                     raise ValueError(f"factor {f.var!r}: bad row key {key!r}")
                 if len(probs) != len(f.domain):
                     raise ValueError(f"factor {f.var!r}: row {key!r} has wrong arity")
-                if any(p < 0.0 for p in probs):
-                    raise ValueError(f"factor {f.var!r}: negative probability")
+                if not all(p >= 0.0 for p in probs):
+                    raise ValueError(
+                        f"factor {f.var!r}: row {key!r} has a negative or NaN probability"
+                    )
                 if abs(sum(probs) - 1.0) > _ROW_TOL:
                     raise ValueError(f"factor {f.var!r}: row {key!r} does not sum to 1")
             seen.append(f.var)
@@ -98,14 +122,14 @@ class FactoredDiscreteModel:
         return tuple(f.var for f in self.factors)
 
     def config_prob(self, config: dict) -> float:
-        """Joint probability of one full discrete configuration."""
+        """Joint probability of one full discrete configuration; 0.0 when a
+        value lies outside its variable's domain."""
         prob = 1.0
-        for f in self.factors:
-            key = tuple(config[p] for p in f.parents)
-            val = config[f.var]
-            if val not in f.domain:
+        for names, lookup in self._lookups:
+            p = lookup.get(tuple([config[v] for v in names]))
+            if p is None:
                 return 0.0
-            prob *= f.table[key][f.domain.index(val)]
+            prob *= p
         return prob
 
 
@@ -154,8 +178,10 @@ def enumerate_joint(model: FactoredDiscreteModel) -> dict[tuple, float]:
     return joint
 
 
-def log_evidence(model: FactoredDiscreteModel, observation: Mapping[str, Any]) -> float:
-    """log p(observation), summing the joint over unobserved configurations."""
+def _log_joint(model: FactoredDiscreteModel, observation: Mapping[str, Any]):
+    """Yield (config, log p(config, observation)) for every configuration
+    consistent with the observation, in enumeration order, skipping those of
+    probability zero; the leaf's density is added when the leaf is observed."""
     observation = dict(observation)
     leaf_obs = None
     if model.leaf is not None and model.leaf.name in observation:
@@ -163,7 +189,6 @@ def log_evidence(model: FactoredDiscreteModel, observation: Mapping[str, Any]) -
     unknown = set(observation) - set(model.variables())
     if unknown:
         raise ValueError(f"observation names unknown variables: {sorted(unknown)}")
-    terms = []
     for config in _configs(model, observation):
         p = model.config_prob(config)
         if p == 0.0:
@@ -171,10 +196,41 @@ def log_evidence(model: FactoredDiscreteModel, observation: Mapping[str, Any]) -
         lp = math.log(p)
         if leaf_obs is not None:
             lp += model.leaf.log_density(config, leaf_obs)
-        terms.append(lp)
+        yield config, lp
+
+
+def log_evidence(model: FactoredDiscreteModel, observation: Mapping[str, Any]) -> float:
+    """log p(observation), summing the joint over unobserved configurations."""
+    terms = [lp for _, lp in _log_joint(model, observation)]
     if not terms:
         return -math.inf
     return _logsumexp(terms)
+
+
+def evidence_and_posterior(
+    model: FactoredDiscreteModel,
+    observation: Mapping[str, Any],
+    query: tuple[str, ...],
+) -> tuple[float, dict[tuple, float], dict[tuple, float]]:
+    """One enumeration pass for three answers: log p(observation); log p(query
+    = k, observation) for every query tuple k of positive probability; and the
+    posterior over k. Each equals, bit for bit, what log_evidence (with k added
+    to the observation) and posterior return."""
+    for q in query:
+        model._domain(q)  # raises KeyError for unknown names
+        if q in observation:
+            raise ValueError(f"query variable {q!r} is observed")
+    terms: list[float] = []
+    log_terms: dict[tuple, list[float]] = {}
+    for config, lp in _log_joint(model, observation):
+        terms.append(lp)
+        log_terms.setdefault(tuple(config[q] for q in query), []).append(lp)
+    if not terms:
+        raise UndefinedConditionalError("observation has probability zero")
+    log_probs = {k: _logsumexp(v) for k, v in log_terms.items()}
+    log_total = _logsumexp(list(log_probs.values()))
+    post = {k: math.exp(lp - log_total) for k, lp in log_probs.items()}
+    return _logsumexp(terms), log_probs, post
 
 
 def posterior(
@@ -183,26 +239,4 @@ def posterior(
     query: tuple[str, ...],
 ) -> dict[tuple, float]:
     """Exact posterior over query-variable tuples given the observation."""
-    observation = dict(observation)
-    leaf_obs = None
-    if model.leaf is not None and model.leaf.name in observation:
-        leaf_obs = observation.pop(model.leaf.name)
-    for q in query:
-        model._domain(q)  # raises KeyError for unknown names
-        if q in observation:
-            raise ValueError(f"query variable {q!r} is observed")
-    log_terms: dict[tuple, list[float]] = {}
-    for config in _configs(model, observation):
-        p = model.config_prob(config)
-        if p == 0.0:
-            continue
-        lp = math.log(p)
-        if leaf_obs is not None:
-            lp += model.leaf.log_density(config, leaf_obs)
-        key = tuple(config[q] for q in query)
-        log_terms.setdefault(key, []).append(lp)
-    if not log_terms:
-        raise UndefinedConditionalError("observation has probability zero")
-    log_probs = {k: _logsumexp(v) for k, v in log_terms.items()}
-    log_total = _logsumexp(list(log_probs.values()))
-    return {k: math.exp(lp - log_total) for k, lp in log_probs.items()}
+    return evidence_and_posterior(model, observation, query)[2]

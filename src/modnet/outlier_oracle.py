@@ -8,12 +8,19 @@ purpose; only the raw JSON is common ground.
 Model being scored: a three-stage binary switch prior feeding a 9-point linear
 regression whose per-point noise scale is chosen by latent outlier indicators,
 with the regression line integrated out analytically.
+
+compute_fixtures takes every constant from one pass over all 2^13
+configurations with the responses observed. The closed-form leaf depends on a
+configuration only through its 2^9 outlier-indicator patterns, so each model
+evaluates it once per pattern and reuses the value; every configuration is
+still enumerated and summed, and nothing is cached across models or calls.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -22,8 +29,7 @@ from .oracle import (
     Factor,
     FactoredDiscreteModel,
     enumerate_joint,
-    log_evidence,
-    posterior,
+    evidence_and_posterior,
 )
 
 _SWITCH_VARS = ("u1", "u2", "u3", "a")
@@ -138,10 +144,17 @@ def full_model(constants: Mapping | None = None) -> FactoredDiscreteModel:
     sigma = (float(reg["sigma_inlier"]), float(reg["sigma_outlier"]))
     prior_mean = tuple(reg["prior_mean"])
     prior_var = tuple(reg["prior_var"])
+    indicators = tuple(f"o{i + 1}" for i in range(len(xs)))
+    memo: dict[tuple, float] = {}
 
     def leaf_log_density(config: dict, obs) -> float:
-        sigmas = [sigma[config[f"o{i + 1}"]] for i in range(len(xs))]
-        return conjugate_log_marginal(xs, obs, sigmas, prior_mean, prior_var)
+        # The density sees the configuration only through its indicators.
+        key = (tuple([config[o] for o in indicators]), tuple(obs))
+        lp = memo.get(key)
+        if lp is None:
+            sigmas = [sigma[v] for v in key[0]]
+            lp = memo[key] = conjugate_log_marginal(xs, obs, sigmas, prior_mean, prior_var)
+        return lp
 
     return FactoredDiscreteModel(factors, leaf=ContinuousLeaf("b", leaf_log_density))
 
@@ -151,10 +164,11 @@ def compute_fixtures(constants: Mapping | None = None) -> dict:
     constants = constants or load_constants()
     ds = constants["dataset"]
     bs = tuple(ds["responses"])
-    model = full_model(constants)
     prior_a = switch_marginal(constants)
-    log_ev = {a: log_evidence(model, {"a": a, "b": bs}) for a in (0, 1)}
-    post = posterior(model, {"b": bs}, ("a",))
+    log_ev_b, log_joint, post = evidence_and_posterior(
+        full_model(constants), {"b": bs}, ("a",)
+    )
+    log_ev = {a: log_joint[(a,)] for a in (0, 1)}
     return {
         "schema": 1,
         "dataset": {
@@ -169,7 +183,7 @@ def compute_fixtures(constants: Mapping | None = None) -> dict:
         },
         "log_evidence_joint_by_switch": {"0": log_ev[0], "1": log_ev[1]},
         "posterior_switch_one": post[(1,)],
-        "log_evidence_dataset": log_evidence(model, {"b": bs}),
+        "log_evidence_dataset": log_ev_b,
     }
 
 
@@ -188,7 +202,18 @@ def fixture_groups(constants: Mapping | None = None) -> dict[str, dict]:
 
 def write_fixtures(path, doc: dict) -> None:
     """Serialize a fixture document the one pinned way (sorted keys, indent 2,
-    trailing newline) so repeated runs are byte-identical."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    trailing newline) so repeated runs are byte-identical.
+
+    The document goes to <path>.partial, which replaces path only once it is
+    complete and is deleted on any error, so a failed write leaves the old
+    file as it was. traceio writes the same way; its helper is not imported,
+    so the oracle loads none of the engine."""
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except BaseException:
+        os.remove(partial)
+        raise
+    os.replace(partial, path)

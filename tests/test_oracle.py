@@ -1,16 +1,21 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from modnet import outlier_oracle as oo
 from modnet.oracle import (
+    ContinuousLeaf,
     Factor,
     FactoredDiscreteModel,
     UndefinedConditionalError,
     enumerate_joint,
+    evidence_and_posterior,
     log_evidence,
     posterior,
 )
@@ -42,6 +47,22 @@ def test_evidence_and_posterior_by_hand():
     assert post[(0,)] + post[(1,)] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_observation_and_query_names_are_checked():
+    m = _two_coin_model()
+    with pytest.raises(ValueError, match="unknown variables"):
+        log_evidence(m, {"b": 0.5})
+    with pytest.raises(ValueError, match="unknown variables"):
+        posterior(m, {"b": 0.5}, ("x",))
+    with pytest.raises(ValueError, match="is observed"):
+        posterior(m, {"x": 1}, ("x",))
+    with pytest.raises(KeyError):
+        posterior(m, {}, ("b",))
+    with_leaf = FactoredDiscreteModel(m.factors, ContinuousLeaf("b", _leaf_log_density))
+    assert log_evidence(with_leaf, {"b": 0.5}) == pytest.approx(
+        math.log(sum(p * math.exp(_leaf_log_density({"x": x, "y": y}, 0.5))
+                     for (x, y), p in enumerate_joint(m).items())), rel=1e-14)
+
+
 def test_zero_probability_conditioning_is_refused():
     m = FactoredDiscreteModel([
         Factor("x", (0, 1), (), {(): (1.0, 0.0)}),
@@ -64,6 +85,122 @@ def test_model_validation_rejects_bad_tables():
             Factor("x", (0, 1), (), {(): (0.4, 0.6)}),
             Factor("y", (0, 1), ("x",), {(0,): (0.8, 0.2)}),  # missing row
         ])
+
+
+@pytest.mark.parametrize("factors", [
+    [Factor("x", (0, 1), (), {(): (math.nan, 1.0)})],
+    [Factor("w", (0, 1), (), {(): (0.5, 0.5)}),
+     Factor("x", (0, 1), ("w",), {(0,): (0.5, 0.5), (2,): (0.5, 0.5)})],
+    [Factor("x", (0, 0), (), {(): (0.5, 0.5)})],
+], ids=["nan_entry", "row_key_outside_parent_domain", "duplicate_domain_value"])
+def test_malformed_factor_is_refused_at_construction(factors):
+    with pytest.raises(ValueError, match="'x'"):
+        FactoredDiscreteModel(factors)
+
+
+def _leaf_log_density(config, obs):
+    return -0.5 * (obs - sum(config.values()) / 3.0) ** 2 - 0.9189385332046727
+
+
+@st.composite
+def small_models(draw):
+    """1-4 variables over 2-3 consecutive values that need not start at zero,
+    random parents among earlier variables, rows from integer weights 0-3 so
+    some entries are zero, an optional leaf, and an observation that fixes
+    some variables; returns (model, observation, query)."""
+    factors: list[Factor] = []
+    for i in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(-2, 5))
+        domain = tuple(range(start, start + draw(st.integers(2, 3))))
+        parents = [f for f in factors if draw(st.booleans())]
+        table = {}
+        for key in itertools.product(*[f.domain for f in parents]):
+            weights = draw(st.lists(st.integers(0, 3), min_size=len(domain),
+                                    max_size=len(domain)).filter(any))
+            table[key] = tuple(w / sum(weights) for w in weights)
+        factors.append(Factor(f"v{i}", domain, tuple(f.var for f in parents), table))
+    leaf = ContinuousLeaf("y", _leaf_log_density) if draw(st.booleans()) else None
+    observation = {f.var: draw(st.sampled_from(f.domain))
+                   for f in factors if draw(st.booleans())}
+    if leaf is not None and draw(st.booleans()):
+        observation["y"] = draw(st.floats(-3.0, 3.0))
+    query = tuple(f.var for f in factors
+                  if f.var not in observation and draw(st.booleans()))
+    return FactoredDiscreteModel(factors, leaf), observation, query
+
+
+def _ref_logsumexp(vals):
+    m = max(vals)
+    if m == -math.inf:
+        return -math.inf
+    return m + math.log(sum(math.exp(v - m) for v in vals))
+
+
+def _ref_configs(model, observation):
+    """Every configuration, as a fresh dict, with its probability found by
+    domain.index in each factor's table, factors multiplied in order."""
+    names = [f.var for f in model.factors]
+    domains = [(observation[f.var],) if f.var in observation else f.domain
+               for f in model.factors]
+    for combo in itertools.product(*domains):
+        config = dict(zip(names, combo))
+        p = 1.0
+        for f in model.factors:
+            p *= f.table[tuple(config[q] for q in f.parents)][
+                f.domain.index(config[f.var])]
+        yield config, p
+
+
+def _ref_log_terms(model, observation):
+    observation = dict(observation)
+    leaf_obs = None
+    if model.leaf is not None and model.leaf.name in observation:
+        leaf_obs = observation.pop(model.leaf.name)
+    for config, p in _ref_configs(model, observation):
+        if p == 0.0:
+            continue
+        lp = math.log(p)
+        if leaf_obs is not None:
+            lp += model.leaf.log_density(config, leaf_obs)
+        yield config, lp
+
+
+def _ref_log_evidence(model, observation):
+    terms = [lp for _, lp in _ref_log_terms(model, observation)]
+    return _ref_logsumexp(terms) if terms else -math.inf
+
+
+def _ref_posterior(model, observation, query):
+    log_terms = {}
+    for config, lp in _ref_log_terms(model, observation):
+        log_terms.setdefault(tuple(config[q] for q in query), []).append(lp)
+    if not log_terms:
+        return None
+    log_probs = {k: _ref_logsumexp(v) for k, v in log_terms.items()}
+    log_total = _ref_logsumexp(list(log_probs.values()))
+    return {k: math.exp(lp - log_total) for k, lp in log_probs.items()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=small_models())
+def test_enumeration_matches_the_per_configuration_reference(case):
+    model, observation, query = case
+    assert log_evidence(model, observation) == _ref_log_evidence(model, observation)
+    want = _ref_posterior(model, observation, query)
+    if want is None:
+        with pytest.raises(UndefinedConditionalError):
+            posterior(model, observation, query)
+        return
+    assert posterior(model, observation, query) == want
+    log_ev, log_joint, post = evidence_and_posterior(model, observation, query)
+    assert log_ev == _ref_log_evidence(model, observation)
+    assert post == want
+    assert log_joint == {
+        k: _ref_log_evidence(model, {**observation, **dict(zip(query, k))})
+        for k in want}
+    if model.leaf is None:
+        joint = {tuple(c.values()): p for c, p in _ref_configs(model, {})}
+        assert enumerate_joint(model) == joint
 
 
 def test_chain3_posterior_by_hand_enumeration():
@@ -128,6 +265,23 @@ def test_fixture_file_matches_live_enumeration(oracle_fixtures):
     assert oo.compute_fixtures() == oracle_fixtures
 
 
+def test_leaf_is_evaluated_once_per_indicator_pattern(monkeypatch):
+    calls = []
+    closed_form = oo.conjugate_log_marginal
+
+    def counted(*args):
+        calls.append(args)
+        return closed_form(*args)
+
+    monkeypatch.setattr(oo, "conjugate_log_marginal", counted)
+    patterns = 2 ** len(oo.load_constants()["dataset"]["covariates"])
+    first = oo.compute_fixtures()
+    assert len(calls) == patterns == 512
+    # a second call builds a fresh model and enumerates again from scratch
+    assert oo.compute_fixtures() == first
+    assert len(calls) == 2 * patterns
+
+
 def test_fixture_internal_consistency(oracle_fixtures):
     j0 = oracle_fixtures["log_evidence_joint_by_switch"]["0"]
     j1 = oracle_fixtures["log_evidence_joint_by_switch"]["1"]
@@ -158,3 +312,19 @@ def test_write_fixtures_is_idempotent(tmp_path, oracle_fixtures):
     oo.write_fixtures(p, oo.compute_fixtures())
     assert p.read_bytes() == first
     assert json.loads(first) == oracle_fixtures
+
+
+def test_failed_fixture_write_keeps_the_old_file(tmp_path, monkeypatch, oracle_fixtures):
+    p = tmp_path / "oracle_fixtures.json"
+    oo.write_fixtures(p, oracle_fixtures)
+    before = p.read_bytes()
+
+    def dump_halfway(doc, fh, **kwargs):
+        fh.write('{\n  "dataset": ')
+        raise OSError("device full")
+
+    monkeypatch.setattr(oo.json, "dump", dump_halfway)
+    with pytest.raises(OSError, match="device full"):
+        oo.write_fixtures(p, {"schema": 1})
+    assert p.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [p]
