@@ -61,10 +61,8 @@ from .network import (
 from .outlier_regression import build_outlier_network, generate_dataset
 from .seeds import derive_seed
 from .smc import (
-    ParticleSystem,
     SequentialModel,
     SmcModule,
-    recompute_log_z,
     smc_run,
 )
 from .traceio import (
@@ -91,7 +89,6 @@ __all__ = [
     "ModuleNetwork",
     "NetworkBuildError",
     "NodeSpec",
-    "ParticleSystem",
     "ProbModule",
     "SchemaError",
     "SequentialModel",
@@ -123,7 +120,6 @@ __all__ = [
     "posterior_rate",
     "real",
     "real_vector",
-    "recompute_log_z",
     "run_chain",
     "run_experiment",
     "smc_run",

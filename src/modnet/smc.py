@@ -11,9 +11,11 @@ trajectory; it is what simulate uses to score a forward sample. Why log Z-hat
 is the right log-weight on both paths is worked through in
 docs/smc-module-weights.md.
 
-The running estimate uses max-shifted logsumexp with a fixed left-to-right
-reduction, and recompute_log_z replays the stored particle system through the
-identical operations, so the two agree bit-for-bit, not just approximately.
+A sweep hands back only what crosses the module boundary: the selected
+trajectory and log Z-hat. It keeps the latent and ancestor rows that the final
+backward walk reads, and nothing else. log Z-hat is a max-shifted logsumexp per
+step, summed in a fixed left-to-right order, so the same draws give the same
+float.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ from typing import Any
 from .interface import DegenerateTraceError, ModuleIO, ProbModule, SchemaError
 
 
-def logsumexp(vals) -> float:
-    return _normalise(list(vals))[0]
-
-
 class SequentialModel:
     """Stepwise model contract consumed by smc_run.
 
@@ -40,15 +38,16 @@ class SequentialModel:
     input) is read from inputs rather than carried in each state.
 
     States are treated as immutable and step must be deterministic, which is
-    what makes replay verification exact, and what lets a model compute one
-    result per distinct (state, latent) pair: resampling copies parents, so
-    the same state object often recurs in one population. Neither method
-    may modify the lists it is given. prior_sample must draw its randomness
-    in particle order, so a population call draws exactly what one call per
-    particle would; given no states it draws nothing. obs_sample draws one
-    particle's observation for the forward pass of simulate. finalize_extra
-    samples any non-sequential latents from their exact conditional given
-    the final state (return None when there are none).
+    what makes the same draws give the same log Z-hat, and what lets a model
+    compute one result per distinct (state, latent) pair: resampling copies
+    parents, so the same state object often recurs in one population.
+    Neither method may modify the lists it is given. prior_sample must draw
+    its randomness in particle order, so a population call draws exactly
+    what one call per particle would; given no states it draws nothing.
+    obs_sample draws one particle's observation for the forward pass of
+    simulate. finalize_extra samples any non-sequential latents from their
+    exact conditional given the final state (return None when there are
+    none).
     """
 
     num_steps: int
@@ -86,23 +85,6 @@ class Latents:
     extra: Any = None
 
 
-@dataclass(frozen=True)
-class ParticleSystem:
-    """Everything a sweep did: values, weights, ancestry, selection, log Z-hat.
-
-    latents[t][p] is the value particle p proposed at step t, after that
-    step's resampling relabeled particles; ancestors[t][p] says which step
-    t-1 particle it continued (ancestors[0] is the identity row).
-    """
-
-    num_particles: int
-    latents: tuple[tuple, ...]
-    log_weights: tuple[tuple[float, ...], ...]
-    ancestors: tuple[tuple[int, ...], ...]
-    selected: int
-    log_z: float
-
-
 def _normalise(row_w) -> tuple[float, list[float] | None]:
     """logsumexp of one step's log-weights and their normalized cumulative
     sum (None when everything is -inf), from one pass of exponentials."""
@@ -116,12 +98,19 @@ def _normalise(row_w) -> tuple[float, list[float] | None]:
     for p in probs:
         acc += p / total
         cum.append(acc)
-    cum[-1] = 1.0
+    # rounding can leave the last live particle's sum just below 1.0
+    i = len(probs) - 1
+    while probs[i] == 0.0:
+        cum[i] = 1.0
+        i -= 1
+    cum[i] = 1.0
     return m + math.log(total), cum
 
 
 # Neither here nor in smc_run's final draw does bisect_right(cum, u) need a
-# clamp to K - 1: _normalise sets cum[-1] = 1.0 and every uniform u is < 1.
+# clamp to K - 1, nor can it pick a zero-probability particle: _normalise
+# sets cum to 1.0 from the last positive-probability particle on, and every
+# uniform u is < 1.
 def _multinomial_row(cum, K, rng) -> list[int]:
     return [bisect_right(cum, u) for u in rng.random(K).tolist()]
 
@@ -132,9 +121,9 @@ def _uniform_row(K, rng) -> list[int]:
 
 def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
             num_particles: int, rng,
-            pinned: Latents | None = None) -> tuple[Latents, ParticleSystem]:
+            pinned: Latents | None = None) -> tuple[Latents, float]:
     """One sweep conditioned on outputs; returns a selected trajectory and
-    the particle system with its log normalizing-constant estimate.
+    the log normalizing-constant estimate, log Z-hat.
 
     If every particle dies at some step the sweep keeps going under uniform
     resampling so a structurally valid trajectory still comes back, but
@@ -160,7 +149,7 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
 
     log_k = math.log(K)
     states = [model.initial_state(inputs)] * K
-    lat_rows, w_rows, anc_rows = [], [], []
+    lat_rows, anc_rows = [], []  # what the final backward walk reads
     log_z = 0.0
     cum: list[float] | None = None
     prior_sample = model.prior_sample
@@ -184,9 +173,8 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
         row_w, states = step(t, states, inputs, row_lat, obs[t])
         lse, cum = _normalise(row_w)
         log_z += lse - log_k
-        lat_rows.append(tuple(row_lat))
-        w_rows.append(tuple(row_w))
-        anc_rows.append(tuple(anc))
+        lat_rows.append(row_lat)
+        anc_rows.append(anc)
 
     if pinned is not None:
         k, v = slot, pinned
@@ -202,26 +190,7 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
             steps.append(lat_rows[t][a])
             a = anc_rows[t][a]
         v = Latents(tuple(reversed(steps)), extra)
-    ps = ParticleSystem(K, tuple(lat_rows), tuple(w_rows), tuple(anc_rows), k, log_z)
-    return v, ps
-
-
-def recompute_log_z(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
-                    ps: ParticleSystem) -> float:
-    """Re-derive log Z-hat from a stored system by replaying states along the
-    recorded ancestry. Exactly equal to ps.log_z for systems this module
-    produced, because the arithmetic and reduction order are identical."""
-    obs = model.unpack_outputs(outputs)
-    K = ps.num_particles
-    log_k = math.log(K)
-    states = [model.initial_state(inputs)] * K
-    log_z = 0.0
-    for t in range(len(obs)):
-        if t > 0:
-            states = [states[a] for a in ps.ancestors[t]]
-        row_w, states = model.step(t, states, inputs, list(ps.latents[t]), obs[t])
-        log_z += _normalise(row_w)[0] - log_k
-    return log_z
+    return v, log_z
 
 
 class SmcModule(ProbModule):
@@ -242,8 +211,8 @@ class SmcModule(ProbModule):
     def regenerate(self, inputs, outputs, rng):
         self.check_inputs(inputs)
         self.check_outputs(outputs)
-        v, ps = smc_run(self.model, inputs, outputs, self.num_particles, rng)
-        return ps.log_z, v
+        v, log_z = smc_run(self.model, inputs, outputs, self.num_particles, rng)
+        return log_z, v
 
     def simulate(self, inputs, rng):
         self.check_inputs(inputs)
@@ -260,7 +229,7 @@ class SmcModule(ProbModule):
         v = Latents(tuple(steps), extra)
         outputs = m.pack_outputs(obs)
         self.check_outputs(outputs)
-        _, ps = smc_run(m, inputs, outputs, self.num_particles, rng, pinned=v)
-        if ps.log_z == -math.inf:
+        _, log_z = smc_run(m, inputs, outputs, self.num_particles, rng, pinned=v)
+        if log_z == -math.inf:
             raise DegenerateTraceError("conditional sweep scored the forward sample at zero")
-        return outputs, ps.log_z, v
+        return outputs, log_z, v

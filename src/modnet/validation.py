@@ -176,7 +176,7 @@ def unbiasedness(fixtures: dict):
     rng = np.random.default_rng(PINNED["c2_hmm"])
     n = 30_000
     draws = np.fromiter(
-        (math.exp(smc_run(hmm, {}, outputs, 5, rng)[1].log_z) for _ in range(n)),
+        (math.exp(smc_run(hmm, {}, outputs, 5, rng)[1]) for _ in range(n)),
         dtype=float, count=n)
     z, info = _mean_within_4se(draws, truth_h)
     zs.append(z)
@@ -250,7 +250,7 @@ def sweep_convergence(runs: int = 1000):
     variances, gaps, means = [], [], []
     for k in ks:
         lws = np.fromiter(
-            (smc_run(hmm, {}, outputs, k, rng)[1].log_z for _ in range(runs)),
+            (smc_run(hmm, {}, outputs, k, rng)[1] for _ in range(runs)),
             dtype=float, count=runs)
         variances.append(float(lws.var(ddof=1)))
         means.append(float(lws.mean()))

@@ -1,4 +1,6 @@
+import copy
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from modnet.interface import DegenerateTraceError, SchemaError
 from modnet.oracle import log_evidence
 from modnet.outlier_regression import RegressionSequentialModel, default_dataset
 from modnet.reference_models import BinaryHmm, hmm_oracle_model, hmm_observation
-from modnet.smc import Latents, SmcModule, logsumexp, recompute_log_z, smc_run
+from modnet.smc import Latents, SmcModule, _multinomial_row, _normalise, smc_run
 from modnet.values import discrete, real_vector
 
 INIT_P1 = 0.6
@@ -19,6 +21,41 @@ YS = [1, 0]
 
 def _model(num_steps=2):
     return BinaryHmm(num_steps, INIT_P1, EMIT, trans=TRANS)
+
+
+class HistoryHmm(BinaryHmm):
+    """BinaryHmm whose particle state is its whole history tuple, so
+    finalize_extra hands back the selected particle's own lineage."""
+
+    def initial_state(self, inputs):
+        super().initial_state(inputs)
+        return ()
+
+    def prior_sample(self, t, states, inputs, rng):
+        return super().prior_sample(t, [s[-1] if s else None for s in states],
+                                    inputs, rng)
+
+    def step(self, t, states, inputs, latents, obs):
+        log_w, _ = super().step(t, states, inputs, latents, obs)
+        return log_w, [s + (h,) for s, h in zip(states, latents)]
+
+    def finalize_extra(self, state, inputs, rng):
+        return state
+
+
+def _recording(model):
+    """Wrap model.step to record (states, latents, log_weights) per call,
+    states in particle order after resampling."""
+    calls = []
+    step = model.step
+
+    def recording(t, states, inputs, latents, obs):
+        log_w, after = step(t, states, inputs, latents, obs)
+        calls.append((list(states), list(latents), list(log_w)))
+        return log_w, after
+
+    model.step = recording
+    return calls
 
 
 def _hand_evidence():
@@ -35,9 +72,34 @@ def _hand_evidence():
 
 def test_logsumexp_matches_scipy():
     vals = [-3.2, 0.1, -700.0, 2.5]
-    assert logsumexp(vals) == pytest.approx(scipy_logsumexp(vals), rel=1e-14)
-    assert logsumexp([-math.inf, -math.inf]) == -math.inf
-    assert logsumexp([0.0]) == 0.0
+    assert _normalise(vals)[0] == pytest.approx(scipy_logsumexp(vals), rel=1e-14)
+    assert _normalise([-math.inf, -math.inf]) == (-math.inf, None)
+    assert _normalise([0.0])[0] == 0.0
+
+
+class _FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("row", [
+    [0.0, -2.0, -math.inf],
+    [0.0, -2.0, -math.inf, -math.inf],
+    [-math.inf, -1.0, 0.0, -3.0, -math.inf],
+    [-math.inf, 0.0],
+])
+def test_resampling_never_picks_a_zero_weight_particle(row):
+    # the largest uniform below 1 must land on a live particle, both in
+    # resampling and in the final selection's bisect over the same sums
+    u = float(np.nextafter(1.0, 0.0))
+    _, cum = _normalise(row)
+    live = max(i for i, w in enumerate(row) if w > -math.inf)
+    assert bisect_right(cum, u) == live
+    assert _multinomial_row(cum, 4, _FixedUniform(u)) == [live] * 4
+    assert cum[live:] == [1.0] * (len(row) - live)
 
 
 def test_oracle_route_agrees_with_four_term_sum():
@@ -50,31 +112,34 @@ def test_oracle_route_agrees_with_four_term_sum():
 def test_single_particle_log_z_is_the_path_score():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        v, ps = smc_run(_model(), {}, hmm_observation(YS), 1, rng)
-        assert ps.num_particles == 1
-        assert ps.selected == 0
-        assert ps.ancestors == ((0,), (0,))
-        assert ps.log_z == sum(row[0] for row in ps.log_weights)
-        assert v.steps == tuple(row[0] for row in ps.latents)
+        model = HistoryHmm(2, INIT_P1, EMIT, trans=TRANS)
+        calls = _recording(model)
+        v, log_z = smc_run(model, {}, hmm_observation(YS), 1, rng)
+        assert log_z == sum(log_w[0] for _, _, log_w in calls)
+        assert v.steps == tuple(lat[0] for _, lat, _ in calls) == v.extra
         # pinned, the only particle is the pinned path: same score, bit for bit
-        _, cps = smc_run(_model(), {}, hmm_observation(YS), 1, rng, pinned=v)
-        assert cps.log_z == ps.log_z
+        _, pinned_log_z = smc_run(_model(), {}, hmm_observation(YS), 1, rng,
+                                  pinned=Latents(v.steps))
+        assert pinned_log_z == log_z
 
 
 def test_selected_trajectory_is_the_ancestral_lineage():
-    model = _model(num_steps=5)
+    # the history state is the lineage each particle really carried, so the
+    # backward walk's trajectory must equal the selected particle's history
+    model = HistoryHmm(5, INIT_P1, EMIT, trans=TRANS)
+    calls = _recording(model)
     outputs = hmm_observation([1, 0, 1, 1, 0])
     rng = np.random.default_rng(8)
     moved = 0
     for _ in range(50):
-        v, ps = smc_run(model, {}, outputs, 6, rng)
-        lineage, a = [], ps.selected
-        for t in reversed(range(5)):
-            lineage.append(ps.latents[t][a])
-            a = ps.ancestors[t][a]
-        assert v.steps == tuple(reversed(lineage))
-        moved += any(row != tuple(range(6)) for row in ps.ancestors[1:])
-    assert moved > 0  # resampling really relabeled particles
+        calls.clear()
+        v, _ = smc_run(model, {}, outputs, 6, rng)
+        assert v.extra == v.steps and len(v.steps) == 5
+        # the states each step received are not just the previous step's
+        # particles in place: resampling really relabeled them
+        moved += any(calls[t][0] != [s + (h,) for s, h in zip(*calls[t - 1][:2])]
+                     for t in range(1, 5))
+    assert moved > 0
 
 
 def test_estimate_is_unbiased_for_the_evidence():
@@ -83,8 +148,7 @@ def test_estimate_is_unbiased_for_the_evidence():
     model = _model()
     zs = np.empty(20_000)
     for i in range(zs.size):
-        _, ps = smc_run(model, {}, outputs, 5, rng)
-        zs[i] = math.exp(ps.log_z)
+        zs[i] = math.exp(smc_run(model, {}, outputs, 5, rng)[1])
     want = _hand_evidence()
     se = zs.std(ddof=1) / math.sqrt(zs.size)
     assert abs(zs.mean() - want) < 4.5 * se
@@ -105,43 +169,65 @@ def test_simulated_weight_satisfies_the_harmonic_identity():
 
 
 def test_conditional_sweep_pins_one_slot():
-    pinned = Latents((1, 0))
+    pinned = Latents((1, 0, 0, 1))
+    model = HistoryHmm(4, INIT_P1, EMIT, trans=TRANS)
+    calls = _recording(model)
+    outputs = hmm_observation([1, 0, 1, 1])
     rng = np.random.default_rng(17)
+    slots = set()
     for _ in range(10):
-        v, ps = smc_run(_model(), {}, hmm_observation(YS), 6, rng, pinned=pinned)
-        slot = ps.selected
+        calls.clear()
+        # the sweep's first draw is the pinned slot
+        slot = int(copy.deepcopy(rng).integers(6))
+        v, _ = smc_run(model, {}, outputs, 6, rng, pinned=pinned)
         assert v is pinned
-        for t in range(2):
-            assert ps.latents[t][slot] == pinned.steps[t]
-        assert ps.ancestors[0] == tuple(range(6))
-        assert ps.ancestors[1][slot] == slot
+        # at every step the slot replays the pinned value and carries its
+        # own history: it kept itself as ancestor through each resampling
+        for t, (states, latents, _) in enumerate(calls):
+            assert latents[slot] == pinned.steps[t]
+            assert states[slot] == pinned.steps[:t]
+        slots.add(slot)
+    assert len(slots) > 1
 
 
 def test_replay_reproduces_log_z_bit_for_bit():
+    # log Z-hat is the fixed left-to-right sum of each step's logsumexp minus
+    # log K, over the weight rows step returned
     cases = [
         (_model(), {}, hmm_observation(YS)),
         (RegressionSequentialModel(), {"a": discrete(1)},
          {"b": real_vector(default_dataset()["responses"])}),
     ]
+
+    def replayed(calls, K):
+        log_z = 0.0
+        for _, _, log_w in calls:
+            log_z += _normalise(log_w)[0] - math.log(K)
+        return log_z
+
     for model, inputs, outputs in cases:
+        calls = _recording(model)
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            v, ps = smc_run(model, inputs, outputs, 4, rng)
-            assert recompute_log_z(model, inputs, outputs, ps) == ps.log_z
-            _, cps = smc_run(model, inputs, outputs, 4, rng, pinned=v)
-            assert recompute_log_z(model, inputs, outputs, cps) == cps.log_z
+            calls.clear()
+            v, log_z = smc_run(model, inputs, outputs, 4, rng)
+            assert replayed(calls, 4) == log_z
+            calls.clear()
+            _, pinned_log_z = smc_run(model, inputs, outputs, 4, rng, pinned=v)
+            assert replayed(calls, 4) == pinned_log_z
 
 
 def test_dead_inputs_give_minus_inf_without_raising():
     # an input value with no transition entry weights every step to -inf
-    model = BinaryHmm(2, INIT_P1, EMIT,
-                      trans_by_input={0: TRANS, 1: TRANS}, input_port="s")
+    model = HistoryHmm(2, INIT_P1, EMIT,
+                       trans_by_input={0: TRANS, 1: TRANS}, input_port="s")
     inputs = {"s": discrete(7)}
     rng = np.random.default_rng(12)
-    v, ps = smc_run(model, inputs, hmm_observation(YS), 5, rng)
-    assert ps.log_z == -math.inf
-    assert len(v.steps) == 2
-    assert all(0 <= a < 5 for row in ps.ancestors for a in row)
+    for _ in range(20):
+        v, log_z = smc_run(model, inputs, hmm_observation(YS), 5, rng)
+        assert log_z == -math.inf
+        # uniform resampling still hands back a real lineage
+        assert v.extra == v.steps and len(v.steps) == 2
     module = SmcModule(model, 5)
     lw, aux = module.regenerate(inputs, hmm_observation(YS), rng)
     assert lw == -math.inf
@@ -170,9 +256,9 @@ def test_module_wires_ports_and_aux():
     # the aux is the selected trajectory; lw is the sweep's log Z-hat
     lw, aux = module.regenerate({"s": discrete(0)}, hmm_observation(YS),
                                 np.random.default_rng(3))
-    v, ps = smc_run(model, {"s": discrete(0)}, hmm_observation(YS), 4,
-                    np.random.default_rng(3))
-    assert (lw, aux) == (ps.log_z, v)
+    v, log_z = smc_run(model, {"s": discrete(0)}, hmm_observation(YS), 4,
+                       np.random.default_rng(3))
+    assert (lw, aux) == (log_z, v)
     assert len(aux.steps) == 2
 
 
