@@ -129,8 +129,8 @@ def cmd_oracle(args) -> int:
                 f"unknown oracle config fields: {', '.join(sorted(unknown))}"
             )
         models = doc.get("models", models)
-        if not isinstance(models, list):
-            raise ConfigError("models must be a list of model names")
+        if not (isinstance(models, list) and all(isinstance(m, str) for m in models)):
+            raise ConfigError(f"models must be a list of model names, got {models!r}")
         if len(set(models)) != len(models):
             raise ConfigError("models list has duplicates")
         for m in models:
@@ -190,6 +190,9 @@ def cmd_validate(args) -> int:
             raise ConfigError(
                 f"unknown validate config fields: {', '.join(sorted(unknown))}"
             )
+        for key in ("fixtures", "out"):
+            if key in doc and not isinstance(doc[key], str):
+                raise ConfigError(f"{key} must be a path string, got {doc[key]!r}")
 
     fixtures_path = Path(doc.get("fixtures", DEFAULT_FIXTURES))
     iterations = args.iters if args.iters is not None else doc.get("iterations")

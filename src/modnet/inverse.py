@@ -15,6 +15,11 @@ it in rationals keeps the reported value bit-for-bit independent of which
 latents were drawn. The module samples exact tables through float copies of
 their rows, which draw the same values, and computes each full assignment's
 weight once, in rationals for an exact inverse, then looks it up.
+
+regenerate is unbiased for p(z) with either kind of table. simulate meets the
+harmonic identity E[exp(-lw) 1{z = z*}] = 1 only if the inverse puts no mass
+on latents that p(u, z*) rules out: exact tables, or a model whose forward
+tables have every entry positive, since smoothing leaves no zero in a row.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from .interface import (
     ModnetError,
     ModuleIO,
     ProbModule,
-    SchemaError,
     check_log_weight,
 )
 from .values import Value
@@ -139,13 +138,6 @@ class ModuleNetwork:
             raise UninitializedNodeError(f"node {node_id} has no aux state yet")
         return node.state[1]
 
-    def update_log_weight(self, node_id: int, lw: float, aux: Any) -> None:
-        """Overwrite a node's (log-weight, aux) pair atomically."""
-        node = self.node(node_id)
-        if node.state is None:
-            raise UninitializedNodeError(f"node {node_id} was never initialized")
-        node.state = (check_log_weight(lw), aux)
-
     def total_log_weight(self) -> float:
         """Sum of per-node log-weights in topological order; -inf absorbs."""
         total = 0.0
@@ -166,14 +158,6 @@ class ModuleNetwork:
             if src.outputs is None and src.id not in override:
                 raise UninitializedNodeError(f"node {src.id} has no outputs yet")
         return node.inputs(override)
-
-    def set_outputs(self, node_id: int, outputs: ModuleIO) -> None:
-        """Replace an unobserved node's outputs, checked against its ports."""
-        node = self.node(node_id)
-        if node.observed:
-            raise SchemaError(f"node {node_id} is observed; outputs are immutable")
-        node.module.check_outputs(outputs)
-        node.outputs = dict(outputs)
 
     # -- initialization ----------------------------------------------------
 

@@ -40,7 +40,7 @@ class ConjugateLineState(NamedTuple):
     """Gaussian posterior over (intercept, slope) after some observations.
 
     Plain scalar recursion; s00/s01/s11 are the covariance entries. Each
-    update conditions on one point (x, b) with known noise level sigma and
+    condition call takes one point (x, b) with known noise level sigma and
     returns the new state, so histories can be replayed exactly.
     """
 
@@ -69,12 +69,6 @@ class ConjugateLineState(NamedTuple):
                 ConjugateLineState(m0 + v0 / var * r, m1 + v1 / var * r,
                                    s00 - v0 * v0 / var, s01 - v0 * v1 / var,
                                    s11 - v1 * v1 / var))
-
-    def log_predictive(self, x: float, b: float, sigma: float) -> float:
-        return self.condition(x, b, sigma)[0]
-
-    def update(self, x: float, b: float, sigma: float) -> "ConjugateLineState":
-        return self.condition(x, b, sigma)[1]
 
     def sample_line(self, rng) -> tuple[float, float]:
         """Draw (intercept, slope); lower-triangular square root by hand."""

@@ -7,7 +7,9 @@ table below, so every verdict is reproducible bit for bit; reduced-budget
 runs mark those criteria SKIPPED rather than silently weakening them.
 
 Oracle targets come from a fixtures document (see outlier_oracle); pass
-fixtures=None to recompute them in-process.
+fixtures=None to recompute them in-process. check_module_contract is the one
+sampling check of the module contract; criterion 2 and the per-backend tests
+both call it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 
 from . import outlier_oracle as oo
 from .experiment import parse_config, posterior_rate, run_experiment
-from .interface import bernoulli_module, normal_module, table_module
+from .interface import bernoulli_module, check_log_weight, normal_module, table_module
 from .inverse import InverseModule, exact_inverse, train_inverse
-from .mh import SiteProposal, discrete_uniform_proposal, flip_proposal, mh_update, run_chain
+from .mh import SiteProposal, flip_proposal, mh_update, run_chain
 from .network import EdgeSpec, NodeSpec, build_network
 from .oracle import log_evidence, posterior
 from .outlier_regression import (build_regression_module, default_dataset,
@@ -34,8 +36,8 @@ from .outlier_regression import (build_regression_module, default_dataset,
 from .reference_models import (BinaryHmm, chain3_network, chain3_oracle,
                                hmm_oracle_model, hmm_oracle_observation,
                                hmm_observation, switch_hmm_network)
-from .smc import smc_run
-from .values import discrete, real, real_vector
+from .smc import SmcModule, smc_run
+from .values import DISCRETE, DISCRETE_VECTOR, discrete, real, real_vector
 
 # One seed per stochastic criterion. Verdicts are deterministic given these.
 PINNED = {
@@ -127,61 +129,75 @@ def exact_reduction():
             f"deterministic={deterministic}, max rel err {worst:.2e}")
 
 
-# -- criterion 2: exp(lw) is unbiased for the oracle evidence ----------------
+# -- criterion 2: the module contract against the oracle evidence -----------
 
 
-def _mean_within_4se(draws: np.ndarray, truth: float) -> tuple[float, dict]:
+def _log_weights(module, inputs, outputs, n: int, rng) -> np.ndarray:
+    """n regenerate log-weights at fixed (inputs, outputs), each range-checked."""
+    return np.fromiter(
+        (check_log_weight(module.regenerate(inputs, outputs, rng)[0]) for _ in range(n)),
+        dtype=float, count=n)
+
+
+def _z_score(draws: np.ndarray, truth: float) -> dict:
+    """|mean - truth| in standard errors. The SE is floored at 1e-12 * truth,
+    so draws that are constant up to rounding are held to rounding."""
     mean = float(draws.mean())
-    se = float(draws.std(ddof=1) / math.sqrt(len(draws)))
-    se = max(se, 1e-300)
+    se = max(float(draws.std(ddof=1) / math.sqrt(len(draws))), 1e-12 * truth)
     z = abs(mean - truth) / se
-    return z, {"mean": mean, "truth": truth, "se": se, "z": z, "n": len(draws)}
+    return {"mean": mean, "truth": truth, "se": se, "z": z, "n": len(draws)}
+
+
+def check_module_contract(module, inputs, outputs, truth: float, n: int, rng) -> dict:
+    """Hold a module to its contract by sampling, every draw from rng.
+
+    n regenerate calls at (inputs, outputs): the mean of exp(lw) is scored
+    against truth = p(outputs | inputs) > 0 ("z"), next to sd(lw) ("lw_sd").
+    When every output value is discrete, n simulate calls follow, and the
+    mean of exp(-lw) 1{simulated outputs == outputs} is scored against 1,
+    the harmonic identity ("harmonic", with its own mean, se and z). A real
+    output is never hit exactly, so it has no harmonic half.
+    """
+    lws = _log_weights(module, inputs, outputs, n, rng)
+    # math.exp per draw: np.exp may round some draws differently
+    result = _z_score(np.fromiter(map(math.exp, lws), dtype=float, count=n), truth)
+    # a weight of zero (lw = -inf) makes sd(lw) infinite, not NaN
+    result["lw_sd"] = float(lws.std(ddof=1)) if np.isfinite(lws).all() else math.inf
+    if all(v.kind in (DISCRETE, DISCRETE_VECTOR) for v in outputs.values()):
+        def hit() -> float:
+            sim, lw, _ = module.simulate(inputs, rng)
+            return math.exp(-check_log_weight(lw)) if sim == outputs else 0.0
+        result["harmonic"] = _z_score(
+            np.fromiter((hit() for _ in range(n)), dtype=float, count=n), 1.0)
+    return result
 
 
 @_criterion("2 unbiasedness", "<= 4 SEs on every module")
 def unbiasedness(fixtures: dict):
-    parts: dict[str, dict] = {}
-    zs = []
-
     rng = np.random.default_rng(PINNED["c2_inverse"])
     spec = switch_prior_spec()
-    mod_a = InverseModule(spec, train_inverse(spec, 100_000, rng))
-    out_a = {"a": discrete(1)}
-    draws = np.fromiter(
-        (math.exp(mod_a.regenerate({}, out_a, rng)[0]) for _ in range(100_000)),
-        dtype=float, count=100_000)
-    z, info = _mean_within_4se(draws, fixtures["switch_marginal"]["1"])
-    zs.append(z)
-    parts["module A (inverse)"] = info
+    parts = {"module A (inverse)": check_module_contract(
+        InverseModule(spec, train_inverse(spec, 100_000, rng)), {},
+        {"a": discrete(1)}, fixtures["switch_marginal"]["1"], 100_000, rng)}
 
     truth_b = math.exp(fixtures["log_evidence_by_switch"]["1"])
     in_b = {"a": discrete(1)}
     out_b = {"b": real_vector(default_dataset()["responses"])}
     for key, k, n in (("c2_sweep_k1", 1, 100_000), ("c2_sweep_k30", 30, 10_000)):
-        rng = np.random.default_rng(PINNED[key])
-        mod_b = build_regression_module(k)
-        draws = np.fromiter(
-            (math.exp(mod_b.regenerate(in_b, out_b, rng)[0]) for _ in range(n)),
-            dtype=float, count=n)
-        z, info = _mean_within_4se(draws, truth_b)
-        zs.append(z)
-        parts[f"module B (sweep, K={k})"] = info
+        parts[f"module B (sweep, K={k})"] = check_module_contract(
+            build_regression_module(k), in_b, out_b, truth_b, n,
+            np.random.default_rng(PINNED[key]))
 
     T, init, trans, emit = 4, 0.4, (0.25, 0.7), (0.15, 0.8)
     ys = (1, 0, 1, 1)
     truth_h = math.exp(log_evidence(hmm_oracle_model(T, init, trans, emit),
                                     hmm_oracle_observation(ys)))
-    hmm = BinaryHmm(T, init, emit, trans=trans)
-    outputs = hmm_observation(ys)
-    rng = np.random.default_rng(PINNED["c2_hmm"])
-    n = 30_000
-    draws = np.fromiter(
-        (math.exp(smc_run(hmm, {}, outputs, 5, rng)[1]) for _ in range(n)),
-        dtype=float, count=n)
-    z, info = _mean_within_4se(draws, truth_h)
-    zs.append(z)
-    parts["discrete sequential model"] = info
+    parts["discrete sequential model"] = check_module_contract(
+        SmcModule(BinaryHmm(T, init, emit, trans=trans), 5), {},
+        hmm_observation(ys), truth_h, 30_000, np.random.default_rng(PINNED["c2_hmm"]))
 
+    zs = [p["z"] for p in parts.values()]
+    zs += [p["harmonic"]["z"] for p in parts.values() if "harmonic" in p]
     worst = max(zs)
     return worst <= 4.0, f"worst |mean - oracle| = {worst:.2f} estimated SEs", parts
 
@@ -289,10 +305,7 @@ def inverse_limit():
     n = 20_000
 
     def lw_std(inv) -> float:
-        mod = InverseModule(spec, inv)
-        lws = np.fromiter((mod.regenerate({}, out, rng)[0] for _ in range(n)),
-                          dtype=float, count=n)
-        return float(lws.std(ddof=1))
+        return float(_log_weights(InverseModule(spec, inv), {}, out, n, rng).std(ddof=1))
 
     std_small = lw_std(inv_small)
     std_big = lw_std(inv_big)
@@ -470,8 +483,8 @@ def conjugate_correctness(fixtures: dict | None):
         st = prior_line_state(doc)
         total = 0.0
         for x, b, s in zip(xs, bs, sigmas):
-            total += st.log_predictive(x, b, s)
-            st = st.update(x, b, s)
+            lp, st = st.condition(x, b, s)
+            total += lp
         return total
 
     worst = 0.0

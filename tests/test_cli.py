@@ -51,6 +51,7 @@ def test_oracle_model_selection(tmp_path, capsys):
     ({"models": ["switch_prior", "switch_prior"]}, "duplicates"),
     ({"models": [], "extra": 1}, "unknown oracle config"),
     ([1], "config root"),
+    ({"models": [["x"]]}, "models must be a list"),
 ])
 def test_oracle_config_errors_exit_two(tmp_path, capsys, doc, why):
     cfg = tmp_path / "oracle.json"
@@ -211,6 +212,12 @@ def test_validate_config_errors_exit_two(tmp_path, capsys):
     assert main(["validate", "--config", _validate_config(tmp_path),
                  "--iters", "0"]) == 2
     assert "iterations" in capsys.readouterr().err
+
+    for key, bad in (("fixtures", 5), ("out", 7)):
+        assert main(["validate", "--config",
+                     _validate_config(tmp_path, **{key: bad})]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be a path string")
 
     empty = tmp_path / "empty_fixtures.json"
     empty.write_text("{}")

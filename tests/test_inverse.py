@@ -18,6 +18,7 @@ from modnet.inverse import (
     train_inverse,
 )
 from modnet.oracle import Factor, FactoredDiscreteModel, log_evidence
+from modnet.validation import check_module_contract
 from modnet.values import discrete, real
 
 U1 = (0.7, 0.3)
@@ -252,27 +253,38 @@ def test_learned_module_weight_is_unbiased_for_the_output_probability():
     spec = _spec()
     module = InverseModule(spec, train_inverse(spec, 300,
                                                np.random.default_rng(6)))
-    rng = np.random.default_rng(123)
-    ws = np.empty(20_000)
-    for i in range(ws.size):
-        lw, _ = module.regenerate({}, {"z": discrete(1)}, rng)
-        ws[i] = math.exp(lw)
-    se = ws.std(ddof=1) / math.sqrt(ws.size)
-    assert abs(ws.mean() - _p_z(1)) < 4.5 * se
+    res = check_module_contract(module, {}, {"z": discrete(1)}, _p_z(1), 20_000,
+                                np.random.default_rng(123))
+    assert res["z"] < 4.5
 
 
 def test_learned_module_satisfies_the_harmonic_identity():
     spec = _spec()
     module = InverseModule(spec, train_inverse(spec, 300,
                                                np.random.default_rng(7)))
-    rng = np.random.default_rng(55)
-    acc = np.zeros(20_000)
-    for i in range(acc.size):
-        z, lw, _ = module.simulate({}, rng)
-        if z["z"].data == 0:
-            acc[i] = math.exp(-lw)
-    se = acc.std(ddof=1) / math.sqrt(acc.size)
-    assert abs(acc.mean() - 1.0) < 4.5 * se
+    res = check_module_contract(module, {}, {"z": discrete(0)}, _p_z(0), 20_000,
+                                np.random.default_rng(55))
+    assert res["harmonic"]["z"] < 4.5
+
+
+def test_smoothing_off_the_posterior_support_breaks_only_the_harmonic_identity():
+    # v0 is always 1, but the smoothed table for v0 given v1 = 1 keeps 1/202
+    # of its mass on v0 = 0, where p(v0, v1) = 0. regenerate scores those
+    # draws 0, so it stays unbiased; every simulate draw has v0 = 1 and
+    # exp(-lw) = q(v0 = 1 | v1 = 1) = 201/202, not 1.
+    spec = DiscreteModelSpec(
+        latents=(VariableSpec("v0", (0, 1), (), {(): (0.0, 1.0)}),),
+        outputs=(VariableSpec("v1", (0, 1), (), {(): (0.0, 1.0)}),),
+    )
+    z = {"v1": discrete(1)}
+    learned = InverseModule(spec, train_inverse(spec, 200, np.random.default_rng(0)))
+    res = check_module_contract(learned, {}, z, 1.0, 20_000, np.random.default_rng(1))
+    assert res["z"] < 4.5
+    assert res["harmonic"]["mean"] == pytest.approx(201 / 202, rel=1e-12)
+    assert res["harmonic"]["z"] > 1e6
+    exact = InverseModule(spec, exact_inverse(spec))
+    res = check_module_contract(exact, {}, z, 1.0, 2000, np.random.default_rng(1))
+    assert res["harmonic"]["mean"] == 1.0 and res["z"] == res["harmonic"]["z"] == 0.0
 
 
 def test_more_training_data_stabilizes_the_weight():
@@ -351,6 +363,20 @@ def test_inverse_weights_on_random_specs(spec, seed):
             lw, aux = learned.regenerate({}, outputs, rng)
             assert lw == pytest.approx(
                 _hand_log_weight(spec, learned_inv, {**z, **aux}), rel=1e-12)
+    # the contract at one forward-sampled output: both halves for the exact
+    # inverse. The learned inverse is always unbiased; its harmonic identity
+    # needs every forward entry positive, so that the smoothed tables put no
+    # mass where the posterior has none.
+    sample = forward_sample(spec, rng)
+    z = {o.name: sample[o.name] for o in spec.outputs}
+    outputs = {k: discrete(v) for k, v in z.items()}
+    truth = math.exp(log_evidence(oracle, z))
+    got = check_module_contract(exact, {}, outputs, truth, 2000, rng)
+    assert got["z"] < 4.5 and got["harmonic"]["z"] < 4.5
+    got = check_module_contract(learned, {}, outputs, truth, 2000, rng)
+    assert got["z"] < 4.5
+    if all(p > 0.0 for v in spec.variables for row in v.table.values() for p in row):
+        assert got["harmonic"]["z"] < 4.5
 
 
 def _reference_tables(spec, n, rng):

@@ -5,7 +5,6 @@ import pytest
 
 from modnet.interface import (
     DegenerateTraceError,
-    SchemaError,
     bernoulli_module,
     table_module,
 )
@@ -24,15 +23,14 @@ def _pair(p1):
     return (1.0 - p1, p1)
 
 
-def _line(observed=None):
-    """x1 -> x2, both Bernoulli, optionally observing x2."""
+def _line():
+    """x1 -> x2, both Bernoulli, nothing observed."""
     nodes = [
         NodeSpec(1, bernoulli_module(0.5), name="x1"),
         NodeSpec(2, table_module(("x",), {(0,): _pair(0.2), (1,): _pair(0.9)})),
     ]
     edges = [EdgeSpec(1, "z", 2, "x")]
-    obs = {} if observed is None else {2: {"z": discrete(observed)}}
-    return build_network(nodes, edges, obs)
+    return build_network(nodes, edges, {})
 
 
 # -- construction-time validation ---------------------------------------------
@@ -197,25 +195,3 @@ def test_assemble_inputs_with_override():
     assert shadowed == {"x": flipped}
     # the override must not leak into stored state
     assert net.assemble_inputs(2) == live
-
-
-def test_set_outputs_guards():
-    net = _line(observed=1)
-    net.initialize(np.random.default_rng(5))
-    with pytest.raises(SchemaError, match="immutable"):
-        net.set_outputs(2, {"z": discrete(0)})
-    with pytest.raises(SchemaError):
-        net.set_outputs(1, {"wrong_port": discrete(0)})
-    net.set_outputs(1, {"z": discrete(0)})
-    assert net.outputs_of(1)["z"].data == 0
-
-
-def test_update_log_weight_feeds_total():
-    net = _line()
-    net.initialize(np.random.default_rng(2))
-    before = net.total_log_weight()
-    delta = -1.5
-    net.update_log_weight(1, net.lookup_log_weight(1) + delta, aux=None)
-    assert net.total_log_weight() == pytest.approx(before + delta, rel=1e-15)
-    with pytest.raises(UninitializedNodeError):
-        _line().update_log_weight(1, 0.0, aux=None)

@@ -11,6 +11,7 @@ from modnet.oracle import log_evidence
 from modnet.outlier_regression import RegressionSequentialModel, default_dataset
 from modnet.reference_models import BinaryHmm, hmm_oracle_model, hmm_observation
 from modnet.smc import Latents, SmcModule, _multinomial_row, _normalise, smc_run
+from modnet.validation import check_module_contract
 from modnet.values import discrete, real_vector
 
 INIT_P1 = 0.6
@@ -143,29 +144,16 @@ def test_selected_trajectory_is_the_ancestral_lineage():
 
 
 def test_estimate_is_unbiased_for_the_evidence():
-    rng = np.random.default_rng(2024)
-    outputs = hmm_observation(YS)
-    model = _model()
-    zs = np.empty(20_000)
-    for i in range(zs.size):
-        zs[i] = math.exp(smc_run(model, {}, outputs, 5, rng)[1])
-    want = _hand_evidence()
-    se = zs.std(ddof=1) / math.sqrt(zs.size)
-    assert abs(zs.mean() - want) < 4.5 * se
+    res = check_module_contract(SmcModule(_model(), 5), {}, hmm_observation(YS),
+                                _hand_evidence(), 20_000, np.random.default_rng(2024))
+    assert res["z"] < 4.5
 
 
 def test_simulated_weight_satisfies_the_harmonic_identity():
     # For a fixed output z*, exp(-lw) 1{z = z*} averages to one under simulate.
-    module = SmcModule(_model(), 5)
-    rng = np.random.default_rng(99)
-    target = tuple(YS)
-    acc = np.zeros(20_000)
-    for i in range(acc.size):
-        outputs, lw, _aux = module.simulate({}, rng)
-        if outputs["y"].data == target:
-            acc[i] = math.exp(-lw)
-    se = acc.std(ddof=1) / math.sqrt(acc.size)
-    assert abs(acc.mean() - 1.0) < 4.5 * se
+    res = check_module_contract(SmcModule(_model(), 5), {}, hmm_observation(YS),
+                                _hand_evidence(), 20_000, np.random.default_rng(99))
+    assert res["harmonic"]["z"] < 4.5
 
 
 def test_conditional_sweep_pins_one_slot():
