@@ -9,6 +9,13 @@ the latents already drawn. Tables are either estimated from forward samples
 of every full assignment serves all the tables) or enumerated exactly in
 rational arithmetic.
 
+Training holds one byte per sample per variable (domains of up to 256
+values) plus one fixed slice of temporaries: parent codes, uniforms,
+thresholds and assignment codes are built a slice at a time. Each variable's
+uniforms are drawn in slices, and consecutive rng.random calls give the same
+doubles as one call and leave the stream at the same place, so the tables and
+the generator's state do not depend on the slice length.
+
 An inverse wrapped as a module reports lw = log p(u, z) - log q(u | z). With
 the exact inverse that ratio telescopes to p(z) identically, and evaluating
 it in rationals keeps the reported value bit-for-bit independent of which
@@ -36,6 +43,8 @@ from .interface import ProbModule, SchemaError, _walk
 from .values import Value, discrete
 
 PROB_ROW_TOL = 1e-9
+# samples per slice of the forward walk's temporaries
+_SLICE = 65_536
 
 
 @dataclass(frozen=True)
@@ -114,15 +123,6 @@ class InverseNetwork:
     n_train: int
     exact: bool = False
 
-    def validate(self) -> None:
-        for f in self.factors:
-            for key, probs in f.table.items():
-                total = sum(probs)
-                if abs(float(total) - 1.0) > 1e-12:
-                    raise SchemaError(f"{f.var}: row {key} sums to {float(total)}")
-                if not self.exact and any(float(p) <= 0.0 for p in probs):
-                    raise SchemaError(f"{f.var}: learned row {key} has a zero entry")
-
 
 # -- table rows and sampling --------------------------------------------------
 
@@ -139,10 +139,6 @@ def _forward_rows(spec: DiscreteModelSpec) -> tuple:
     return tuple((v.name, v.domain, v.parents, v.table) for v in spec.variables)
 
 
-def forward_sample(spec: DiscreteModelSpec, rng) -> dict[str, int]:
-    return _sample(_forward_rows(spec), {}, rng)
-
-
 def _row_probs(rows, assign: Mapping[str, int]) -> list:
     """The probability each (variable, domain, conditioning, table) row
     assigns to the variable's value in assign."""
@@ -150,34 +146,42 @@ def _row_probs(rows, assign: Mapping[str, int]) -> list:
             for var, domain, cond, table in rows]
 
 
-def _encode(cols: Mapping[str, np.ndarray], variables, n: int):
-    """Mixed-radix code of each sample's values of `variables`, first variable
-    most significant, so codes count up in itertools.product order; also the
-    number of codes."""
-    code = np.zeros(n, dtype=np.int64)
-    radix = 1
-    for v in reversed(variables):
-        code += cols[v.name] * radix
-        radix *= len(v.domain)
-    return code, radix
+def _slices(n: int):
+    return (slice(s, min(s + _SLICE, n)) for s in range(0, n, _SLICE))
+
+
+def _encode(cols: Mapping[str, np.ndarray], variables, rows: slice) -> np.ndarray:
+    """Mixed-radix intp code of the given rows' values of `variables`, first
+    variable most significant, so codes count up in itertools.product order.
+    The one-byte columns are widened by adding them into the intp code, never
+    multiplied in their own dtype, where they would overflow."""
+    code = np.zeros(rows.stop - rows.start, dtype=np.intp)
+    for v in variables:
+        code *= len(v.domain)
+        code += cols[v.name][rows]
+    return code
 
 
 def sample_batch(spec: DiscreteModelSpec, n: int, rng) -> dict[str, np.ndarray]:
-    """Forward-sample n assignments at once; columns hold domain indices."""
+    """Forward-sample n assignments at once; columns hold domain indices in
+    the narrowest unsigned dtype, one byte per sample for up to 256 values.
+
+    Each variable's n uniforms are drawn as consecutive rng.random calls of
+    _SLICE doubles, which give the same values as one rng.random(n) and leave
+    the generator at the same position; parent codes and gathered thresholds
+    exist one slice at a time."""
     cols: dict[str, np.ndarray] = {}
     for v in spec.variables:
         parents = [spec.variable(p) for p in v.parents]
-        code, radix = _encode(cols, parents, n)
-        table = np.empty((radix, len(v.domain)))
-        for k, key in enumerate(product(*[p.domain for p in parents])):
-            table[k] = v.table[key]
-        cum = np.cumsum(table, axis=1)
-        u = rng.random(n)
-        # one gather-and-compare per bound; the last bound would only clamp
-        idx = np.zeros(n, dtype=np.int64)
-        for j in range(len(v.domain) - 1):
-            idx += u >= cum[:, j][code]
-        cols[v.name] = idx
+        cum = np.array([v.table[key] for key in product(*[p.domain for p in parents])],
+                       dtype=float).cumsum(axis=1)
+        col = cols[v.name] = np.zeros(n, np.min_scalar_type(len(v.domain) - 1))
+        for rows in _slices(n):
+            code = _encode(cols, parents, rows)
+            u, out = rng.random(len(code)), col[rows]
+            # one gather-and-compare per bound; the last bound would only clamp
+            for j in range(len(v.domain) - 1):
+                out += u >= cum[:, j][code]
     return cols
 
 
@@ -199,7 +203,8 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng,
     """Estimate inverse conditionals by counting forward samples.
 
     Additive smoothing keeps every row positive; a context never seen in
-    training falls back to a uniform row.
+    training falls back to a uniform row. Memory is the one-byte sample
+    columns plus one slice of codes and integer counts summed over slices.
     """
     if n_samples < 1:
         raise ValueError("need at least one training sample")
@@ -208,11 +213,13 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng,
     cols = sample_batch(spec, n_samples, rng)
 
     # One count of every full assignment, coded in sampling order: outputs,
-    # then latents last to first. Each factor's (context, variable) is a
-    # prefix of that order, so its joint counts are the full counts with the
-    # later variables summed out, exactly, in integers.
-    code, radix = _encode(cols, (*spec.outputs, *reversed(spec.latents)), n_samples)
-    prefix = np.bincount(code, minlength=radix)
+    # then latents last to first, summed over slices. Each factor's (context,
+    # variable) is a prefix of that order, so its joint counts are the full
+    # counts with the later variables summed out, exactly, in integers.
+    order = (*spec.outputs, *reversed(spec.latents))
+    radix = math.prod(len(v.domain) for v in order)
+    prefix = sum(np.bincount(_encode(cols, order, rows), minlength=radix)
+                 for rows in _slices(n_samples))
     factors = []
     for var, ctx in reversed(_sampling_plan(spec)):
         v = spec.variable(var)

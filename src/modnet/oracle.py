@@ -9,15 +9,15 @@ available in closed form.
 One generator walks the configurations consistent with an observation, in
 enumeration order, and yields each one's log joint; log_evidence, posterior
 and evidence_and_posterior are sums over that one stream, so a caller that
-needs several of them pays for one pass. Each factor's table is compiled at
-construction into a lookup keyed by its parents' values and its own, so a
-configuration's probability is the same product of table entries, taken in
-factor order, without searching a domain.
+needs several of them pays for one pass. The walk is depth first and keeps a
+prefix product per depth, so each configuration's probability is the
+left-to-right product of its table entries in factor order, while shared
+prefixes are multiplied once and a zero prefix drops its subtree. Every
+configuration of positive probability is still summed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
@@ -57,16 +57,6 @@ class FactoredDiscreteModel:
         self.factors = tuple(factors)
         self.leaf = leaf
         self._validate()
-        # Per factor, in factor order: the names whose values select an entry
-        # (parents, then the variable) and the entry for each such value tuple.
-        self._lookups = tuple(
-            (
-                (*f.parents, f.var),
-                {(*key, val): p for key, row in f.table.items()
-                 for val, p in zip(f.domain, row)},
-            )
-            for f in self.factors
-        )
 
     def _validate(self):
         seen: list[str] = []
@@ -121,17 +111,6 @@ class FactoredDiscreteModel:
     def variables(self) -> tuple[str, ...]:
         return tuple(f.var for f in self.factors)
 
-    def config_prob(self, config: dict) -> float:
-        """Joint probability of one full discrete configuration; 0.0 when a
-        value lies outside its variable's domain."""
-        prob = 1.0
-        for names, lookup in self._lookups:
-            p = lookup.get(tuple([config[v] for v in names]))
-            if p is None:
-                return 0.0
-            prob *= p
-        return prob
-
 
 def _logsumexp(vals):
     m = max(vals)
@@ -140,24 +119,53 @@ def _logsumexp(vals):
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
-def _configs(model: FactoredDiscreteModel, fixed: Mapping[str, Any]):
-    """Yield full configurations consistent with the fixed assignments."""
+def _configs(model: FactoredDiscreteModel, fixed: Mapping[str, Any],
+             keep_zero: bool = False):
+    """Yield (config, probability) for every full configuration consistent
+    with the fixed assignments, in itertools.product order, skipping those of
+    probability zero unless keep_zero. Depth first, with one running product
+    per depth taken in factor order, so a subtree whose prefix is 0.0 is
+    dropped at once and memory stays O(factors)."""
     names = model.variables()
-    domains = []
+    choices = []  # per factor: (index in its domain, value) pairs
     for f in model.factors:
         if f.var in fixed:
             if fixed[f.var] not in f.domain:
                 return
-            domains.append((fixed[f.var],))
+            choices.append(((f.domain.index(fixed[f.var]), fixed[f.var]),))
         else:
-            domains.append(f.domain)
-    n = 1
-    for d in domains:
-        n *= len(d)
-    if n > MAX_CONFIGS:
+            choices.append(tuple(enumerate(f.domain)))
+    if math.prod(map(len, choices)) > MAX_CONFIGS:
         raise ValueError("enumeration space exceeds the configuration cap")
-    for combo in itertools.product(*domains):
-        yield dict(zip(names, combo))
+    if not names:
+        yield {}, 1.0
+        return
+    pos = {v: i for i, v in enumerate(names)}
+    parents = [[pos[p] for p in f.parents] for f in model.factors]
+    vals: list = [None] * len(names)
+    prefix = [1.0] * len(names)
+
+    def level(i):
+        row = model.factors[i].table[tuple([vals[q] for q in parents[i]])]
+        return iter(choices[i]), row
+
+    stack = [level(0)]
+    while stack:
+        i = len(stack) - 1
+        values, row = stack[-1]
+        for j, v in values:
+            p = prefix[i] * row[j]
+            if p == 0.0 and not keep_zero:
+                continue
+            vals[i] = v
+            if i + 1 == len(names):
+                yield dict(zip(names, vals)), p
+            else:
+                prefix[i + 1] = p
+                stack.append(level(i + 1))
+                break
+        else:
+            stack.pop()
 
 
 def enumerate_joint(model: FactoredDiscreteModel) -> dict[tuple, float]:
@@ -170,8 +178,8 @@ def enumerate_joint(model: FactoredDiscreteModel) -> dict[tuple, float]:
         raise ValueError("enumerate_joint requires a fully discrete model")
     names = model.variables()
     joint = {}
-    for config in _configs(model, {}):
-        joint[tuple(config[v] for v in names)] = model.config_prob(config)
+    for config, p in _configs(model, {}, keep_zero=True):
+        joint[tuple(config[v] for v in names)] = p
     total = sum(joint.values())
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"joint sums to {total}, expected 1")
@@ -189,10 +197,7 @@ def _log_joint(model: FactoredDiscreteModel, observation: Mapping[str, Any]):
     unknown = set(observation) - set(model.variables())
     if unknown:
         raise ValueError(f"observation names unknown variables: {sorted(unknown)}")
-    for config in _configs(model, observation):
-        p = model.config_prob(config)
-        if p == 0.0:
-            continue
+    for config, p in _configs(model, observation):
         lp = math.log(p)
         if leaf_obs is not None:
             lp += model.leaf.log_density(config, leaf_obs)

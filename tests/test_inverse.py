@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -7,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modnet import inverse
 from modnet.interface import SchemaError, _walk
 from modnet.inverse import (
     DiscreteModelSpec,
     InverseModule,
     VariableSpec,
     exact_inverse,
-    forward_sample,
     sample_batch,
     train_inverse,
 )
 from modnet.oracle import Factor, FactoredDiscreteModel, log_evidence
+from modnet.outlier_regression import switch_prior_spec
 from modnet.validation import check_module_contract
 from modnet.values import discrete, real
 
@@ -42,6 +44,14 @@ def _joint(u1, u2, z):
 
 def _p_z(z):
     return sum(_joint(a, b, z) for a in (0, 1) for b in (0, 1))
+
+
+def _check_rows(inv):
+    """Every row sums to 1 within 1e-12, and a learned row has no zero entry."""
+    for f in inv.factors:
+        for key, row in f.table.items():
+            assert abs(float(sum(row)) - 1.0) <= 1e-12, (f.var, key)
+            assert inv.exact or all(float(p) > 0.0 for p in row), (f.var, key)
 
 
 # -- spec validation -----------------------------------------------------------
@@ -84,9 +94,10 @@ def test_parent_order_is_declaration_order():
 
 def test_forward_sample_matches_marginals():
     spec = _spec()
+    module = InverseModule(spec, exact_inverse(spec))
     rng = np.random.default_rng(10)
     n = 8000
-    hits = sum(forward_sample(spec, rng)["z"] for _ in range(n))
+    hits = sum(module.simulate({}, rng)[0]["z"].data for _ in range(n))
     p1 = _p_z(1)
     assert abs(hits / n - p1) < 4 * math.sqrt(p1 * (1 - p1) / n)
 
@@ -107,7 +118,8 @@ def test_sample_batch_matches_forward_distribution():
 
 def test_sample_batch_agrees_with_the_scalar_walk():
     # the batched index is the value _walk picks from the same uniforms,
-    # including zero-probability entries and a non-zero-based domain
+    # including zero-probability entries and a non-zero-based domain, in
+    # one slice and in slices of 7 that end mid-column
     spec = DiscreteModelSpec(
         latents=(VariableSpec("u", (0, 1, 2), (), {(): (0.2, 0.5, 0.3)}),),
         outputs=(VariableSpec("w", (3, 5, 7, 9), ("u",), {
@@ -116,22 +128,40 @@ def test_sample_batch_agrees_with_the_scalar_walk():
             (2,): (0.25, 0.25, 0.25, 0.25)}),),
     )
     n = 4000
-    cols = sample_batch(spec, n, np.random.default_rng(6))
     rng = np.random.default_rng(6)
     u_draws = rng.random(n)
     w_draws = rng.random(n)
+    want = []
     for i in range(n):
         u = _walk((0, 1, 2), (0.2, 0.5, 0.3), u_draws[i])
-        row = spec.variable("w").table[(u,)]
-        w = _walk((3, 5, 7, 9), row, w_draws[i])
-        assert (cols["u"][i], cols["w"][i]) == (u, (3, 5, 7, 9).index(w))
+        w = _walk((3, 5, 7, 9), spec.variable("w").table[(u,)], w_draws[i])
+        want.append((u, (3, 5, 7, 9).index(w)))
+    for size in (inverse._SLICE, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inverse, "_SLICE", size)
+            cols = sample_batch(spec, n, np.random.default_rng(6))
+        assert cols["u"].dtype == cols["w"].dtype == np.uint8
+        assert list(zip(cols["u"].tolist(), cols["w"].tolist())) == want
+
+
+def test_training_memory_is_a_byte_per_sample_and_variable_plus_a_slice():
+    # four one-byte columns of 1e6 samples plus one slice of temporaries;
+    # int64 columns and whole-length codes took 54.4 MiB
+    spec = switch_prior_spec()
+    tracemalloc.start()
+    try:
+        train_inverse(spec, 1_000_000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 # -- exact inverse ---------------------------------------------------------------
 
 def test_exact_inverse_rows_are_rational_and_normalized():
     inv = exact_inverse(_spec())
-    inv.validate()
+    _check_rows(inv)
     assert inv.exact
     assert [f.var for f in inv.factors] == ["u2", "u1"]
     assert inv.factors[0].context == ("z",)
@@ -180,10 +210,30 @@ def test_exact_weight_of_an_impossible_output_is_minus_inf():
 
 # -- learned inverse --------------------------------------------------------------
 
+def test_codes_wider_than_a_byte_count_exactly():
+    # a 300-value latent gets a two-byte column, and (z, u) codes reach 599,
+    # past what a product in a one-byte dtype can hold
+    d, n = 300, 5000
+    spec = DiscreteModelSpec(
+        latents=(VariableSpec("u", tuple(range(d)), (), {(): (1 / d,) * d}),),
+        outputs=(VariableSpec("z", (0, 1), ("u",),
+                              {(u,): (0.5, 0.5) for u in range(d)}),),
+    )
+    cols = sample_batch(spec, n, np.random.default_rng(2))
+    assert cols["u"].dtype == np.uint16
+    joint = np.bincount(cols["z"].astype(np.int64) * d + cols["u"],
+                        minlength=2 * d).reshape(2, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inverse, "_SLICE", 7)
+        inv = train_inverse(spec, n, np.random.default_rng(2))
+    for z in (0, 1):
+        assert inv.factors[0].table[(z,)] == tuple((joint[z] + 1.0) / (joint[z].sum() + d))
+
+
 def test_trained_tables_approach_the_true_conditionals():
     spec = _spec()
     inv = train_inverse(spec, 100_000, np.random.default_rng(8))
-    inv.validate()
+    _check_rows(inv)
     assert not inv.exact
     assert inv.n_train == 100_000
     exact = exact_inverse(spec)
@@ -203,7 +253,7 @@ def test_training_validates_arguments():
 
 def test_unseen_contexts_fall_back_to_uniform():
     inv = train_inverse(_spec(), 1, np.random.default_rng(0))
-    inv.validate()
+    _check_rows(inv)
     u2_rows = inv.factors[0].table
     uniform = sum(1 for row in u2_rows.values() if row == (0.5, 0.5))
     smoothed = sum(1 for row in u2_rows.values()
@@ -367,9 +417,8 @@ def test_inverse_weights_on_random_specs(spec, seed):
     # inverse. The learned inverse is always unbiased; its harmonic identity
     # needs every forward entry positive, so that the smoothed tables put no
     # mass where the posterior has none.
-    sample = forward_sample(spec, rng)
-    z = {o.name: sample[o.name] for o in spec.outputs}
-    outputs = {k: discrete(v) for k, v in z.items()}
+    outputs = exact.simulate({}, rng)[0]
+    z = {k: v.data for k, v in outputs.items()}
     truth = math.exp(log_evidence(oracle, z))
     got = check_module_contract(exact, {}, outputs, truth, 2000, rng)
     assert got["z"] < 4.5 and got["harmonic"]["z"] < 4.5
@@ -441,9 +490,17 @@ def _reference_simulate(spec, inv, rng):
 @given(spec=small_specs(), seed=st.integers(0, 2**32 - 1),
        n=st.sampled_from([1, 2, 5, 40, 2000]))
 def test_training_and_weight_memo_match_the_per_call_reference(spec, seed, n):
-    inv = train_inverse(spec, n, np.random.default_rng(seed))
+    # trained in slices of 7, against the reference's single slice; the
+    # stream ends n doubles per variable on, as if drawn in one call each
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inverse, "_SLICE", 7)
+        inv = train_inverse(spec, n, rng)
     want = _reference_tables(spec, n, np.random.default_rng(seed))
     assert [(f.var, f.context, f.table) for f in inv.factors] == want
+    advanced = np.random.default_rng(seed)
+    advanced.random(n * len(spec.variables))
+    assert rng.random() == advanced.random()
 
     for inv in (exact_inverse(spec), inv):
         module = InverseModule(spec, inv)
