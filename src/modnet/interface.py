@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from functools import cached_property
 from typing import Any, Mapping
 
 from . import values
@@ -72,15 +73,21 @@ class ProbModule(ABC):
     def regenerate(self, inputs: ModuleIO, outputs: ModuleIO, rng) -> tuple[float, Any]:
         """Score fixed outputs with fresh auxiliary randomness: (log_weight, aux)."""
 
+    # The key views compare against the declared ports, frozen once per
+    # instance, so a passing call builds no set; a mismatch raises below.
+    @cached_property
+    def _port_sets(self) -> tuple[frozenset, frozenset]:
+        return frozenset(self.input_ports), frozenset(self.output_ports)
+
     def check_inputs(self, inputs: Mapping[str, Value]) -> None:
-        if set(inputs) != set(self.input_ports):
+        if inputs.keys() != self._port_sets[0]:
             raise SchemaError(
                 f"{type(self).__name__}: input ports {sorted(inputs)} != "
                 f"declared {sorted(self.input_ports)}"
             )
 
     def check_outputs(self, outputs: Mapping[str, Value]) -> None:
-        if set(outputs) != set(self.output_ports):
+        if outputs.keys() != self._port_sets[1]:
             raise SchemaError(
                 f"{type(self).__name__}: output ports {sorted(outputs)} != "
                 f"declared {sorted(self.output_ports)}"
@@ -101,7 +108,6 @@ class ExactModule(ProbModule):
         self._log_density = log_density
         self.input_ports = tuple(input_ports)
         self.output_ports = tuple(output_ports)
-        self._port_sets = (frozenset(self.input_ports), frozenset(self.output_ports))
         if name:
             self.name = name
 
@@ -118,16 +124,6 @@ class ExactModule(ProbModule):
         self.check_inputs(inputs)
         self.check_outputs(outputs)
         return check_log_weight(self._log_density(inputs, outputs)), None
-
-    # The key views compare against the declared ports without building a
-    # set per call; the base checks run, and raise, only on a mismatch.
-    def check_inputs(self, inputs):
-        if inputs.keys() != self._port_sets[0]:
-            super().check_inputs(inputs)
-
-    def check_outputs(self, outputs):
-        if outputs.keys() != self._port_sets[1]:
-            super().check_outputs(outputs)
 
 
 def _walk(domain, probs, u: float):

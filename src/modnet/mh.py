@@ -173,7 +173,9 @@ def run_chain(
 
     scan="random" picks a schedule entry uniformly each iteration (one rng
     draw before the update); scan="cyclic" walks the schedule in order with
-    no extra draw.
+    no extra draw. A one-entry schedule takes no draw under either scan:
+    rng.integers(1) returns 0 without advancing the generator, so skipping
+    it leaves the stream as it was.
     """
     if not schedule:
         raise ValueError("schedule is empty")
@@ -185,9 +187,10 @@ def run_chain(
     site_ports = {p.target: resolve_port(net, p) for p in schedule}
     sites = [(s, net.node(s), p) for s, p in site_ports.items()]
     nodes = [net.node(j) for j in net.node_ids()]
+    draw = scan == "random" and len(schedule) > 1
 
     for it in range(iterations):
-        k = int(rng.integers(len(schedule))) if scan == "random" else it % len(schedule)
+        k = int(rng.integers(len(schedule))) if draw else it % len(schedule)
         info = mh_update(net, schedule[k], rng)
         if sink is not None:
             lws = {n.id: n.state[0] for n in nodes}

@@ -112,11 +112,20 @@ class FactoredDiscreteModel:
         return tuple(f.var for f in self.factors)
 
 
+def _fold(xs) -> float:
+    """Left-to-right float sum: sum() compensates from Python 3.12 on, and
+    the pinned fixtures hold the uncompensated doubles."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _logsumexp(vals):
     m = max(vals)
     if m == -math.inf:
         return -math.inf
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+    return m + math.log(_fold(math.exp(v - m) for v in vals))
 
 
 def _configs(model: FactoredDiscreteModel, fixed: Mapping[str, Any],
@@ -180,7 +189,7 @@ def enumerate_joint(model: FactoredDiscreteModel) -> dict[tuple, float]:
     joint = {}
     for config, p in _configs(model, {}, keep_zero=True):
         joint[tuple(config[v] for v in names)] = p
-    total = sum(joint.values())
+    total = _fold(joint.values())
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"joint sums to {total}, expected 1")
     return joint

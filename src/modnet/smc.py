@@ -15,7 +15,8 @@ A sweep hands back only what crosses the module boundary: the selected
 trajectory and log Z-hat. It keeps the latent and ancestor rows that the final
 backward walk reads, and nothing else. log Z-hat is a max-shifted logsumexp per
 step, summed in a fixed left-to-right order, so the same draws give the same
-float.
+float. Every float sum here is an explicit fold rather than sum(), which
+compensates its rounding from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -91,8 +92,12 @@ def _normalise(row_w) -> tuple[float, list[float] | None]:
     m = max(row_w)
     if m == -math.inf:
         return -math.inf, None
-    probs = [math.exp(w - m) for w in row_w]
-    total = sum(probs)
+    probs = []
+    total = 0.0
+    for w in row_w:
+        p = math.exp(w - m)
+        probs.append(p)
+        total += p
     cum = []
     acc = 0.0
     for p in probs:

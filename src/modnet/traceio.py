@@ -6,6 +6,13 @@ through repr (shortest round-trip form), vectors join entries with ';', and
 JSON is dumped with sorted keys. Files are written as <name>.partial and
 renamed only when complete, so no half-written file carries a final name.
 
+TraceWriter joins each row's cells with ',' itself and writes rows in blocks
+of _BLOCK. The bytes are those csv.writer's excel dialect would write: it
+quotes only a cell holding ',', '"', '\r' or '\n', or an empty cell alone on
+its row, and no trace cell is any of these (ints, float reprs, ';'-joined
+tuples and 0/1, at least three cells a row). Within a block, the cell of a
+nonzero float is formatted once per value and then reused.
+
 CSV schema, versioned below: one column per scheduled site holding that
 site's current output value, named after the site's proposal port (falling
 back to port_nodename when two sites share a port name), then lw_<node name>
@@ -33,6 +40,9 @@ from .network import ModuleNetwork
 CSV_SCHEMA_VERSION = 1
 
 _NEG_INF = -math.inf
+
+# rows a TraceWriter holds before writing them in one call
+_BLOCK = 1024
 
 
 def format_cell(v) -> str:
@@ -71,7 +81,8 @@ def _atomic_open(path, newline=None):
 
 class TraceWriter:
     """Streams ChainRecords to one CSV file, as the sink for run_chain. close (or
-    a clean exit from a with block) moves it to path; an exception deletes it."""
+    a clean exit from a with block) writes the last block and moves the file to
+    path; an exception deletes it, rows still held included."""
 
     def __init__(self, path, net: ModuleNetwork, site_ports: dict[int, str]):
         self.site_ids = tuple(site_ports)
@@ -79,33 +90,67 @@ class TraceWriter:
         names = {i: net.name_of(i) for i in net.node_ids()}
         cols = site_column_names(net, site_ports)
         self._file = _atomic_open(path, newline="")
-        self._csv = csv.writer(self._file.__enter__())
+        self._fh = self._file.__enter__()
         header = ["iteration"]
         header += [cols[s] for s in self.site_ids]
         header += [f"lw_{names[i]}" for i in self.node_ids]
         header += ["total_lw", "accepted"]
-        self._csv.writerow(header)
+        csv.writer(self._fh).writerow(header)
+        self._rows: list[str] = []
+        # the cells of this block's nonzero floats, by value: exact modules
+        # give a few table entries, so log-weights and totals repeat
+        self._float_cells: dict[float, str] = {}
 
     def __call__(self, rec: ChainRecord) -> None:
         # log-weights are floats by the range contract, so repr is their cell
         values, lws = rec.site_values, rec.log_weights
-        self._csv.writerow([
-            str(rec.iteration),
-            *[format_cell(values[s]) for s in self.site_ids],
-            *[repr(lws[i]) for i in self.node_ids],
-            repr(rec.total_log_weight),
-            "1" if rec.accepted else "0",
-        ])
+        cells = [str(rec.iteration)]
+        for s in self.site_ids:
+            # type, not isinstance: str(True) is "True", a bool's cell is "1"
+            v = values[s]
+            cells.append(str(v) if type(v) is int else format_cell(v))
+        # zeros (0.0 == -0.0) and non-floats (1 == 1.0) skip the cache:
+        # equal keys with different reprs would share a cell
+        float_cells = self._float_cells
+        for x in [lws[i] for i in self.node_ids] + [rec.total_log_weight]:
+            if type(x) is float and x:
+                cell = float_cells.get(x)
+                if cell is None:
+                    cell = float_cells[x] = repr(x)
+            else:
+                cell = repr(x)
+            cells.append(cell)
+        cells.append("1" if rec.accepted else "0")
+        rows = self._rows
+        rows.append(",".join(cells))
+        if len(rows) == _BLOCK:
+            self._write_block()
+
+    def _write_block(self) -> None:
+        rows = self._rows
+        if rows:
+            rows.append("")  # the last row's line terminator
+            self._fh.write("\r\n".join(rows))
+            rows.clear()
+            self._float_cells.clear()
 
     def close(self) -> None:
-        """Flush and move the finished trace to path."""
-        self._file.__exit__(None, None, None)
+        """Write the held rows and move the finished trace to path."""
+        self.__exit__(None, None, None)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self._file.__exit__(*exc)
+        # a failed last write deletes the file like any other error
+        try:
+            if exc[0] is None:
+                self._write_block()
+        except BaseException as err:
+            exc = (type(err), err, err.__traceback__)
+            raise
+        finally:
+            self._file.__exit__(*exc)
         return False
 
 
@@ -159,7 +204,8 @@ class TraceAccumulator:
     def __call__(self, rec: ChainRecord) -> None:
         self.iterations += 1
         site = rec.site
-        self.proposals[site] = self.proposals.get(site, 0) + 1
+        proposals = self.proposals
+        proposals[site] = proposals.get(site, 0) + 1
         if rec.accepted:
             self.accepts[site] = self.accepts.get(site, 0) + 1
         if rec.neg_inf_proposal:
@@ -169,16 +215,23 @@ class TraceAccumulator:
                   if lw != _NEG_INF]
         if rec.total_log_weight != _NEG_INF:
             finite.append(("total", rec.total_log_weight))
+        frequencies, lw_moments = self.frequencies, self.lw_moments
+        proposed = rec.proposed_value
         for s, v in rec.site_values.items():
-            key = format_cell(v)
-            counts = self.frequencies.get(s)
+            key = str(v) if type(v) is int else format_cell(v)
+            counts = frequencies.get(s)
             if counts is None:
-                counts = self.frequencies[s] = {}
+                counts = frequencies[s] = {}
             counts[key] = counts.get(key, 0) + 1
-            used = format_cell(rec.proposed_value) if s == site else key
-            group = self.lw_moments.get((s, used))
+            if s != site:
+                used = key
+            elif type(proposed) is int:
+                used = str(proposed)
+            else:
+                used = format_cell(proposed)
+            group = lw_moments.get((s, used))
             if group is None:
-                group = self.lw_moments[s, used] = {}
+                group = lw_moments[s, used] = {}
             # Welford's update, inline; the same arithmetic as _Moments.add
             for node, x in finite:
                 m = group.get(node)

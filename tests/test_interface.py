@@ -8,6 +8,7 @@ from modnet import values
 from modnet.interface import (
     DegenerateTraceError,
     ExactModule,
+    ProbModule,
     SchemaError,
     bernoulli_module,
     categorical_module,
@@ -15,6 +16,9 @@ from modnet.interface import (
     normal_module,
     table_module,
 )
+from modnet.inverse import InverseModule, exact_inverse
+from modnet.reference_models import BinaryHmm, switch_spec
+from modnet.smc import SmcModule
 
 
 class _NoRng:
@@ -98,6 +102,28 @@ def test_port_schema_enforced_on_both_paths():
     with pytest.raises(SchemaError):
         m.simulate({"extra": values.discrete(0)}, default_rng(0))
 
+
+
+def test_port_checks_are_one_base_check_with_pinned_messages():
+    hmm = BinaryHmm(2, 0.5, (0.8, 0.3), trans_by_input={0: (0.9, 0.2)},
+                    input_port="s")
+    modules = [bernoulli_module(0.5), SmcModule(hmm, 2),
+               InverseModule(switch_spec(), exact_inverse(switch_spec()))]
+    for m in modules:
+        assert type(m).check_inputs is ProbModule.check_inputs
+        assert type(m).check_outputs is ProbModule.check_outputs
+        name = type(m).__name__
+        m.check_inputs({p: None for p in m.input_ports})
+        m.check_outputs({p: None for p in m.output_ports})
+        with pytest.raises(SchemaError) as err:
+            m.check_inputs({"q": None, **{p: None for p in m.input_ports}})
+        assert str(err.value) == (
+            f"{name}: input ports {sorted(['q', *m.input_ports])} != "
+            f"declared {sorted(m.input_ports)}")
+        with pytest.raises(SchemaError) as err:
+            m.check_outputs({})
+        assert str(err.value) == (
+            f"{name}: output ports [] != declared {sorted(m.output_ports)}")
 
 def test_simulate_returns_its_own_density():
     m = bernoulli_module(0.3)

@@ -439,7 +439,7 @@ def _reference_tables(spec, n, rng):
         code = np.zeros(n, dtype=np.int64)
         radix = 1
         for c in reversed(ctx):
-            code += cols[c.name] * radix
+            code += cols[c.name].astype(np.int64) * radix
             radix *= len(c.domain)
         joint = np.bincount(code * d + cols[v.name], minlength=radix * d)
         joint = joint.reshape(radix, d).astype(np.float64)
@@ -451,6 +451,27 @@ def _reference_tables(spec, n, rng):
         tables.append((v.name, tuple(c.name for c in ctx), table))
         ctx.append(v)
     return tables
+
+
+def test_reference_tables_hold_past_a_one_byte_radix():
+    # u's context (z1, z2) has radix 3 * 200: z1's one-byte column is
+    # scaled by 200, past what a uint8 product holds (2 * 200 wraps to 144)
+    spec = DiscreteModelSpec(
+        latents=(VariableSpec("u", (0, 1), (), {(): (0.3, 0.7)}),),
+        outputs=(
+            VariableSpec("z1", (0, 1, 2), ("u",),
+                         {(0,): (0.2, 0.3, 0.5), (1,): (0.6, 0.3, 0.1)}),
+            VariableSpec("z2", tuple(range(200)), ("u",),
+                         {(u,): (1 / 200,) * 200 for u in (0, 1)}),
+        ),
+    )
+    cols = sample_batch(spec, 4000, np.random.default_rng(8))
+    assert cols["z1"].dtype == np.uint8 and cols["z1"].max() == 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inverse, "_SLICE", 7)
+        inv = train_inverse(spec, 4000, np.random.default_rng(8))
+    want = _reference_tables(spec, 4000, np.random.default_rng(8))
+    assert [(f.var, f.context, f.table) for f in inv.factors] == want
 
 
 def _reference_log_weight(spec, inv, assign):

@@ -135,6 +135,26 @@ def test_run_chain_input_validation():
         run_chain(net, [flip_proposal(3)], 10, np.random.default_rng(1))
 
 
+def test_one_entry_schedule_takes_no_scan_draw():
+    # run_chain skips the draw because numpy's integers(1) is 0 and leaves
+    # the generator where it was; a numpy that advanced would shift streams
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    assert [int(rng.integers(1)) for _ in range(5)] == [0] * 5
+    assert rng.bit_generator.state == before
+
+    runs = {}
+    for scan in ("random", "cyclic"):
+        net = chain3_network()
+        rng = np.random.default_rng(12)
+        net.initialize(rng)
+        records = []
+        run_chain(net, [flip_proposal(1)], 200, rng, sink=records.append,
+                  scan=scan)
+        runs[scan] = (records, rng.random())
+    assert runs["random"] == runs["cyclic"]
+
+
 # -- exact agreement with a hand-rolled chain ------------------------------------
 
 def _reference_chain3(seed, iterations):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from modnet import oracle, smc
 from modnet import outlier_oracle as oo
 from modnet.oracle import (
     ContinuousLeaf,
@@ -19,7 +20,9 @@ from modnet.oracle import (
     log_evidence,
     posterior,
 )
+from modnet.outlier_regression import build_regression_module
 from modnet.reference_models import CHAIN3, chain3_oracle
+from modnet.values import discrete, real_vector
 
 
 def _two_coin_model():
@@ -262,6 +265,34 @@ def test_conjugate_marginal_against_multivariate_normal():
 
 
 def test_fixture_file_matches_live_enumeration(oracle_fixtures):
+    assert oo.compute_fixtures() == oracle_fixtures
+
+
+def _neumaier_sum(xs, start=0):
+    """sum() of floats as Python 3.12 computes it: Neumaier's compensated
+    summation, the compensation added once at the end when finite."""
+    total, c = float(start), 0.0
+    for x in xs:
+        t = total + x
+        if abs(total) >= abs(x):
+            c += (total - t) + x
+        else:
+            c += (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_pinned_floats_do_not_depend_on_the_python_sum(monkeypatch,
+                                                       oracle_fixtures):
+    # a K=30 sweep's log Z-hat and the fixture file hold the doubles of a
+    # left-to-right sum; under a compensated sum() both must stay the same
+    assert _neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    b = real_vector(oo.load_constants()["dataset"]["responses"])
+    monkeypatch.setattr(smc, "sum", _neumaier_sum, raising=False)
+    monkeypatch.setattr(oracle, "sum", _neumaier_sum, raising=False)
+    lw, _ = build_regression_module(30).regenerate(
+        {"a": discrete(1)}, {"b": b}, np.random.default_rng(0))
+    assert repr(lw) == "-11.11429329780598"
     assert oo.compute_fixtures() == oracle_fixtures
 
 

@@ -1,10 +1,16 @@
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modnet import traceio
 from modnet.mh import ChainRecord, flip_proposal, run_chain
 from modnet.reference_models import chain3_network
 from modnet.traceio import (
@@ -84,6 +90,107 @@ def test_identical_runs_write_identical_bytes(tmp_path):
                 sink(rec)
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _csv_writer_bytes(records):
+    """A chain3 trace with sites 1 and 2 as csv.writer writes it, one
+    writerow per record."""
+    buf = io.StringIO(newline="")
+    out = csv.writer(buf)
+    out.writerow(["iteration", "z_X1", "z_X2", "lw_X1", "lw_X2", "lw_X3",
+                  "total_lw", "accepted"])
+    for rec in records:
+        out.writerow([
+            str(rec.iteration),
+            *[format_cell(rec.site_values[s]) for s in (1, 2)],
+            *[repr(rec.log_weights[i]) for i in (1, 2, 3)],
+            repr(rec.total_log_weight),
+            "1" if rec.accepted else "0",
+        ])
+    return buf.getvalue().encode()
+
+# edge floats, drawn often so that rows in one block repeat them
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 0.1, 1e16,
+                -math.inf)
+_floats = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False)
+_site_values = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    _floats.filter(math.isfinite),
+    st.lists(st.integers(-5, 300), max_size=4).map(tuple),
+    st.lists(_floats.filter(math.isfinite), max_size=3).map(tuple),
+)
+# ints break the float contract but must still get their own cells
+_lws = (st.sampled_from(_EDGE_FLOATS) | st.integers(-1, 1)
+        | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _records(draw):
+    n = draw(st.integers(0, 12))
+    records = []
+    for it in range(n):
+        lws = {i: draw(_lws) for i in (1, 2, 3)}
+        records.append(ChainRecord(
+            it, draw(st.sampled_from((1, 2))), draw(_site_values),
+            draw(st.booleans()), False,
+            {1: draw(_site_values), 2: draw(_site_values)},
+            lws, draw(_lws | st.just(-math.inf))))
+    return records
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(records=_records(), block=st.sampled_from([1, 2, 3, 1024]))
+def test_writer_bytes_equal_csv_writer_rows(records, block):
+    # rows are joined and written in blocks; the bytes are csv.writer's
+    # whatever the cells and wherever the block boundaries fall
+    net = chain3_network()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traceio, "_BLOCK", block)
+        path = Path(tmp) / "trace.csv"
+        with TraceWriter(path, net, {1: "z", 2: "z"}) as sink:
+            for rec in records:
+                sink(rec)
+        got = path.read_bytes()
+    assert got == _csv_writer_bytes(records)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_rows_around_one_block_are_all_written(tmp_path, extra):
+    n = traceio._BLOCK + extra
+    net, records = _chain3_records(5, iterations=n)
+    path = tmp_path / "trace.csv"
+    sink = TraceWriter(path, net, {1: "z", 2: "z"})
+    for rec in records:
+        sink(rec)
+    sink.close()
+    got = path.read_bytes()
+    assert got == _csv_writer_bytes(records)
+    assert got.count(b"\r\n") == 1 + n
+    assert not (tmp_path / "trace.csv.partial").exists()
+
+
+def test_an_error_mid_block_leaves_no_trace_and_no_partial(tmp_path):
+    net, records = _chain3_records(6, iterations=traceio._BLOCK + 7)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(RuntimeError, match="mid-block"):
+        with TraceWriter(path, net, {1: "z", 2: "z"}) as sink:
+            for rec in records:
+                sink(rec)
+            raise RuntimeError("mid-block")
+    assert list(tmp_path.iterdir()) == []
+
+    # a last block that fails to write deletes the file the same way
+    def fail(self):
+        raise OSError("disk full")
+
+    sink = TraceWriter(path, net, {1: "z", 2: "z"})
+    sink(records[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TraceWriter, "_write_block", fail)
+        with pytest.raises(OSError, match="disk full"):
+            sink.close()
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- moments ---------------------------------------------------------------------------
