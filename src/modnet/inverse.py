@@ -19,9 +19,15 @@ the generator's state do not depend on the slice length.
 An inverse wrapped as a module reports lw = log p(u, z) - log q(u | z). With
 the exact inverse that ratio telescopes to p(z) identically, and evaluating
 it in rationals keeps the reported value bit-for-bit independent of which
-latents were drawn. The module samples exact tables through float copies of
-their rows, which draw the same values, and computes each full assignment's
-weight once, in rationals for an exact inverse, then looks it up.
+latents were drawn. The module computes each full assignment's weight once,
+in rationals for an exact inverse, then looks it up.
+
+Each row's running float sums are built once, with the module. A call draws
+all its uniforms with one rng.random(n), n the number of rows it samples,
+and picks each value by bisecting its row's sums. That is the value the walk
+over the row (interface._walk) picks with one rng.random() per row, which
+gives the same doubles and leaves the generator at the same place; a u past
+a row's whole float sum takes the last value, as the walk does.
 
 regenerate is unbiased for p(z) with either kind of table. simulate meets the
 harmonic identity E[exp(-lw) 1{z = z*}] = 1 only if the inverse puts no mass
@@ -32,14 +38,15 @@ tables have every entry positive, since smoothing leaves no zero in a row.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Mapping
 
 import numpy as np
 
-from .interface import ProbModule, SchemaError, _walk
+from .interface import ProbModule, SchemaError
 from .values import Value, discrete
 
 PROB_ROW_TOL = 1e-9
@@ -127,11 +134,25 @@ class InverseNetwork:
 # -- table rows and sampling --------------------------------------------------
 
 
-def _sample(rows, assign: dict[str, int], rng) -> dict[str, int]:
-    """Draw each row's variable in order, one uniform per row, given the
-    values already in assign."""
-    for var, domain, cond, table in rows:
-        assign[var] = _walk(domain, table[tuple(assign[c] for c in cond)], rng.random())
+def _bound_rows(rows) -> tuple:
+    """(variable, domain, conditioning, bounds) rows, where bounds maps each
+    table key to the row's running float sums, the totals _walk compares u
+    with, without the last. bisect_right over them picks the value _walk
+    picks, and a u past the whole sum lands on the last value, as _walk's
+    fallback does."""
+    return tuple(
+        (var, domain, cond,
+         {key: list(accumulate(map(float, row), initial=0.0))[1:-1]
+          for key, row in table.items()})
+        for var, domain, cond, table in rows)
+
+
+def _draw(rows, assign: dict[str, int], rng) -> dict[str, int]:
+    """Draw each row's variable in order, given the values already in
+    assign. All the rows' uniforms come from one rng.random call, whose
+    doubles are those of one call per row."""
+    for (var, domain, cond, bounds), u in zip(rows, rng.random(len(rows)).tolist()):
+        assign[var] = domain[bisect_right(bounds[tuple(map(assign.__getitem__, cond))], u)]
     return assign
 
 
@@ -301,16 +322,14 @@ class InverseModule(ProbModule):
             raise SchemaError("inverse factors do not match the model's latents")
         self.spec = spec
         self.inv = inv
-        # (variable, domain, conditioning, table) rows, in sampling order;
-        # draws walk float copies of the inverse rows, the same floats _walk
+        # (variable, domain, conditioning, table) rows, in sampling order,
+        # and the bounds the draws bisect, summed from the same floats _walk
         # makes of an exact table's rationals
         self._forward = _forward_rows(spec)
         self._inverse = tuple((f.var, f.domain, f.context, f.table)
                               for f in inv.factors)
-        self._inverse_float = tuple(
-            (var, domain, cond, {key: tuple(map(float, row))
-                                 for key, row in table.items()})
-            for var, domain, cond, table in self._inverse)
+        self._forward_bounds = _bound_rows(self._forward)
+        self._inverse_bounds = _bound_rows(self._inverse)
         self._latents = tuple(v.name for v in spec.latents)
         self._names = tuple(v.name for v in spec.variables)
         # log-weight per full assignment (spec.variables order), lazily filled
@@ -344,7 +363,7 @@ class InverseModule(ProbModule):
 
     def simulate(self, inputs, rng):
         self.check_inputs(inputs)
-        assign = _sample(self._forward, {}, rng)
+        assign = _draw(self._forward_bounds, {}, rng)
         z = {name: discrete(assign[name]) for name in self.output_ports}
         aux = {name: assign[name] for name in self._latents}
         return z, self._log_weight(assign), aux
@@ -358,7 +377,7 @@ class InverseModule(ProbModule):
             if val not in o.domain:
                 return -math.inf, dict.fromkeys(self._latents)
             assign[o.name] = val
-        assign = _sample(self._inverse_float, assign, rng)
+        assign = _draw(self._inverse_bounds, assign, rng)
         return self._log_weight(assign), {name: assign[name] for name in self._latents}
 
 

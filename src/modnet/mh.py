@@ -13,8 +13,10 @@ id), then exactly one uniform for the accept test. The uniform is drawn even
 when the decision is already forced, so the stream position never depends on
 the outcome.
 
-Each regenerated log-weight is checked against the range contract exactly
-once, by mh_update as it comes back from the module. On accept, the target's
+Each regenerated log-weight is checked against the range contract by
+mh_update as it comes back from the module. ExactModule.regenerate checks its
+own weight as well, so an exact module's weight is checked twice; every other
+backend's is checked once, by mh_update alone. On accept, the target's
 outputs and every touched node's (log-weight, aux) pair are swapped in
 together, written straight to the node handles with no second check; inputs
 are never stored, since each node derives them from its parents' outputs. On
@@ -232,9 +234,10 @@ def discrete_uniform_proposal(
     if len(set(domain)) != len(domain) or not domain:
         raise ValueError("domain must be nonempty without duplicates")
     log_p = -math.log(len(domain))
+    choices = tuple(values.discrete(v) for v in domain)
 
     def sample(current: Value, rng) -> Value:
-        return values.discrete(domain[int(rng.integers(len(domain)))])
+        return choices[int(rng.integers(len(choices)))]
 
     def log_density(candidate: Value, current: Value) -> float:
         return log_p if candidate.data in domain else -math.inf

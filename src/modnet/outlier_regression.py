@@ -122,6 +122,9 @@ class RegressionSequentialModel(SequentialModel):
         rate = self.rates.get(inputs["a"].data)
         if rate is None:
             return [0] * len(states)
+        if len(states) == 1:
+            # a scalar draw: the double random(1) would give, no array
+            return [1 if rng.random() < rate else 0]
         return [1 if u < rate else 0 for u in rng.random(len(states)).tolist()]
 
     def obs_sample(self, t, state, inputs, latent, rng):
@@ -131,17 +134,19 @@ class RegressionSequentialModel(SequentialModel):
 
     def step(self, t, states, inputs, latents, obs):
         # Resampling copies parents, so particles often share a (line,
-        # indicator) pair: condition once per pair. Keying on id() is safe
-        # because `states` keeps every parent alive for the whole call.
+        # indicator) pair: condition once per pair, in one memo per noise
+        # level, chosen by the same lat == 1 test as the sigma. Keying on
+        # id() is safe because `states` keeps every parent alive for the
+        # whole call.
         x = self.covariates[t]
         sigma_in, sigma_out = self.sigma_in, self.sigma_out
-        done = {}
+        done_in, done_out = {}, {}
         log_w, new_states = [], []
         for line, lat in zip(states, latents):
-            key = (id(line), lat)
-            hit = done.get(key)
+            done = done_out if lat == 1 else done_in
+            hit = done.get(id(line))
             if hit is None:
-                hit = done[key] = line.condition(
+                hit = done[id(line)] = line.condition(
                     x, obs, sigma_out if lat == 1 else sigma_in)
             log_w.append(hit[0])
             new_states.append(hit[1])

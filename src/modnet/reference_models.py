@@ -77,7 +77,8 @@ class BinaryHmm(SequentialModel):
         row = self._row(inputs)
         if row is None:
             return [0] * len(states)
-        us = rng.random(len(states)).tolist()
+        # one state takes a scalar draw: the double random(1) would give
+        us = [rng.random()] if len(states) == 1 else rng.random(len(states)).tolist()
         if t == 0:
             p = self.init_p1
             return [1 if u < p else 0 for u in us]

@@ -17,6 +17,13 @@ backward walk reads, and nothing else. log Z-hat is a max-shifted logsumexp per
 step, summed in a fixed left-to-right order, so the same draws give the same
 float. Every float sum here is an explicit fold rather than sum(), which
 compensates its rounding from Python 3.12 on.
+
+With one particle the sweep is sequential importance sampling: the only
+ancestor is 0 and the normalized row is [1.0]. The two step helpers know
+this and skip the exponentials, sums and bisection, but still draw the one
+uniform that resampling would (a scalar rng.random(), the same double as
+random(1) with the generator left at the same place), so a one-particle sweep
+gives the same floats and the same stream as the general step.
 """
 
 from __future__ import annotations
@@ -92,6 +99,10 @@ def _normalise(row_w) -> tuple[float, list[float] | None]:
     m = max(row_w)
     if m == -math.inf:
         return -math.inf, None
+    if len(row_w) == 1:
+        # the loops' float operations: exp(m - m) is the whole total, and
+        # the one entry's running sum is set to 1.0
+        return m + math.log(math.exp(m - m)), [1.0]
     probs = []
     total = 0.0
     for w in row_w:
@@ -117,6 +128,10 @@ def _normalise(row_w) -> tuple[float, list[float] | None]:
 # sets cum to 1.0 from the last positive-probability particle on, and every
 # uniform u is < 1.
 def _multinomial_row(cum, K, rng) -> list[int]:
+    if K == 1:
+        # one scalar draw, the double random(1) would give; 0 is the only parent
+        rng.random()
+        return [0]
     return [bisect_right(cum, u) for u in rng.random(K).tolist()]
 
 

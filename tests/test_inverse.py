@@ -20,6 +20,7 @@ from modnet.inverse import (
 )
 from modnet.oracle import Factor, FactoredDiscreteModel, log_evidence
 from modnet.outlier_regression import switch_prior_spec
+from modnet.reference_models import switch_spec
 from modnet.validation import check_module_contract
 from modnet.values import discrete, real
 
@@ -539,3 +540,64 @@ def test_training_and_weight_memo_match_the_per_call_reference(spec, seed, n):
             ref_out, ref_lw, ref_aux = _reference_simulate(spec, inv, ref_rng)
             assert (out, repr(lw), aux) == (ref_out, repr(ref_lw), ref_aux)
             assert got_rng.random() == ref_rng.random()
+
+
+class _MaxUniform:
+    """Every uniform is the largest double below 1."""
+
+    U = float(np.nextafter(1.0, 0.0))
+
+    def random(self, size=None):
+        return self.U if size is None else np.full(size, self.U)
+
+
+def _short_row_inverse(spec):
+    """A hand-built inverse for _spec() whose u2 row at z=0 sums to 0.5, so a
+    uniform past its float sum falls back to the last value."""
+    return inverse.InverseNetwork((
+        inverse.InverseFactor("u2", (0, 1), ("z",), {(0,): (0.3, 0.2), (1,): (0.4, 0.6)}),
+        inverse.InverseFactor("u1", (0, 1), ("z", "u2"),
+                              {key: (0.5, 0.5) for key in product((0, 1), (0, 1))}),
+    ), 1.0, 0)
+
+
+def test_inverse_draws_match_the_one_uniform_per_row_walk():
+    # regenerate and simulate draw every row's uniform in one call and pick
+    # by bisection; the reference walks each row with its own rng.random(),
+    # in _walk order, and must leave the generator at the same place
+    demo = switch_prior_spec()
+    short = _spec()
+    cases = [(demo, train_inverse(demo, 20_000, np.random.default_rng(1))),
+             (demo, exact_inverse(demo)),
+             (switch_spec(), train_inverse(switch_spec(), 20_000, np.random.default_rng(2))),
+             (short, _short_row_inverse(short))]
+    short_picks = []
+    for spec, inv in cases:
+        module = InverseModule(spec, inv)
+        (out,) = spec.outputs
+        for seed in range(2000):
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for val in out.domain:
+                lw, aux = module.regenerate({}, {out.name: discrete(val)}, got_rng)
+                ref_lw, ref_aux = _reference_regenerate(spec, inv, {out.name: val}, ref_rng)
+                assert (repr(lw), aux) == (repr(ref_lw), ref_aux)
+                if spec is short and val == 0:
+                    short_picks.append(aux["u2"])
+            got = module.simulate({}, got_rng)
+            ref = _reference_simulate(spec, inv, ref_rng)
+            assert (got[0], repr(got[1]), got[2]) == (ref[0], repr(ref[1]), ref[2])
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    # the short row picks u2 = 1 for u in [0.3, 1): 0.2 of that by its own
+    # entry and 0.5 past its sum, by falling back to the last value ...
+    assert sum(short_picks) > 1200
+    # ... and a forward row whose float sum is below 1 falls back the same way
+    low = 0.5 - 5e-10
+    spec = DiscreteModelSpec(
+        latents=(VariableSpec("u", (0, 1, 2), (), {(): (0.25, 0.25, low)}),),
+        outputs=(VariableSpec("z", (0, 1), ("u",),
+                              {(u,): (0.5, 0.5) for u in (0, 1, 2)}),))
+    module = InverseModule(spec, exact_inverse(spec))
+    got = module.simulate({}, _MaxUniform())
+    assert got[2] == {"u": 2} and got[0] == {"z": discrete(1)}
+    ref = _reference_simulate(spec, module.inv, _MaxUniform())
+    assert (got[0], repr(got[1]), got[2]) == (ref[0], repr(ref[1]), ref[2])

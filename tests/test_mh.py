@@ -79,6 +79,12 @@ def test_discrete_uniform_proposal_density_and_frequencies():
     se = math.sqrt((1 / 3) * (2 / 3) / n)
     for v in (0, 1, 2):
         assert abs(draws.count(v) / n - 1 / 3) < 4 * se
+    # one integers(len(domain)) per draw, on a domain that is not 0..n-1
+    prop = discrete_uniform_proposal(1, [5, -2, 9])
+    got, ref = np.random.default_rng(43), np.random.default_rng(43)
+    for _ in range(50):
+        assert prop.sample(discrete(9), got) == discrete((5, -2, 9)[int(ref.integers(3))])
+    assert got.bit_generator.state == ref.bit_generator.state
 
 
 def test_gaussian_walk_proposal_matches_normal_density():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from modnet.seeds import derive_seed
@@ -44,3 +45,36 @@ def test_no_collisions_across_chain_indices():
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         derive_seed(0, -1)
+
+
+# -- numpy Generator facts the pinned streams rely on ---------------------------
+# The one-particle sweep step draws a scalar where the general step draws
+# random(1), an inverse draws all its rows' uniforms in one random(n), and a
+# dead one-particle sweep resamples with integers(0, 1, size=1). A numpy that
+# broke any of these would silently move every pinned digest.
+# (integers(1) drawing nothing is pinned in test_mh.)
+
+def test_scalar_random_is_the_first_double_of_a_one_element_draw():
+    for seed in range(50):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert a.random() == b.random(1)[0]
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_consecutive_random_calls_continue_one_stream():
+    for seed, (n, m) in enumerate([(1, 1), (1, 4), (3, 2), (7, 0), (0, 5),
+                                   (64, 65), (1000, 3)]):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = a.random(n).tolist() + a.random(m).tolist()
+        assert got == b.random(n + m).tolist()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_a_one_value_integer_row_draws_nothing():
+    rng = np.random.default_rng(17)
+    rng.random(3)
+    before = rng.bit_generator.state
+    for _ in range(5):
+        assert rng.integers(0, 1, size=1).tolist() == [0]
+    assert rng.bit_generator.state == before

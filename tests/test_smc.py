@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import math
+import struct
 from bisect import bisect_right
 
 import numpy as np
@@ -10,7 +12,8 @@ from modnet.interface import DegenerateTraceError, SchemaError
 from modnet.oracle import log_evidence
 from modnet.outlier_regression import RegressionSequentialModel, default_dataset
 from modnet.reference_models import BinaryHmm, hmm_oracle_model, hmm_observation
-from modnet.smc import Latents, SmcModule, _multinomial_row, _normalise, smc_run
+from modnet.smc import (Latents, SmcModule, _multinomial_row, _normalise,
+                        _uniform_row, smc_run)
 from modnet.validation import check_module_contract
 from modnet.values import discrete, real_vector
 
@@ -101,6 +104,81 @@ def test_resampling_never_picks_a_zero_weight_particle(row):
     assert bisect_right(cum, u) == live
     assert _multinomial_row(cum, 4, _FixedUniform(u)) == [live] * 4
     assert cum[live:] == [1.0] * (len(row) - live)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _reference_normalise(row_w):
+    """The general step written out: max-shifted exponentials, their
+    left-to-right total, the normalized running sums, and 1.0 from the last
+    particle whose exponential is not zero on."""
+    m = max(row_w)
+    if m == -math.inf:
+        return -math.inf, None
+    probs = [math.exp(w - m) for w in row_w]
+    total = 0.0
+    for p in probs:
+        total += p
+    cum, acc = [], 0.0
+    for p in probs:
+        acc += p / total
+        cum.append(acc)
+    live = max(i for i, p in enumerate(probs) if p != 0.0)
+    cum[live:] = [1.0] * (len(cum) - live)
+    return m + math.log(total), cum
+
+
+@pytest.mark.parametrize("w", [-3.2, 0.0, -0.0, 1e300, -math.inf, math.nan])
+def test_one_particle_step_matches_the_general_formulas(w):
+    lse, cum = _normalise([w])
+    want_lse, want_cum = _reference_normalise([w])
+    assert _bits(lse) == _bits(want_lse)
+    assert cum == want_cum
+    if cum is None:
+        # a dead row resamples uniformly, and over one slot that draws nothing
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        assert _uniform_row(1, rng) == [0]
+        assert rng.bit_generator.state == before
+        return
+    assert cum == [1.0]
+    got, ref = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(20):
+        assert _multinomial_row(cum, 1, got) == [
+            bisect_right(want_cum, u) for u in ref.random(1).tolist()]
+        assert got.bit_generator.state == ref.bit_generator.state
+
+
+# sha256 over 200 seeds of one-particle sweeps: the regression and BinaryHmm
+# models on plain, pinned and dead inputs, covering each log Z-hat's bits,
+# the selected Latents and the generator's state after every seed, plus a
+# one-particle simulate (forward pass and pinned sweep) on each live input.
+K1_SWEEPS_SHA256 = "88ca9fff4ef0ba1c55900edb640eb8e7bf8d5fb4748d182207bd8bc4c393be19"
+
+
+def test_one_particle_sweeps_match_the_pinned_digest():
+    hmm = BinaryHmm(4, 0.4, (0.15, 0.8),
+                    trans_by_input={0: (0.25, 0.7), 1: (0.6, 0.3)}, input_port="s")
+    y = hmm_observation([1, 0, 1, 1])
+    reg = RegressionSequentialModel()
+    b = {"b": real_vector(default_dataset()["responses"])}
+    cases = [(hmm, {"s": discrete(0)}, y), (hmm, {"s": discrete(1)}, y),
+             (hmm, {"s": discrete(9)}, y), (reg, {"a": discrete(1)}, b),
+             (reg, {"a": discrete(0)}, b), (reg, {"a": discrete(5)}, b)]
+    h = hashlib.sha256()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        for model, inputs, outputs in cases:
+            v, log_z = smc_run(model, inputs, outputs, 1, rng)
+            _, pinned_log_z = smc_run(model, inputs, outputs, 1, rng, pinned=v)
+            h.update(_bits(log_z) + _bits(pinned_log_z) + repr(v).encode())
+            if log_z > -math.inf:
+                sim_out, sim_lw, sim_v = SmcModule(model, 1).simulate(inputs, rng)
+                h.update(_bits(sim_lw) + repr((sim_out, sim_v)).encode())
+        h.update(repr(rng.bit_generator.state).encode())
+    assert h.hexdigest() == K1_SWEEPS_SHA256
 
 
 def test_oracle_route_agrees_with_four_term_sum():
