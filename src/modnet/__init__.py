@@ -27,7 +27,6 @@ from .interface import (
     ProbModule,
     SchemaError,
     bernoulli_module,
-    categorical_module,
     check_log_weight,
     normal_module,
     table_module,
@@ -103,7 +102,6 @@ __all__ = [
     "bernoulli_module",
     "build_network",
     "build_outlier_network",
-    "categorical_module",
     "check_log_weight",
     "derive_seed",
     "discrete",

@@ -11,10 +11,10 @@ rather than defaulted from the clock, so rerunning a command reproduces its
 files byte for byte.
 
 Exit codes: 0 success, 1 a validation criterion failed, 2 configuration
-error (unparseable JSON, unknown fields, missing files), 3 any other error
-the package raises on purpose (a ModnetError: a schema violation, a
-degenerate trace, a bad network). Set MODNET_LOG=INFO or DEBUG for progress
-output on stderr.
+error (unparseable JSON, unknown fields, missing files, an output directory
+that cannot be created), 3 any other error the package raises on purpose (a
+ModnetError: a schema violation, a degenerate trace, a bad network). Set
+MODNET_LOG=INFO or DEBUG for progress output on stderr.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from . import outlier_oracle, validation
 from .experiment import (
     ConfigError,
     load_config,
+    make_out_dir,
     parse_config,
     read_config_document,
     run_experiment,
@@ -40,7 +41,6 @@ from .interface import ModnetError
 
 log = logging.getLogger("modnet.cli")
 
-ORACLE_MODELS = ("outlier_regression", "switch_prior")
 DEFAULT_FIXTURES = "tests/fixtures/oracle_fixtures.json"
 LOG_LEVELS = ("CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG")
 
@@ -120,35 +120,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    models = list(ORACLE_MODELS)
-    if args.config is not None:
-        doc = _require_object(read_config_document(args.config), args.config)
-        unknown = set(doc) - {"models"}
-        if unknown:
-            raise ConfigError(
-                f"unknown oracle config fields: {', '.join(sorted(unknown))}"
-            )
-        models = doc.get("models", models)
-        if not (isinstance(models, list) and all(isinstance(m, str) for m in models)):
-            raise ConfigError(f"models must be a list of model names, got {models!r}")
-        if len(set(models)) != len(models):
-            raise ConfigError("models list has duplicates")
-        for m in models:
-            if m not in ORACLE_MODELS:
-                raise ConfigError(
-                    f"unknown model {m!r}; choices: {', '.join(ORACLE_MODELS)}"
-                )
-
-    fixtures: dict = {}
-    if models:
-        groups = outlier_oracle.fixture_groups()
-        for m in models:
-            fixtures.update(groups[m])
-        fixtures["schema"] = 1
-
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "oracle_fixtures.json"
+    path = make_out_dir(args.out or ".") / "oracle_fixtures.json"
+    fixtures = outlier_oracle.compute_fixtures()
     outlier_oracle.write_fixtures(path, fixtures)
     print(f"wrote {path} ({len(fixtures)} top-level keys)")
     return 0
@@ -214,6 +187,8 @@ def cmd_validate(args) -> int:
         read_config_document(fixtures_path), fixtures_path
     )
     _check_fixtures(fixtures, fixtures_path)
+    if out is not None:
+        make_out_dir(out)
 
     log.info("validating against %s", fixtures_path)
     results = validation.run_all(
@@ -266,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumerate exact reference constants and write "
         "oracle_fixtures.json (idempotent)",
     )
-    p.add_argument("--config", help='JSON like {"models": [...]}; default '
-                   "covers " + " and ".join(ORACLE_MODELS))
     p.add_argument("--out", help="output directory (default .)")
     p.set_defaults(func=cmd_oracle)
 

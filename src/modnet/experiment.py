@@ -85,7 +85,6 @@ class ExperimentConfig:
     particles: int = 30
     train_samples: int = 100_000
     workers: int = 1
-    scan: str = "random"
     proposals: tuple = ()
     out: str | None = None
 
@@ -125,10 +124,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
             or train_samples < 0):
         raise ConfigError(
             "field 'train_samples': must be an integer >= 0 (0 = exact tables)")
-
-    scan = doc.get("scan", "random")
-    if scan not in ("random", "cyclic"):
-        raise ConfigError("field 'scan': must be 'random' or 'cyclic'")
 
     proposals = doc.get("proposals")
     if proposals is None:
@@ -173,7 +168,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         particles=count("particles", 30),
         train_samples=train_samples,
         workers=count("workers", 1),
-        scan=scan,
         proposals=tuple(frozen),
         out=out,
     )
@@ -228,6 +222,17 @@ def build_proposal(net: ModuleNetwork, spec: tuple) -> SiteProposal:
     return replace(proposal, port=port)
 
 
+def make_out_dir(path) -> Path:
+    """path as a directory, created with its parents if missing. A path that
+    cannot be one (it or an ancestor is a file) is a configuration error."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"output directory {path}: {e.strerror or e}")
+    return path
+
+
 def run_one_chain(cfg: ExperimentConfig, index: int,
                   out_dir: Path | None) -> TraceAccumulator:
     rng = np.random.default_rng(derive_seed(cfg.seed, index))
@@ -238,19 +243,19 @@ def run_one_chain(cfg: ExperimentConfig, index: int,
     acc = TraceAccumulator(node_names={i: net.name_of(i) for i in net.node_ids()})
 
     if out_dir is None:
-        run_chain(net, schedule, cfg.iterations, rng, sink=acc, scan=cfg.scan)
+        run_chain(net, schedule, cfg.iterations, rng, sink=acc)
         return acc
 
     # created only once the proposals fit the network, so a refused config
     # touches nothing; an old summary must not vouch for this run's traces
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    (Path(out_dir) / "summary.json").unlink(missing_ok=True)
-    path = Path(out_dir) / f"trace_chain{index}.csv"
+    out_dir = make_out_dir(out_dir)
+    (out_dir / "summary.json").unlink(missing_ok=True)
+    path = out_dir / f"trace_chain{index}.csv"
     with TraceWriter(path, net, site_ports) as writer:
         def sink(rec):
             writer(rec)
             acc(rec)
-        run_chain(net, schedule, cfg.iterations, rng, sink=sink, scan=cfg.scan)
+        run_chain(net, schedule, cfg.iterations, rng, sink=sink)
     return acc
 
 

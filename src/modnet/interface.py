@@ -163,12 +163,6 @@ def bernoulli_module(theta: float, port: str = "z") -> ProbModule:
     return ExactModule(sample, log_density, (), (port,), name=f"bernoulli({theta})")
 
 
-def categorical_module(probs, port: str = "z") -> ProbModule:
-    """Exact categorical over values 0..k-1 with the given probabilities."""
-    probs = tuple(probs)
-    return table_module((), {(): probs}, tuple(range(len(probs))), port)
-
-
 def normal_module(mu: float, sigma: float, port: str = "z") -> ProbModule:
     """Exact scalar Gaussian."""
     if sigma <= 0.0:

@@ -7,6 +7,10 @@ regenerate draws fresh auxiliary randomness, the chain is valid as long as
 each module's exp(lw) is an unbiased estimate of its output probability; no
 module ever needs an exact density.
 
+run_chain picks the site of each update by random scan: one uniform choice
+of schedule entry per iteration, drawn before the update, and no draw at all
+for a one-entry schedule.
+
 RNG consumption per update, in order: the proposal's own draws, then the
 regenerating modules' draws (target node first, then children by ascending
 id), then exactly one uniform for the accept test. The uniform is drawn even
@@ -169,30 +173,27 @@ def run_chain(
     iterations: int,
     rng,
     sink: Callable[[ChainRecord], None] | None = None,
-    scan: str = "random",
 ) -> None:
-    """Run a site-mixture chain, streaming one ChainRecord per iteration.
+    """Run a random-scan site-mixture chain, streaming one ChainRecord per
+    iteration.
 
-    scan="random" picks a schedule entry uniformly each iteration (one rng
-    draw before the update); scan="cyclic" walks the schedule in order with
-    no extra draw. A one-entry schedule takes no draw under either scan:
-    rng.integers(1) returns 0 without advancing the generator, so skipping
-    it leaves the stream as it was.
+    Each iteration picks a schedule entry uniformly with one
+    rng.integers(len(schedule)) draw before the update. A one-entry schedule
+    takes no draw: rng.integers(1) returns 0 without advancing the
+    generator, so skipping it leaves the stream as it was.
     """
     if not schedule:
         raise ValueError("schedule is empty")
-    if scan not in ("random", "cyclic"):
-        raise ValueError(f"unknown scan mode {scan!r}")
     for prop in schedule:
         if net.is_observed(prop.target):
             raise SchemaError(f"schedule targets observed node {prop.target}")
     site_ports = {p.target: resolve_port(net, p) for p in schedule}
     sites = [(s, net.node(s), p) for s, p in site_ports.items()]
     nodes = [net.node(j) for j in net.node_ids()]
-    draw = scan == "random" and len(schedule) > 1
+    draw = len(schedule) > 1
 
     for it in range(iterations):
-        k = int(rng.integers(len(schedule))) if draw else it % len(schedule)
+        k = int(rng.integers(len(schedule))) if draw else 0
         info = mh_update(net, schedule[k], rng)
         if sink is not None:
             lws = {n.id: n.state[0] for n in nodes}

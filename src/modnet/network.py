@@ -92,9 +92,6 @@ class ModuleNetwork:
     def node_ids(self) -> tuple[int, ...]:
         return self._order
 
-    def children(self, node_id: int) -> tuple[int, ...]:
-        return tuple(c.id for c in self.node(node_id).children)
-
     def is_observed(self, node_id: int) -> bool:
         return self.node(node_id).observed
 
@@ -137,27 +134,6 @@ class ModuleNetwork:
         if node.state is None:
             raise UninitializedNodeError(f"node {node_id} has no aux state yet")
         return node.state[1]
-
-    def total_log_weight(self) -> float:
-        """Sum of per-node log-weights in topological order; -inf absorbs."""
-        total = 0.0
-        for i in self._order:
-            node = self._nodes[i]
-            if node.state is None:
-                raise UninitializedNodeError(f"node {i} has no log-weight yet")
-            total += node.state[0]
-        return total
-
-    def assemble_inputs(self, node_id: int,
-                        override: Mapping[int, ModuleIO] | None = None) -> ModuleIO:
-        """A node's inputs from the parents' current outputs, or from override
-        (node id -> outputs) for a proposed or staged parent; see _Node.inputs."""
-        node = self.node(node_id)
-        override = override or {}
-        for src, _ in node.wiring.values():
-            if src.outputs is None and src.id not in override:
-                raise UninitializedNodeError(f"node {src.id} has no outputs yet")
-        return node.inputs(override)
 
     # -- initialization ----------------------------------------------------
 

@@ -187,19 +187,6 @@ def compute_fixtures(constants: Mapping | None = None) -> dict:
     }
 
 
-def fixture_groups(constants: Mapping | None = None) -> dict[str, dict]:
-    """compute_fixtures split by the model each key describes, so callers can
-    assemble fixture files for a subset of models. Keys of the groups are
-    disjoint; the "schema" marker belongs to the assembled document, not to
-    any group."""
-    full = compute_fixtures(constants)
-    prior = {"switch_marginal": full["switch_marginal"]}
-    rest = {
-        k: v for k, v in full.items() if k not in ("switch_marginal", "schema")
-    }
-    return {"switch_prior": prior, "outlier_regression": rest}
-
-
 def write_fixtures(path, doc: dict) -> None:
     """Serialize a fixture document the one pinned way (sorted keys, indent 2,
     trailing newline) so repeated runs are byte-identical.

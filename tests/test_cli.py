@@ -32,34 +32,14 @@ def test_oracle_reproduces_the_checked_in_fixtures(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
-def test_oracle_model_selection(tmp_path, capsys):
+def test_oracle_takes_no_config(tmp_path, capsys):
     cfg = tmp_path / "oracle.json"
     cfg.write_text(json.dumps({"models": ["switch_prior"]}))
-    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    doc = json.loads((tmp_path / "oracle_fixtures.json").read_text())
-    assert set(doc) == {"schema", "switch_marginal"}
-
-    cfg.write_text(json.dumps({"models": []}))
-    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "oracle_fixtures.json").read_text()) == {}
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("doc,why", [
-    ({"models": ["mystery"]}, "unknown model"),
-    ({"models": "switch_prior"}, "must be a list"),
-    ({"models": ["switch_prior", "switch_prior"]}, "duplicates"),
-    ({"models": [], "extra": 1}, "unknown oracle config"),
-    ([1], "config root"),
-    ({"models": [["x"]]}, "models must be a list"),
-])
-def test_oracle_config_errors_exit_two(tmp_path, capsys, doc, why):
-    cfg = tmp_path / "oracle.json"
-    cfg.write_text(json.dumps(doc))
-    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert why.split()[0] in err
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "oracle_fixtures.json").exists()
 
 
 # -- infer ----------------------------------------------------------------------
@@ -246,6 +226,23 @@ def test_validate_config_errors_exit_two(tmp_path, capsys):
     assert main(["validate", "--config",
                  _validate_config(tmp_path, fixtures=str(typed))]) == 2
     assert "'switch_marginal'" in capsys.readouterr().err
+
+
+# -- output directories --------------------------------------------------------------
+
+@pytest.mark.parametrize("command,out", [
+    ("oracle", "F"), ("infer", "F/x"), ("validate", "F/x"),
+])
+def test_unusable_out_is_a_config_error(tmp_path, capsys, command, out):
+    flags = {"oracle": [], "infer": INFER_FLAGS,
+             "validate": ["--config", _validate_config(tmp_path)]}[command]
+    (tmp_path / "F").write_text("a file, not a directory\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, *flags, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: output directory {tmp_path / out}: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # -- environment and plumbing ---------------------------------------------------------

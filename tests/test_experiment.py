@@ -34,7 +34,6 @@ def test_defaults_and_frozen_proposals():
     assert cfg.particles == 30
     assert cfg.train_samples == 100_000
     assert cfg.workers == 1
-    assert cfg.scan == "random"
     assert cfg.out is None
     assert cfg.proposals == (
         (("kind", "flip"), ("port", "z"), ("site", "X1")),
@@ -59,7 +58,8 @@ def test_defaults_and_frozen_proposals():
      "field 'train_samples'"),
     ({"network": "chain3", "seed": 1, "train_samples": True},
      "field 'train_samples'"),
-    ({"network": "chain3", "seed": 1, "scan": "sweep"}, "field 'scan'"),
+    # no scan field: the chain has one scan policy
+    ({"network": "chain3", "seed": 1, "scan": "random"}, "field 'scan'"),
     ({"network": "chain3", "seed": 1, "proposals": []}, "field 'proposals'"),
     ({"network": "chain3", "seed": 1, "proposals": [{"site": "X1"}]},
      "needs 'site' and 'kind'"),

@@ -11,7 +11,6 @@ from modnet.interface import (
     ProbModule,
     SchemaError,
     bernoulli_module,
-    categorical_module,
     check_log_weight,
     normal_module,
     table_module,
@@ -63,17 +62,6 @@ def test_normal_density_matches_reference():
     for z in (-0.3, 0.0, 2.7):
         lw, _ = m.regenerate({}, {"z": values.real(z)}, _NoRng())
         assert lw == pytest.approx(stats.norm.logpdf(z, 0.8, 1.6), rel=1e-12)
-
-
-def test_categorical_density_and_validation():
-    m = categorical_module((0.2, 0.5, 0.3))
-    lw, _ = m.regenerate({}, {"z": values.discrete(1)}, _NoRng())
-    assert lw == math.log(0.5)
-    assert m.regenerate({}, {"z": values.discrete(5)}, _NoRng())[0] == -math.inf
-    with pytest.raises(ValueError):
-        categorical_module((0.2, 0.2))
-    with pytest.raises(SchemaError):
-        m.regenerate({}, {"z": values.real(1.0)}, _NoRng())
 
 
 def test_table_module_rows_and_missing_key():

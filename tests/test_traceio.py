@@ -31,7 +31,7 @@ def _chain3_records(seed, iterations=120):
     net.initialize(rng)
     records = []
     run_chain(net, [flip_proposal(1), flip_proposal(2)], iterations, rng,
-              sink=records.append, scan="random")
+              sink=records.append)
     return net, records
 
 
