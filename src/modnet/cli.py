@@ -250,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="JSON with optional fixtures/iterations/"
                    "chains/workers/out fields")
-    p.add_argument("--out", help="directory to keep chain artifacts "
-                   "(default: temporary)")
+    p.add_argument("--out", help="directory to keep the chain artifacts of "
+                   "a full-budget run (default: temporary); a reduced run "
+                   "writes none there")
     p.add_argument("--iters", type=int, help="per-chain iteration budget; "
                    "below the full budget the statistical criteria are "
                    "reported as SKIPPED")

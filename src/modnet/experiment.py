@@ -240,7 +240,8 @@ def run_one_chain(cfg: ExperimentConfig, index: int,
     net.initialize(rng)
     schedule = [build_proposal(net, p) for p in cfg.proposals]
     site_ports = {p.target: p.port for p in schedule}
-    acc = TraceAccumulator(node_names={i: net.name_of(i) for i in net.node_ids()})
+    acc = TraceAccumulator({i: net.name_of(i) for i in net.node_ids()},
+                           tuple(site_ports))
 
     if out_dir is None:
         run_chain(net, schedule, cfg.iterations, rng, sink=acc)

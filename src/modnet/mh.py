@@ -30,6 +30,12 @@ UpdateInfo and ChainRecord are named tuples: one of each is built per
 iteration, so they stay as cheap as a plain tuple. A proposal whose port is
 named and exists is used as is; any other goes through resolve_port, so the
 configured proposals, which carry their resolved port, skip that lookup.
+
+A ChainRecord is positional: its site values follow the schedule's site
+order (each target at its first entry) and its log-weights the network's
+node_ids order, so run_chain builds a record without a dict. It reads each
+node's stored weight and, on a reject only, lays the regenerated weights
+over them; on an accept the stored weights already are the regenerated ones.
 """
 
 from __future__ import annotations
@@ -76,7 +82,11 @@ class ChainRecord(NamedTuple):
     """One iteration of trace output.
 
     site_values is the chain state after the update, so its series is the
-    usual MCMC trace. log_weights and total_log_weight report the evaluation
+    usual MCMC trace: one value per scheduled site, in the schedule's site
+    order (each target where it first appears), which is also
+    TraceWriter.site_ids. log_weights holds one weight per node in
+    net.node_ids() order, and total_log_weight is their sum, folded left to
+    right in that order. log_weights and total_log_weight report the evaluation
     the update performed: fresh regeneration results for the target and its
     children, stored values for untouched nodes. On an accepted iteration
     that coincides with the new state; on a rejected one it describes the
@@ -89,8 +99,8 @@ class ChainRecord(NamedTuple):
     proposed_value: Any
     accepted: bool
     neg_inf_proposal: bool
-    site_values: dict[int, Any]
-    log_weights: dict[int, float]
+    site_values: tuple
+    log_weights: tuple[float, ...]
     total_log_weight: float
 
 
@@ -188,24 +198,28 @@ def run_chain(
         if net.is_observed(prop.target):
             raise SchemaError(f"schedule targets observed node {prop.target}")
     site_ports = {p.target: resolve_port(net, p) for p in schedule}
-    sites = [(s, net.node(s), p) for s, p in site_ports.items()]
-    nodes = [net.node(j) for j in net.node_ids()]
+    sites = [(net.node(s), p) for s, p in site_ports.items()]
+    ids = net.node_ids()
+    nodes = [net.node(j) for j in ids]
+    position = {j: k for k, j in enumerate(ids)}
     draw = len(schedule) > 1
 
     for it in range(iterations):
         k = int(rng.integers(len(schedule))) if draw else 0
         info = mh_update(net, schedule[k], rng)
         if sink is not None:
-            lws = {n.id: n.state[0] for n in nodes}
-            lws.update(info.regen_log_weights)
+            lws = [n.state[0] for n in nodes]
+            if not info.accepted:
+                for j, lw in info.regen_log_weights.items():
+                    lws[position[j]] = lw
             total = 0.0
-            for lw in lws.values():
+            for lw in lws:
                 total += lw
             sink(ChainRecord(
                 it, info.site, info.proposed_value, info.accepted,
                 info.neg_inf_proposal,
-                {s: n.outputs[p].data for s, n, p in sites},
-                lws, total))
+                tuple([n.outputs[p].data for n, p in sites]),
+                tuple(lws), total))
 
 
 # -- proposal library -------------------------------------------------------

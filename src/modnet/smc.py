@@ -152,7 +152,10 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
     With pinned set, the sweep is conditional: one slot, drawn uniformly
     once, replays the pinned trajectory at every step while the rest of the
     system runs as usual. The pinned lineage survives resampling by always
-    keeping itself as ancestor, and is the selected trajectory.
+    keeping itself as ancestor, and is the selected trajectory. With one
+    particle there is no free particle, and prior_sample is not called: a
+    model's prior_sample on an empty population must draw nothing from rng,
+    so skipping the call leaves the stream as it was.
     """
     K = int(num_particles)
     if K < 1:
@@ -186,6 +189,9 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
             states = [states[a] for a in anc]
         if pinned is None:
             row_lat = prior_sample(t, states, inputs, rng)
+        elif K == 1:
+            # no free particle: an empty population would draw nothing
+            row_lat = [pinned.steps[t]]
         else:
             # the free particles draw in slot order, the pinned one not at all
             row_lat = prior_sample(t, states[:slot] + states[slot + 1:], inputs, rng)

@@ -10,8 +10,22 @@ TraceWriter joins each row's cells with ',' itself and writes rows in blocks
 of _BLOCK. The bytes are those csv.writer's excel dialect would write: it
 quotes only a cell holding ',', '"', '\r' or '\n', or an empty cell alone on
 its row, and no trace cell is any of these (ints, float reprs, ';'-joined
-tuples and 0/1, at least three cells a row). Within a block, the cell of a
-nonzero float is formatted once per value and then reused.
+tuples and 0/1, at least three cells a row). Records are positional (see
+ChainRecord), so a row is read in column order. Within a block, the cell of
+a nonzero float is formatted once per value and then reused, and so is a
+row's joined tail (its log-weight cells, total and accepted flag), keyed by
+those values. A tail holding a zero or another integral value skips the
+cache: 0.0 == -0.0 and 1 == 1.0, and equal keys would share one text.
+
+TraceAccumulator holds rows and folds them per block. Each row makes one
+lookup of its (site, proposed value, site values), which gives a plan made
+on the first such row of the block: the value cells to count and the held
+row lists of each site's (site, used value) group. The row's log-weights and
+total are appended to those lists as one tuple. Every _BLOCK rows, and
+before merge, to_jsonable or pickling, Welford's update runs per group and
+node over the held rows in row order: the same arithmetic in the same order
+as one update per row, so the moments are bit-identical. The fold then drops
+the plans and rows, so a real-valued site holds at most a block of them.
 
 CSV schema, versioned below: one column per scheduled site holding that
 site's current output value, named after the site's proposal port (falling
@@ -85,46 +99,64 @@ class TraceWriter:
     path; an exception deletes it, rows still held included."""
 
     def __init__(self, path, net: ModuleNetwork, site_ports: dict[int, str]):
+        # the column order of a record's site values
         self.site_ids = tuple(site_ports)
-        self.node_ids = tuple(net.node_ids())
-        names = {i: net.name_of(i) for i in net.node_ids()}
         cols = site_column_names(net, site_ports)
         self._file = _atomic_open(path, newline="")
         self._fh = self._file.__enter__()
         header = ["iteration"]
         header += [cols[s] for s in self.site_ids]
-        header += [f"lw_{names[i]}" for i in self.node_ids]
+        header += [f"lw_{net.name_of(i)}" for i in net.node_ids()]
         header += ["total_lw", "accepted"]
         csv.writer(self._fh).writerow(header)
         self._rows: list[str] = []
         # the cells of this block's nonzero floats, by value: exact modules
         # give a few table entries, so log-weights and totals repeat
         self._float_cells: dict[float, str] = {}
+        # joined row tails by (log_weights, total, accepted), per block
+        self._tails: dict[tuple, str] = {}
 
     def __call__(self, rec: ChainRecord) -> None:
-        # log-weights are floats by the range contract, so repr is their cell
-        values, lws = rec.site_values, rec.log_weights
         cells = [str(rec.iteration)]
-        for s in self.site_ids:
+        for v in rec.site_values:
             # type, not isinstance: str(True) is "True", a bool's cell is "1"
-            v = values[s]
             cells.append(str(v) if type(v) is int else format_cell(v))
-        # zeros (0.0 == -0.0) and non-floats (1 == 1.0) skip the cache:
-        # equal keys with different reprs would share a cell
-        float_cells = self._float_cells
-        for x in [lws[i] for i in self.node_ids] + [rec.total_log_weight]:
-            if type(x) is float and x:
-                cell = float_cells.get(x)
-                if cell is None:
-                    cell = float_cells[x] = repr(x)
-            else:
-                cell = repr(x)
-            cells.append(cell)
-        cells.append("1" if rec.accepted else "0")
+        key = (rec.log_weights, rec.total_log_weight, rec.accepted)
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tail(key)
+        cells.append(tail)
         rows = self._rows
         rows.append(",".join(cells))
         if len(rows) == _BLOCK:
             self._write_block()
+
+    def _tail(self, key) -> str:
+        """A row's log-weight, total and accepted cells, joined; kept for
+        the block unless a weight is integral (zeros and ints included)."""
+        lws, total, accepted = key
+        # log-weights are floats by the range contract, so repr is their cell
+        float_cells = self._float_cells
+        cells = []
+        keep = True
+        for x in (*lws, total):
+            # zeros (0.0 == -0.0) and non-floats (1 == 1.0) skip the cache:
+            # equal keys with different reprs would share a cell
+            if type(x) is float and x:
+                cell = float_cells.get(x)
+                if cell is None:
+                    cell = float_cells[x] = repr(x)
+                if x.is_integer():
+                    keep = False
+            else:
+                cell = repr(x)
+                keep = False
+            cells.append(cell)
+        cells.append("1" if accepted else "0")
+        tail = ",".join(cells)
+        if keep:
+            self._tails[key] = tail
+        return tail
 
     def _write_block(self) -> None:
         rows = self._rows
@@ -133,6 +165,7 @@ class TraceWriter:
             self._fh.write("\r\n".join(rows))
             rows.clear()
             self._float_cells.clear()
+            self._tails.clear()
 
     def close(self) -> None:
         """Write the held rows and move the finished trace to path."""
@@ -183,6 +216,13 @@ class _Moments:
         return self.m2 / self.count if self.count else math.nan
 
 
+def _plain(v) -> bool:
+    """Whether equal values of v's kind always share one cell: a site holds
+    one kind, and only a float zero (0.0 == -0.0) or a tuple, which may hold
+    one, has an equal value of another cell."""
+    return type(v) is int or type(v) is float and v != 0.0
+
+
 @dataclass
 class TraceAccumulator:
     """Running summary over a stream of ChainRecords: per-site value counts
@@ -191,15 +231,30 @@ class TraceAccumulator:
     updated site and the current value elsewhere (infinite log-weights are
     counted, not averaged). lw_moments maps (site, value cell) to that
     group's moments per node. Accumulators merge, so chains summarize
-    independently and combine."""
+    independently and combine.
+
+    node_names lists every node in net.node_ids() order and site_ids every
+    scheduled site in the schedule's order: the positions of a record's
+    log_weights and site_values. frequencies and lw_moments take in held
+    rows at each fold (see the module docstring); the other counts are
+    current after every row."""
 
     node_names: dict[int, str]
+    site_ids: tuple[int, ...]
     iterations: int = 0
     frequencies: dict = field(default_factory=dict)
     proposals: dict = field(default_factory=dict)
     accepts: dict = field(default_factory=dict)
     neg_inf_proposals: int = 0
     lw_moments: dict = field(default_factory=dict)
+    # this block's plans by (site, proposed, site values), plans not kept
+    # there, and held rows by (site, used value cell)
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    _loose: list = field(default_factory=list, init=False, repr=False,
+                         compare=False)
+    _held: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __call__(self, rec: ChainRecord) -> None:
         self.iterations += 1
@@ -210,39 +265,91 @@ class TraceAccumulator:
             self.accepts[site] = self.accepts.get(site, 0) + 1
         if rec.neg_inf_proposal:
             self.neg_inf_proposals += 1
-        # (node, lw) pairs of this row that enter the moments, total last
-        finite = [(node, lw) for node, lw in rec.log_weights.items()
-                  if lw != _NEG_INF]
-        if rec.total_log_weight != _NEG_INF:
-            finite.append(("total", rec.total_log_weight))
-        frequencies, lw_moments = self.frequencies, self.lw_moments
-        proposed = rec.proposed_value
-        for s, v in rec.site_values.items():
-            key = str(v) if type(v) is int else format_cell(v)
-            counts = frequencies.get(s)
-            if counts is None:
-                counts = frequencies[s] = {}
-            counts[key] = counts.get(key, 0) + 1
-            if s != site:
-                used = key
-            elif type(proposed) is int:
-                used = str(proposed)
-            else:
-                used = format_cell(proposed)
-            group = lw_moments.get((s, used))
+        key = (site, rec.proposed_value, rec.site_values)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plan(key)
+        plan[0] += 1
+        row = (*rec.log_weights, rec.total_log_weight)
+        for held in plan[2]:
+            held.append(row)
+        if self.iterations % _BLOCK == 0:
+            self._fold()
+
+    def _plan(self, key) -> list:
+        """[row count, (site, value cell) pairs, held row list per site]
+        for the rows that share key; kept for the block when every value
+        in key is plain."""
+        site, proposed, values = key
+        cells = [str(v) if type(v) is int else format_cell(v) for v in values]
+        used = str(proposed) if type(proposed) is int else format_cell(proposed)
+        held = self._held
+        groups = []
+        for s, cell in zip(self.site_ids, cells):
+            group = (s, used if s == site else cell)
+            rows = held.get(group)
+            if rows is None:
+                rows = held[group] = []
+            groups.append(rows)
+        plan = [0, tuple(zip(self.site_ids, cells)), groups]
+        if _plain(proposed) and all(map(_plain, values)):
+            self._plans[key] = plan
+        else:
+            self._loose.append(plan)
+        return plan
+
+    def _fold(self) -> None:
+        """Take the held rows into frequencies and lw_moments, then drop
+        them with this block's plans."""
+        frequencies = self.frequencies
+        for plan in (*self._plans.values(), *self._loose):
+            n = plan[0]
+            for s, cell in plan[1]:
+                counts = frequencies.get(s)
+                if counts is None:
+                    counts = frequencies[s] = {}
+                counts[cell] = counts.get(cell, 0) + n
+        lw_moments = self.lw_moments
+        labels = (*self.node_names, "total")
+        for group_key, rows in self._held.items():
+            group = lw_moments.get(group_key)
             if group is None:
-                group = lw_moments[s, used] = {}
-            # Welford's update, inline; the same arithmetic as _Moments.add
-            for node, x in finite:
+                group = lw_moments[group_key] = {}
+            for node, xs in zip(labels, zip(*rows)):
                 m = group.get(node)
                 if m is None:
-                    m = group[node] = _Moments()
-                m.count += 1
-                d = x - m.mean
-                m.mean += d / m.count
-                m.m2 += d * (x - m.mean)
+                    count, mean, m2 = 0, 0.0, 0.0
+                else:
+                    count, mean, m2 = m.count, m.mean, m.m2
+                # Welford's update in row order: _Moments.add's arithmetic,
+                # on locals
+                for x in xs:
+                    if x != _NEG_INF:
+                        count += 1
+                        d = x - mean
+                        mean += d / count
+                        m2 += d * (x - mean)
+                if count:
+                    if m is None:
+                        m = group[node] = _Moments()
+                    m.count, m.mean, m.m2 = count, mean, m2
+        self._plans.clear()
+        self._loose.clear()
+        self._held.clear()
+
+    def __getstate__(self) -> dict:
+        self._fold()
+        state = dict(self.__dict__)
+        for name in ("_plans", "_loose", "_held"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _plans={}, _loose=[], _held={})
 
     def merge(self, other: "TraceAccumulator") -> None:
+        self._fold()
+        other._fold()
         self.iterations += other.iterations
         self.neg_inf_proposals += other.neg_inf_proposals
         for s, n in other.proposals.items():
@@ -262,6 +369,7 @@ class TraceAccumulator:
         def label(node) -> str:
             return node if node == "total" else f"lw_{self.node_names[node]}"
 
+        self._fold()
         name = self.node_names
         lw_variance: dict = {}
         for (s, k), by_node in sorted(self.lw_moments.items()):
@@ -288,7 +396,8 @@ class TraceAccumulator:
 
 
 def summary_document(per_chain: list[TraceAccumulator]) -> dict:
-    combined = TraceAccumulator(node_names=dict(per_chain[0].node_names))
+    first = per_chain[0]
+    combined = TraceAccumulator(dict(first.node_names), first.site_ids)
     for acc in per_chain:
         combined.merge(acc)
     return {

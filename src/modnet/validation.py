@@ -214,7 +214,8 @@ def chain3_posterior(iterations: int = 200_000):
     counts: dict[tuple, int] = {}
 
     def sink(rec):
-        key = (rec.site_values[1], rec.site_values[2])
+        # site values in schedule order: (x1, x2)
+        key = rec.site_values
         counts[key] = counts.get(key, 0) + 1
 
     run_chain(net, [flip_proposal(1, port="z"), flip_proposal(2, port="z")],

@@ -151,6 +151,19 @@ def test_reduced_validate_passes_and_skips(tmp_path, capsys):
     assert "FAIL" not in text
 
 
+def test_reduced_validate_keeps_no_artifacts_and_help_says_so(tmp_path, capsys):
+    out = tmp_path / "kept"
+    assert main(["validate", "--config", _validate_config(tmp_path),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.is_dir() and list(out.iterdir()) == []
+    with pytest.raises(SystemExit):
+        main(["validate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "artifacts of a full-budget run" in text
+    assert "a reduced run writes none there" in text
+
+
 def test_validate_flags_override_config(tmp_path, capsys):
     cfg = _validate_config(tmp_path, iterations=1)
     assert main(["validate", "--config", cfg, "--iters", "60",

@@ -161,7 +161,7 @@ def test_one_entry_schedule_takes_no_scan_draw():
     for _ in range(200):
         info = mh_update(net, flip_proposal(1), rng)
         bare.append((info.site, info.proposed_value, info.accepted,
-                     {1: net.outputs_of(1)["z"].data}))
+                     (net.outputs_of(1)["z"].data,)))
     assert chained == (bare, rng.random())
 
 
@@ -209,7 +209,7 @@ def test_random_scan_chain_matches_reference_implementation_exactly(seed):
     got = []
     run_chain(
         net, [flip_proposal(1), flip_proposal(2)], 300, rng,
-        sink=lambda r: got.append((r.site_values[1], r.site_values[2])),
+        sink=lambda r: got.append(r.site_values),
     )
     assert got == _reference_chain3(seed, 300)
 
@@ -245,15 +245,15 @@ def test_records_report_the_evaluated_configuration():
             want = {1: _bern_lw(p1, cur[1]),
                     2: _row_lw(t2[cur[1]], v),
                     3: _row_lw(t3[v], 1)}
-        assert r.log_weights == want
+        # positional: site values in schedule order, weights in node order
+        assert r.log_weights == (want[1], want[2], want[3])
         assert r.total_log_weight == want[1] + want[2] + want[3]
         assert not r.neg_inf_proposal
         if r.accepted:
             cur[r.site] = v
-        assert r.site_values == cur
-    assert records[-1].site_values == {
-        1: net.outputs_of(1)["z"].data, 2: net.outputs_of(2)["z"].data
-    }
+        assert r.site_values == (cur[1], cur[2])
+    assert records[-1].site_values == (
+        net.outputs_of(1)["z"].data, net.outputs_of(2)["z"].data)
 
 
 def test_rejected_rows_keep_the_log_weight_series_moving():
@@ -267,7 +267,8 @@ def test_rejected_rows_keep_the_log_weight_series_moving():
     assert rejected, "expected some rejections in 200 iterations"
     for r in rejected:
         # the row carries the discarded proposal, not the retained state
-        assert r.site_values[r.site] == 1 - r.proposed_value
+        # sites 1 and 2 sit at positions 0 and 1 of the schedule
+        assert r.site_values[r.site - 1] == 1 - r.proposed_value
 
 
 # -- zero-probability proposals ----------------------------------------------------
@@ -317,8 +318,8 @@ def test_chain_recovers_enumerated_posterior():
     run_chain(net, [flip_proposal(1), flip_proposal(2)], 30_000, rng,
               sink=records.append)
     burn = 500
-    xs1 = [r.site_values[1] for r in records[burn:]]
-    xs2 = [r.site_values[2] for r in records[burn:]]
+    xs1 = [r.site_values[0] for r in records[burn:]]
+    xs2 = [r.site_values[1] for r in records[burn:]]
     post = posterior(chain3_oracle(), {"x3": 1}, ("x1", "x2"))
     p_x1 = post[(1, 0)] + post[(1, 1)]
     p_x2 = post[(0, 1)] + post[(1, 1)]
@@ -359,7 +360,7 @@ def test_summary_and_stats_agree_with_records():
     rng = np.random.default_rng(13)
     net.initialize(rng)
     records = []
-    acc = TraceAccumulator(node_names={i: net.name_of(i) for i in net.node_ids()})
+    acc = TraceAccumulator({i: net.name_of(i) for i in net.node_ids()}, (1, 2))
 
     def sink(rec):
         records.append(rec)

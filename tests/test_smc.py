@@ -181,6 +181,56 @@ def test_one_particle_sweeps_match_the_pinned_digest():
     assert h.hexdigest() == K1_SWEEPS_SHA256
 
 
+class _Delegate:
+    """A model whose every attribute is model's, for overriding one."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+
+def test_pinned_one_particle_sweep_skips_the_empty_prior_draw():
+    # the sweep used to call prior_sample on the empty free population
+    # before every step; replaying that call must change no float, no
+    # latent and no generator state, and the sweep no longer makes it
+    hmm = BinaryHmm(4, 0.4, (0.15, 0.8),
+                    trans_by_input={0: (0.25, 0.7), 1: (0.6, 0.3)}, input_port="s")
+    y = hmm_observation([1, 0, 1, 1])
+    reg = RegressionSequentialModel()
+    b = {"b": real_vector(default_dataset()["responses"])}
+    cases = [(hmm, {"s": discrete(0)}, y), (hmm, {"s": discrete(9)}, y),
+             (reg, {"a": discrete(1)}, b), (reg, {"a": discrete(0)}, b),
+             (reg, {"a": discrete(5)}, b)]
+    sizes = []
+
+    class Spy(_Delegate):
+        def prior_sample(self, t, states, inputs, rng):
+            sizes.append(len(states))
+            return self.model.prior_sample(t, states, inputs, rng)
+
+    class EmptyDrawFirst(_Delegate):
+        def __init__(self, model, rng):
+            super().__init__(model)
+            self.rng = rng
+
+        def step(self, t, states, inputs, latents, obs):
+            assert self.model.prior_sample(t, [], inputs, self.rng) == []
+            return self.model.step(t, states, inputs, latents, obs)
+
+    for seed in range(30):
+        for model, inputs, outputs in cases:
+            v, _ = smc_run(model, inputs, outputs, 1, np.random.default_rng(seed))
+            got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            w, log_z = smc_run(Spy(model), inputs, outputs, 1, got, pinned=v)
+            w_ref, log_z_ref = smc_run(EmptyDrawFirst(model, ref), inputs,
+                                       outputs, 1, ref, pinned=v)
+            assert (w, _bits(log_z)) == (w_ref, _bits(log_z_ref))
+            assert got.bit_generator.state == ref.bit_generator.state
+    assert sizes == []
+
+
 def test_oracle_route_agrees_with_four_term_sum():
     want = _hand_evidence()
     got = log_evidence(hmm_oracle_model(2, INIT_P1, TRANS, EMIT),

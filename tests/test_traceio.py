@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -72,10 +73,10 @@ def test_writer_emits_the_pinned_header_and_faithful_rows(tmp_path):
     assert len(rows) == 1 + len(records)
     for row, rec in zip(rows[1:], records):
         assert int(row[0]) == rec.iteration
-        assert int(row[1]) == rec.site_values[1]
-        assert int(row[2]) == rec.site_values[2]
-        assert [float(c) for c in row[3:6]] == [rec.log_weights[i]
-                                                for i in (1, 2, 3)]
+        # site values in schedule order, log-weights in node order
+        assert int(row[1]) == rec.site_values[0]
+        assert int(row[2]) == rec.site_values[1]
+        assert [float(c) for c in row[3:6]] == list(rec.log_weights)
         assert float(row[6]) == rec.total_log_weight
         assert row[7] == ("1" if rec.accepted else "0")
 
@@ -102,8 +103,8 @@ def _csv_writer_bytes(records):
     for rec in records:
         out.writerow([
             str(rec.iteration),
-            *[format_cell(rec.site_values[s]) for s in (1, 2)],
-            *[repr(rec.log_weights[i]) for i in (1, 2, 3)],
+            *[format_cell(v) for v in rec.site_values],
+            *[repr(lw) for lw in rec.log_weights],
             repr(rec.total_log_weight),
             "1" if rec.accepted else "0",
         ])
@@ -130,11 +131,11 @@ def _records(draw):
     n = draw(st.integers(0, 12))
     records = []
     for it in range(n):
-        lws = {i: draw(_lws) for i in (1, 2, 3)}
+        lws = tuple(draw(_lws) for _ in (1, 2, 3))
         records.append(ChainRecord(
             it, draw(st.sampled_from((1, 2))), draw(_site_values),
             draw(st.booleans()), False,
-            {1: draw(_site_values), 2: draw(_site_values)},
+            (draw(_site_values), draw(_site_values)),
             lws, draw(_lws | st.just(-math.inf))))
     return records
 
@@ -193,6 +194,26 @@ def test_an_error_mid_block_leaves_no_trace_and_no_partial(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_writer_keeps_equal_weights_of_different_cells_apart_in_a_block(tmp_path):
+    # 0.0 == -0.0 and 1 == 1.0, so rows holding either of a pair must not
+    # share a cached tail
+    net = chain3_network()
+    records = []
+    for it in range(40):
+        z = (-0.0, 0.0, 1, 1.0)[it % 4]
+        lws = (z, -1.25, -0.5) if it % 3 else (-1.25, z, -0.5)
+        records.append(ChainRecord(it, 1, 1, bool(it % 5), False, (1, 0),
+                                   lws, z if it % 7 else sum(lws)))
+    path = tmp_path / "trace.csv"
+    with TraceWriter(path, net, {1: "z", 2: "z"}) as sink:
+        for rec in records:
+            sink(rec)
+    got = path.read_bytes()
+    assert got == _csv_writer_bytes(records)
+    for cell in (b",-0.0,", b",0.0,", b",1,", b",1.0,"):
+        assert cell in got
+
+
 # -- moments ---------------------------------------------------------------------------
 
 def test_moments_match_numpy():
@@ -226,7 +247,9 @@ def test_moments_merge_equals_single_pass():
 # -- accumulator -------------------------------------------------------------------------
 
 def _rec(iteration, site, proposed, accepted, neg_inf, values, lws):
-    total = -math.inf if -math.inf in lws.values() else sum(lws.values())
+    """A record with site values (sites 1, 2) and log-weights (nodes 1, 2,
+    3) given by position."""
+    total = -math.inf if -math.inf in lws else sum(lws)
     return ChainRecord(iteration=iteration, site=site, proposed_value=proposed,
                        accepted=accepted, neg_inf_proposal=neg_inf,
                        site_values=values, log_weights=lws,
@@ -234,11 +257,9 @@ def _rec(iteration, site, proposed, accepted, neg_inf, values, lws):
 
 
 def test_accumulator_counts_by_hand():
-    acc = TraceAccumulator(node_names={1: "A", 2: "B", 3: "C"})
-    acc(_rec(0, 1, 1, True, False, {1: 1, 2: 0},
-             {1: -0.5, 2: -1.0, 3: -2.0}))
-    acc(_rec(1, 1, 0, False, True, {1: 1, 2: 0},
-             {1: -0.7, 2: -math.inf, 3: -2.0}))
+    acc = TraceAccumulator({1: "A", 2: "B", 3: "C"}, (1, 2))
+    acc(_rec(0, 1, 1, True, False, (1, 0), (-0.5, -1.0, -2.0)))
+    acc(_rec(1, 1, 0, False, True, (1, 0), (-0.7, -math.inf, -2.0)))
     doc = acc.to_jsonable()
     assert doc["iterations"] == 2
     assert doc["neg_inf_proposals"] == 1
@@ -271,11 +292,11 @@ def _walk_close(a, b, path=""):
 def test_merged_chains_equal_one_long_pass():
     _, records = _chain3_records(17, iterations=200)
     names = {1: "X1", 2: "X2", 3: "X3"}
-    whole = TraceAccumulator(node_names=dict(names))
+    whole = TraceAccumulator(dict(names), (1, 2))
     for rec in records:
         whole(rec)
-    left = TraceAccumulator(node_names=dict(names))
-    right = TraceAccumulator(node_names=dict(names))
+    left = TraceAccumulator(dict(names), (1, 2))
+    right = TraceAccumulator(dict(names), (1, 2))
     for rec in records[:90]:
         left(rec)
     for rec in records[90:]:
@@ -284,21 +305,22 @@ def test_merged_chains_equal_one_long_pass():
     _walk_close(left.to_jsonable(), whole.to_jsonable())
 
 
-def _reference_document(records, names):
+def _reference_document(records, names, site_ids=(1, 2)):
     """The accumulator as first written: nested setdefault groups and one
-    _Moments.add per node, site and row, in record order."""
+    _Moments.add per node, site and row, in record order. Records are
+    positional: site values in site_ids order, log-weights in names order."""
     freq, proposals, accepts, moments, neg_inf = {}, {}, {}, {}, 0
     for rec in records:
         proposals[rec.site] = proposals.get(rec.site, 0) + 1
         if rec.accepted:
             accepts[rec.site] = accepts.get(rec.site, 0) + 1
         neg_inf += rec.neg_inf_proposal
-        for s, v in rec.site_values.items():
+        for s, v in zip(site_ids, rec.site_values):
             per_site = freq.setdefault(s, {})
             per_site[format_cell(v)] = per_site.get(format_cell(v), 0) + 1
             used = rec.proposed_value if s == rec.site else v
             by_val = moments.setdefault(s, {}).setdefault(format_cell(used), {})
-            for node, lw in rec.log_weights.items():
+            for node, lw in zip(names, rec.log_weights):
                 if lw != -math.inf:
                     by_val.setdefault(node, _Moments()).add(lw)
             if rec.total_log_weight != -math.inf:
@@ -320,26 +342,25 @@ def _reference_document(records, names):
     }
 
 
-def _random_records(seed, n):
+def _random_records(seed, n, reals=(-0.5, 0.25, 1.0, 2.75)):
     """A chain-shaped record stream over a discrete site and a real one:
     rejected rows keep the old value and carry a different proposed one,
     and about one node weight in ten is -inf."""
     rng = np.random.default_rng(seed)
-    reals = (-0.5, 0.25, 1.0, 2.75)
-    cur = {1: 0, 2: 0.25}
+    cur = {1: 0, 2: reals[1]}
     records = []
     for it in range(n):
         site = int(rng.integers(1, 3))
         proposed = (int(rng.integers(3)) if site == 1
                     else reals[int(rng.integers(len(reals)))])
-        lws = {node: (-math.inf if rng.random() < 0.1
-                      else float(rng.normal(-3.0, 2.0)))
-               for node in (1, 2, 3)}
-        neg_inf = -math.inf in lws.values()
+        lws = tuple(-math.inf if rng.random() < 0.1
+                    else float(rng.normal(-3.0, 2.0)) for _ in (1, 2, 3))
+        neg_inf = -math.inf in lws
         accepted = not neg_inf and bool(rng.random() < 0.5)
         if accepted:
             cur[site] = proposed
-        records.append(_rec(it, site, proposed, accepted, neg_inf, dict(cur), lws))
+        records.append(_rec(it, site, proposed, accepted, neg_inf,
+                            (cur[1], cur[2]), lws))
     return records
 
 
@@ -347,16 +368,17 @@ def test_accumulator_is_bit_identical_to_the_reference_loop():
     names = {1: "A", 2: "B", 3: "C"}
     for seed in (0, 1, 2):
         records = _random_records(seed, 400)
-        assert any(not r.accepted and r.proposed_value != r.site_values[r.site]
+        assert any(not r.accepted
+                   and r.proposed_value != r.site_values[r.site - 1]
                    for r in records)
         assert any(r.neg_inf_proposal for r in records)
-        acc = TraceAccumulator(node_names=dict(names))
+        acc = TraceAccumulator(dict(names), (1, 2))
         for rec in records:
             acc(rec)
         assert acc.to_jsonable() == _reference_document(records, names)
 
-        left = TraceAccumulator(node_names=dict(names))
-        right = TraceAccumulator(node_names=dict(names))
+        left = TraceAccumulator(dict(names), (1, 2))
+        right = TraceAccumulator(dict(names), (1, 2))
         for rec in records[:157]:
             left(rec)
         for rec in records[157:]:
@@ -366,6 +388,81 @@ def test_accumulator_is_bit_identical_to_the_reference_loop():
         _walk_close(left.to_jsonable(), acc.to_jsonable())
 
 
+def _fed(acc, records):
+    for rec in records:
+        acc(rec)
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_folds_are_bit_identical_to_the_reference_loop(seed, monkeypatch):
+    # folds every 7 rows, and mid-block at each merge and pickle; the real
+    # site visits both zeros, whose cells differ though 0.0 == -0.0
+    monkeypatch.setattr(traceio, "_BLOCK", 7)
+    names = {1: "A", 2: "B", 3: "C"}
+    records = _random_records(seed, 300, reals=(-0.5, 0.0, -0.0, 0.25, 2.75))
+    assert any(not r.accepted for r in records)
+    assert any(r.neg_inf_proposal for r in records)
+    want = _reference_document(records, names)
+    assert "-0.0" in want["value_counts"]["B"] and "0.0" in want["value_counts"]["B"]
+    assert _fed(TraceAccumulator(dict(names), (1, 2)), records).to_jsonable() == want
+
+    # an empty merge, and a pickle round trip, taken mid-block
+    k = 7 * 20 + 3
+    acc = _fed(TraceAccumulator(dict(names), (1, 2)), records[:k])
+    acc.merge(TraceAccumulator(dict(names), (1, 2)))
+    assert _fed(acc, records[k:]).to_jsonable() == want
+    acc = _fed(TraceAccumulator(dict(names), (1, 2)), records[:k])
+    acc = pickle.loads(pickle.dumps(acc))
+    assert _fed(acc, records[k:]).to_jsonable() == want
+
+    # two halves split mid-block merge as before: Chan's update, so equal
+    # to one pass to rounding, and to a merge of the folded halves exactly
+    halves = []
+    for fold_first in (False, True):
+        left = _fed(TraceAccumulator(dict(names), (1, 2)), records[:k])
+        right = _fed(TraceAccumulator(dict(names), (1, 2)), records[k:])
+        if fold_first:
+            left.to_jsonable()
+            right.to_jsonable()
+        left.merge(right)
+        halves.append(left.to_jsonable())
+    assert halves[0] == halves[1]
+    _walk_close(halves[0], want)
+
+
+def test_pickled_accumulator_holds_no_block_state():
+    names = {1: "A", 2: "B", 3: "C"}
+    records = _random_records(3, 500)
+    held = _fed(TraceAccumulator(dict(names), (1, 2)), records)
+    folded = _fed(TraceAccumulator(dict(names), (1, 2)), records)
+    folded.to_jsonable()
+    assert pickle.dumps(held) == pickle.dumps(folded)
+    assert not {"_plans", "_loose", "_held"} & set(held.__getstate__())
+
+
+def test_real_site_plans_stay_within_one_block(monkeypatch):
+    monkeypatch.setattr(traceio, "_BLOCK", 16)
+    rng = np.random.default_rng(8)
+    acc = TraceAccumulator({1: "S", 2: "T"}, (1,))
+    x = 0.5
+    most = 0
+    for it in range(16 * 6 + 5):
+        proposed = x + float(rng.normal())  # a fresh value every row
+        accepted = bool(rng.random() < 0.5)
+        if accepted:
+            x = proposed
+        acc(_rec(it, 1, proposed, accepted, False, (x,), (-1.5, -2.5)))
+        plans = len(acc._plans) + len(acc._loose)
+        rows = sum(len(r) for r in acc._held.values())
+        assert plans < 16 and rows < 16
+        most = max(most, plans)
+    # a plan per row until each 16th row folds them all away
+    assert most == 15
+    assert acc.to_jsonable()["iterations"] == 16 * 6 + 5
+    assert not acc._plans and not acc._held
+
+
 # -- summary documents ----------------------------------------------------------------------
 
 def test_summary_document_shape_and_combination():
@@ -373,7 +470,7 @@ def test_summary_document_shape_and_combination():
     accs = []
     for seed in (3, 4):
         _, records = _chain3_records(seed, iterations=80)
-        acc = TraceAccumulator(node_names=dict(names))
+        acc = TraceAccumulator(dict(names), (1, 2))
         for rec in records:
             acc(rec)
         accs.append(acc)
