@@ -12,7 +12,6 @@ a single summary.json, written after every chain has finished, marks a run done.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -21,8 +20,8 @@ from typing import Mapping
 import numpy as np
 
 from .interface import SchemaError
-from .mh import (SiteProposal, discrete_uniform_proposal, flip_proposal,
-                 gaussian_walk_proposal, resolve_port, run_chain)
+from .mh import (SiteProposal, check_domain, check_sigma, discrete_uniform_proposal,
+                 flip_proposal, gaussian_walk_proposal, resolve_port, run_chain)
 from .network import ModuleNetwork
 from .outlier_regression import build_outlier_network
 from .reference_models import chain3_network, switch_hmm_network
@@ -52,27 +51,14 @@ NETWORKS = {
 }
 
 
-def _domain(v) -> tuple:
-    if (not isinstance(v, (list, tuple)) or not v
-            or any(not isinstance(d, int) or isinstance(d, bool) for d in v)
-            or len(set(v)) != len(v)):
-        raise ValueError("must be a non-empty list of distinct integers")
-    return tuple(v)
-
-
-def _sigma(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
-        raise ValueError("must be a finite number > 0")
-    return float(v)
-
-
 # proposal kind -> (constructor, value kind it acts on, {setting: (default,
-# check)}); every kind also takes 'site' and an optional 'port'
+# the constructor's own check)}); every kind also takes 'site' and an
+# optional 'port'
 PROPOSAL_KINDS = {
     "flip": (flip_proposal, DISCRETE, {}),
     "discrete_uniform": (discrete_uniform_proposal, DISCRETE,
-                         {"domain": ((0, 1), _domain)}),
-    "gaussian_walk": (gaussian_walk_proposal, REAL, {"sigma": (1.0, _sigma)}),
+                         {"domain": ((0, 1), check_domain)}),
+    "gaussian_walk": (gaussian_walk_proposal, REAL, {"sigma": (1.0, check_sigma)}),
 }
 
 
@@ -148,7 +134,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 try:
                     settings[key][1](v)
                 except ValueError as e:
-                    raise ConfigError(f"{where}: {key!r} {e}, got {v!r}")
+                    raise ConfigError(f"{where}: {e}, got {v!r}")
             elif key not in ("site", "kind", "port"):
                 raise ConfigError(
                     f"{where}: unknown key {key!r} for kind {p['kind']!r}")
@@ -209,7 +195,7 @@ def build_proposal(net: ModuleNetwork, spec: tuple) -> SiteProposal:
     except KeyError:
         raise ConfigError(f"proposal site {p['site']!r} is not a node name")
     make, value_kind, settings = PROPOSAL_KINDS[p["kind"]]
-    kw = {k: check(p.get(k, default)) for k, (default, check) in settings.items()}
+    kw = {k: p.get(k, default) for k, (default, _) in settings.items()}
     proposal = make(site, port=p.get("port"), **kw)
     try:
         port = resolve_port(net, proposal)

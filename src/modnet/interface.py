@@ -41,10 +41,6 @@ class SchemaError(ModnetError):
 class DegenerateTraceError(ModnetError):
     """A sampling procedure produced a trace of probability zero."""
 
-    def __init__(self, message: str = "degenerate trace"):
-        super().__init__(message)
-        self.log_weight = -math.inf
-
 
 def check_log_weight(lw: float) -> float:
     """Validate the log-weight range contract: finite or -inf, never NaN/+inf."""
@@ -103,13 +99,11 @@ class ExactModule(ProbModule):
     surfaces as DegenerateTraceError.
     """
 
-    def __init__(self, sampler, log_density, input_ports, output_ports, name=None):
+    def __init__(self, sampler, log_density, input_ports, output_ports):
         self._sampler = sampler
         self._log_density = log_density
         self.input_ports = tuple(input_ports)
         self.output_ports = tuple(output_ports)
-        if name:
-            self.name = name
 
     def simulate(self, inputs, rng):
         self.check_inputs(inputs)
@@ -160,7 +154,7 @@ def bernoulli_module(theta: float, port: str = "z") -> ProbModule:
             return math.log1p(-theta)
         return -math.inf
 
-    return ExactModule(sample, log_density, (), (port,), name=f"bernoulli({theta})")
+    return ExactModule(sample, log_density, (), (port,))
 
 
 def normal_module(mu: float, sigma: float, port: str = "z") -> ProbModule:

@@ -5,9 +5,9 @@ output variables, each with a conditional probability table over its parents.
 The inverse runs the other way: conditioned on the outputs, latents are
 sampled last-to-first, each from a conditional table over the outputs plus
 the latents already drawn. Tables are either estimated from forward samples
-(with additive smoothing, so every row stays strictly positive; one count
-of every full assignment serves all the tables) or enumerated exactly in
-rational arithmetic.
+(with add-one smoothing: a pseudo-count of 1 on every entry, so every row
+stays strictly positive; one count of every full assignment serves all the
+tables) or enumerated exactly in rational arithmetic.
 
 Training holds one byte per sample per variable (domains of up to 256
 values) plus one fixed slice of temporaries: parent codes, uniforms,
@@ -126,7 +126,6 @@ class InverseNetwork:
     """Factors listed in sampling order: last forward latent first."""
 
     factors: tuple[InverseFactor, ...]
-    smoothing: float
     n_train: int
     exact: bool = False
 
@@ -219,18 +218,15 @@ def _sampling_plan(spec: DiscreteModelSpec) -> list[tuple[str, tuple[str, ...]]]
     return plan
 
 
-def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng,
-                  smoothing: float = 1.0) -> InverseNetwork:
+def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng) -> InverseNetwork:
     """Estimate inverse conditionals by counting forward samples.
 
-    Additive smoothing keeps every row positive; a context never seen in
+    Add-one smoothing keeps every row positive; a context never seen in
     training falls back to a uniform row. Memory is the one-byte sample
     columns plus one slice of codes and integer counts summed over slices.
     """
     if n_samples < 1:
         raise ValueError("need at least one training sample")
-    if smoothing <= 0.0:
-        raise ValueError("smoothing must be positive")
     cols = sample_batch(spec, n_samples, rng)
 
     # One count of every full assignment, coded in sampling order: outputs,
@@ -250,7 +246,7 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng,
         prefix = joint.sum(axis=1)
         joint = joint.astype(np.float64)
         counts = joint.sum(axis=1, keepdims=True)
-        table_arr = (joint + smoothing) / (counts + smoothing * d)
+        table_arr = (joint + 1.0) / (counts + d)
 
         table = {}
         for i, key in enumerate(product(*[c.domain for c in ctx_vars])):
@@ -259,8 +255,7 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng,
             else:
                 table[key] = tuple(table_arr[i])
         factors.append(InverseFactor(var, v.domain, ctx, table))
-    return InverseNetwork(tuple(reversed(factors)), float(smoothing),
-                          int(n_samples))
+    return InverseNetwork(tuple(reversed(factors)), int(n_samples))
 
 
 def exact_inverse(spec: DiscreteModelSpec) -> InverseNetwork:
@@ -298,7 +293,7 @@ def exact_inverse(spec: DiscreteModelSpec) -> InverseNetwork:
                 # reaches it, and that output weighs -inf
                 table[key] = (Fraction(1, len(v.domain)),) * len(v.domain)
         factors.append(InverseFactor(var, v.domain, ctx, table))
-    return InverseNetwork(tuple(factors), 0.0, 0, exact=True)
+    return InverseNetwork(tuple(factors), 0, exact=True)
 
 
 # -- module wrapper -----------------------------------------------------------
@@ -317,7 +312,7 @@ class InverseModule(ProbModule):
     """Module backed by a stochastic inverse. No input ports; one output
     port per output variable."""
 
-    def __init__(self, spec: DiscreteModelSpec, inv: InverseNetwork, name=None):
+    def __init__(self, spec: DiscreteModelSpec, inv: InverseNetwork):
         if [f.var for f in inv.factors] != [v.name for v in reversed(spec.latents)]:
             raise SchemaError("inverse factors do not match the model's latents")
         self.spec = spec
@@ -336,8 +331,6 @@ class InverseModule(ProbModule):
         self._weights: dict[tuple, float] = {}
         self.input_ports = ()
         self.output_ports = tuple(o.name for o in spec.outputs)
-        if name:
-            self.name = name
 
     def _log_weight(self, assign: Mapping[str, int]) -> float:
         """log p(u, z) - log q(u | z) at one full assignment."""

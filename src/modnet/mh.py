@@ -31,11 +31,15 @@ iteration, so they stay as cheap as a plain tuple. A proposal whose port is
 named and exists is used as is; any other goes through resolve_port, so the
 configured proposals, which carry their resolved port, skip that lookup.
 
-A ChainRecord is positional: its site values follow the schedule's site
-order (each target at its first entry) and its log-weights the network's
-node_ids order, so run_chain builds a record without a dict. It reads each
-node's stored weight and, on a reject only, lays the regenerated weights
-over them; on an accept the stored weights already are the regenerated ones.
+A ChainRecord is positional: its site values and its log-weights both
+follow the network's node_ids order, whatever order the schedule lists its
+sites in, so run_chain builds a record without a dict. It reads each node's
+stored weight and, on a reject only, lays the regenerated weights over them;
+on an accept the stored weights already are the regenerated ones.
+
+The proposal constructors validate their own settings with check_domain and
+check_sigma; experiment.parse_config runs the same checks on a config's
+proposal entries, so a setting has one rule wherever it comes from.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ class UpdateInfo(NamedTuple):
     of every regenerated node (target plus children), and the outcome."""
 
     site: int
-    port: str
     proposed_value: Any
     accepted: bool
     neg_inf_proposal: bool
@@ -82,13 +85,13 @@ class ChainRecord(NamedTuple):
     """One iteration of trace output.
 
     site_values is the chain state after the update, so its series is the
-    usual MCMC trace: one value per scheduled site, in the schedule's site
-    order (each target where it first appears), which is also
-    TraceWriter.site_ids. log_weights holds one weight per node in
-    net.node_ids() order, and total_log_weight is their sum, folded left to
-    right in that order. log_weights and total_log_weight report the evaluation
-    the update performed: fresh regeneration results for the target and its
-    children, stored values for untouched nodes. On an accepted iteration
+    usual MCMC trace: one value per scheduled site, in net.node_ids() order
+    (topological), which is also TraceWriter.site_ids and
+    TraceAccumulator.site_ids. log_weights holds one weight per node in the
+    same order, and total_log_weight is their sum, folded left to right.
+    log_weights and total_log_weight report the evaluation the update
+    performed: fresh regeneration results for the target and its children,
+    stored values for untouched nodes. On an accepted iteration
     that coincides with the new state; on a rejected one it describes the
     discarded configuration (the target site at proposed_value), which is why
     the log-weight series keeps moving even while site_values sits still.
@@ -173,7 +176,7 @@ def mh_update(net: ModuleNetwork, proposal: SiteProposal, rng) -> UpdateInfo:
         for n, lw, aux in regen:
             n.state = (lw, aux)
 
-    return UpdateInfo(i, port, new_value.data, accepted, neg_inf, log_alpha,
+    return UpdateInfo(i, new_value.data, accepted, neg_inf, log_alpha,
                       {n.id: lw for n, lw, _ in regen})
 
 
@@ -198,8 +201,9 @@ def run_chain(
         if net.is_observed(prop.target):
             raise SchemaError(f"schedule targets observed node {prop.target}")
     site_ports = {p.target: resolve_port(net, p) for p in schedule}
-    sites = [(net.node(s), p) for s, p in site_ports.items()]
     ids = net.node_ids()
+    # site values in node order, as the sinks read them
+    sites = [(net.node(s), site_ports[s]) for s in ids if s in site_ports]
     nodes = [net.node(j) for j in ids]
     position = {j: k for k, j in enumerate(ids)}
     draw = len(schedule) > 1
@@ -241,13 +245,29 @@ def flip_proposal(target: int, port: str | None = None) -> SiteProposal:
     return SiteProposal(target, sample, log_density, port)
 
 
+def check_domain(domain) -> tuple[int, ...]:
+    """A discrete_uniform domain: a non-empty list or tuple of distinct ints.
+    Nothing is coerced, so a bool, a float or a string is refused."""
+    if (not isinstance(domain, (list, tuple)) or not domain
+            or any(not isinstance(d, int) or isinstance(d, bool) for d in domain)
+            or len(set(domain)) != len(domain)):
+        raise ValueError("'domain' must be a non-empty list of distinct integers")
+    return tuple(domain)
+
+
+def check_sigma(sigma) -> float:
+    """A gaussian_walk step size: a finite number > 0, not a bool."""
+    if (isinstance(sigma, bool) or not isinstance(sigma, (int, float))
+            or not 0 < sigma < math.inf):
+        raise ValueError("'sigma' must be a finite number > 0")
+    return float(sigma)
+
+
 def discrete_uniform_proposal(
     target: int, domain: Sequence[int], port: str | None = None
 ) -> SiteProposal:
     """Uniform redraw over a finite domain; may repropose the current value."""
-    domain = tuple(int(v) for v in domain)
-    if len(set(domain)) != len(domain) or not domain:
-        raise ValueError("domain must be nonempty without duplicates")
+    domain = check_domain(domain)
     log_p = -math.log(len(domain))
     choices = tuple(values.discrete(v) for v in domain)
 
@@ -264,8 +284,7 @@ def gaussian_walk_proposal(
     target: int, sigma: float, port: str | None = None
 ) -> SiteProposal:
     """Random walk on a real-valued output."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = check_sigma(sigma)
 
     def sample(current: Value, rng) -> Value:
         if current.kind != values.REAL:

@@ -26,6 +26,9 @@ from .values import Value
 
 log = logging.getLogger("modnet.network")
 
+# whole initialization passes tried before an observation is deemed impossible
+_INIT_ATTEMPTS = 100
+
 
 class NetworkBuildError(ModnetError):
     """The node/edge/observation description does not define a valid network."""
@@ -137,21 +140,20 @@ class ModuleNetwork:
 
     # -- initialization ----------------------------------------------------
 
-    def initialize(self, rng, max_attempts: int = 100) -> None:
+    def initialize(self, rng) -> None:
         """Populate every node in topological order.
 
         Unobserved nodes simulate; observed nodes regenerate their fixed
         outputs. An observed node scoring -inf (or a degenerate simulate)
-        voids the attempt and the whole pass restarts, up to max_attempts.
+        voids the attempt and the whole pass restarts, up to _INIT_ATTEMPTS
+        (100) passes; then DegenerateTraceError.
         """
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        for attempt in range(max_attempts):
+        for attempt in range(_INIT_ATTEMPTS):
             if self._try_initialize(rng):
                 return
             log.debug("initialization attempt %d hit a zero-probability trace", attempt + 1)
         raise DegenerateTraceError(
-            f"initialization failed {max_attempts} times; an observation may have "
+            f"initialization failed {_INIT_ATTEMPTS} times; an observation may have "
             "probability zero under every reachable parent configuration"
         )
 

@@ -3,7 +3,8 @@
 Everything here goes through brute-force enumeration (oracle.py) plus a
 hand-rolled conjugate Gaussian marginal likelihood, sharing no machinery with
 the inference engine. The constants file is re-read and re-interpreted here on
-purpose; only the raw JSON is common ground.
+purpose, by this module's own load_constants, which each model builder calls
+itself; only the raw JSON is common ground.
 
 Model being scored: a three-stage binary switch prior feeding a 9-point linear
 regression whose per-point noise scale is chosen by latent outlier indicators,
@@ -22,7 +23,7 @@ import json
 import math
 import os
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .oracle import (
     ContinuousLeaf,
@@ -55,10 +56,9 @@ def _bern_factor(var: str, parents: tuple[str, ...], p_one_by_parent) -> Factor:
     return Factor(var, (0, 1), parents, rows)
 
 
-def switch_prior_model(constants: Mapping | None = None) -> FactoredDiscreteModel:
+def switch_prior_model() -> FactoredDiscreteModel:
     """The binary switch prior as a four-variable chain u1 -> u2 -> u3 -> a."""
-    constants = constants or load_constants()
-    cpts = constants["switch_prior"]
+    cpts = load_constants()["switch_prior"]
     return FactoredDiscreteModel(
         [
             _bern_factor("u1", (), cpts["u1"]),
@@ -69,9 +69,9 @@ def switch_prior_model(constants: Mapping | None = None) -> FactoredDiscreteMode
     )
 
 
-def switch_marginal(constants: Mapping | None = None) -> dict[int, float]:
+def switch_marginal() -> dict[int, float]:
     """Exact p(a) by summing the 16-row joint."""
-    joint = enumerate_joint(switch_prior_model(constants))
+    joint = enumerate_joint(switch_prior_model())
     out = {0: 0.0, 1: 0.0}
     for config, prob in joint.items():
         out[config[_SWITCH_VARS.index("a")]] += prob
@@ -125,10 +125,10 @@ def conjugate_log_marginal(
     )
 
 
-def full_model(constants: Mapping | None = None) -> FactoredDiscreteModel:
+def full_model() -> FactoredDiscreteModel:
     """Complete discrete skeleton (u1, u2, u3, a, o1..o9) with the response
     vector as a continuous leaf. 2^13 configurations, enumerable directly."""
-    constants = constants or load_constants()
+    constants = load_constants()
     cpts = constants["switch_prior"]
     reg = constants["regression"]
     xs = tuple(constants["dataset"]["covariates"])
@@ -159,15 +159,12 @@ def full_model(constants: Mapping | None = None) -> FactoredDiscreteModel:
     return FactoredDiscreteModel(factors, leaf=ContinuousLeaf("b", leaf_log_density))
 
 
-def compute_fixtures(constants: Mapping | None = None) -> dict:
+def compute_fixtures() -> dict:
     """All oracle constants the test suite pins against, as one JSON document."""
-    constants = constants or load_constants()
-    ds = constants["dataset"]
+    ds = load_constants()["dataset"]
     bs = tuple(ds["responses"])
-    prior_a = switch_marginal(constants)
-    log_ev_b, log_joint, post = evidence_and_posterior(
-        full_model(constants), {"b": bs}, ("a",)
-    )
+    prior_a = switch_marginal()
+    log_ev_b, log_joint, post = evidence_and_posterior(full_model(), {"b": bs}, ("a",))
     log_ev = {a: log_joint[(a,)] for a in (0, 1)}
     return {
         "schema": 1,

@@ -8,7 +8,9 @@ integrated out in closed form, the per-point indicators are marginalized by
 a particle sweep, and the sweep's log Z-hat is the module log-weight.
 
 All constants, and the frozen dataset the tests and demos condition on, live
-in configs/outlier_regression.json.
+in configs/outlier_regression.json. Each function that needs them reads the
+file itself through load_constants, when it is called; none takes them as an
+argument.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ class ConjugateLineState(NamedTuple):
         return self.m0 + l00 * z0, self.m1 + l10 * z0 + l11 * z1
 
 
-def prior_line_state(doc: dict | None = None) -> ConjugateLineState:
-    reg = (doc or load_constants())["regression"]
+def prior_line_state() -> ConjugateLineState:
+    reg = load_constants()["regression"]
     pm, pv = reg["prior_mean"], reg["prior_var"]
     return ConjugateLineState(m0=float(pm[0]), m1=float(pm[1]),
                               s00=float(pv[0]), s01=0.0, s11=float(pv[1]))
@@ -101,15 +103,14 @@ class RegressionSequentialModel(SequentialModel):
     input_ports = ("a",)
     output_ports = ("b",)
 
-    def __init__(self, constants: dict | None = None):
-        doc = constants or load_constants()
-        reg = doc["regression"]
-        self.covariates = tuple(float(x) for x in reg_covariates(doc))
+    def __init__(self):
+        reg = load_constants()["regression"]
+        self.covariates = reg_covariates()
         self.num_steps = len(self.covariates)
         self.rates = {int(k): float(v) for k, v in reg["outlier_rate"].items()}
         self.sigma_in = float(reg["sigma_inlier"])
         self.sigma_out = float(reg["sigma_outlier"])
-        self._prior = prior_line_state(doc)
+        self._prior = prior_line_state()
 
     def initial_state(self, inputs):
         # a state is the line posterior; the outlier rate is read from inputs
@@ -167,15 +168,15 @@ class RegressionSequentialModel(SequentialModel):
         return list(b.data)
 
 
-def reg_covariates(doc: dict | None = None) -> tuple[float, ...]:
-    return tuple(float(x) for x in (doc or load_constants())["dataset"]["covariates"])
+def reg_covariates() -> tuple[float, ...]:
+    return tuple(float(x) for x in load_constants()["dataset"]["covariates"])
 
 
 # -- node A: switch prior -----------------------------------------------------
 
 
-def switch_prior_spec(doc: dict | None = None) -> DiscreteModelSpec:
-    sp = (doc or load_constants())["switch_prior"]
+def switch_prior_spec() -> DiscreteModelSpec:
+    sp = load_constants()["switch_prior"]
 
     def row(p1: float) -> tuple[float, float]:
         return (1.0 - p1, p1)
@@ -195,14 +196,13 @@ def switch_prior_spec(doc: dict | None = None) -> DiscreteModelSpec:
     )
 
 
-def build_switch_prior_module(train_samples: int, rng,
-                              smoothing: float = 1.0) -> ProbModule:
+def build_switch_prior_module(train_samples: int, rng) -> ProbModule:
     """train_samples = 0 selects the exact enumerated inverse."""
     spec = switch_prior_spec()
     if train_samples == 0:
         inv = exact_inverse(spec)
     else:
-        inv = train_inverse(spec, train_samples, rng, smoothing)
+        inv = train_inverse(spec, train_samples, rng)
     return InverseModule(spec, inv)
 
 
@@ -213,11 +213,11 @@ def build_regression_module(num_particles: int) -> ProbModule:
 # -- dataset ------------------------------------------------------------------
 
 
-def generate_dataset(seed: int, doc: dict | None = None) -> dict:
+def generate_dataset(seed: int) -> dict:
     """Regenerate a dataset from its seed: draw a line from the prior, then
     one response per covariate, with the forced positions using the outlier
     noise level. The checked-in dataset is exactly generate_dataset(91)."""
-    doc = doc or load_constants()
+    doc = load_constants()
     reg, ds = doc["regression"], doc["dataset"]
     import numpy as np
 
@@ -248,16 +248,13 @@ SWITCH_NODE = 1
 REGRESSION_NODE = 2
 
 
-def build_outlier_network(num_particles: int, train_samples: int, rng,
-                          responses=None) -> ModuleNetwork:
-    """The two-node demo network, with node B observed at the frozen dataset
-    (or at `responses` when given)."""
-    if responses is None:
-        responses = default_dataset()["responses"]
+def build_outlier_network(num_particles: int, train_samples: int, rng) -> ModuleNetwork:
+    """The two-node demo network, with node B observed at the frozen dataset."""
     nodes = [
         NodeSpec(SWITCH_NODE, build_switch_prior_module(train_samples, rng), name="A"),
         NodeSpec(REGRESSION_NODE, build_regression_module(num_particles), name="B"),
     ]
     edges = [EdgeSpec(SWITCH_NODE, "a", REGRESSION_NODE, "a")]
+    responses = default_dataset()["responses"]
     observations = {REGRESSION_NODE: {"b": real_vector(responses)}}
     return build_network(nodes, edges, observations)

@@ -138,11 +138,9 @@ CHAIN3 = {
 X1, X2, X3 = 1, 2, 3
 
 
-def chain3_network(observed_x3: int | None = None) -> ModuleNetwork:
+def chain3_network() -> ModuleNetwork:
     """Three exact binary modules in a line, the last one observed."""
     c = CHAIN3
-    if observed_x3 is None:
-        observed_x3 = c["observed_x3"]
     nodes = [
         NodeSpec(X1, bernoulli_module(c["x1_p1"]), name="X1"),
         NodeSpec(X2, table_module(("x",), {(0,): _row(c["x2_p1"][0]),
@@ -151,7 +149,7 @@ def chain3_network(observed_x3: int | None = None) -> ModuleNetwork:
                                            (1,): _row(c["x3_p1"][1])}), name="X3"),
     ]
     edges = [EdgeSpec(X1, "z", X2, "x"), EdgeSpec(X2, "z", X3, "x")]
-    observations = {X3: {"z": discrete(observed_x3)}}
+    observations = {X3: {"z": discrete(c["observed_x3"])}}
     return build_network(nodes, edges, observations)
 
 
@@ -200,12 +198,10 @@ def switch_spec() -> DiscreteModelSpec:
     )
 
 
-def switch_hmm_network(num_particles: int, train_samples: int, rng,
-                       observed_y=None) -> ModuleNetwork:
+def switch_hmm_network(num_particles: int, train_samples: int, rng) -> ModuleNetwork:
     """train_samples = 0 selects the exact inverse for the switch node."""
     c = SWITCH_HMM
-    if observed_y is None:
-        observed_y = c["observed_y"]
+    observed_y = c["observed_y"]
     spec = switch_spec()
     inv = exact_inverse(spec) if train_samples == 0 else train_inverse(
         spec, train_samples, rng)

@@ -224,15 +224,13 @@ class SmcModule(ProbModule):
     own forward sample with a conditional sweep. The log-weight is the
     sweep's log Z-hat and the aux is the selected Latents."""
 
-    def __init__(self, model: SequentialModel, num_particles: int, name=None):
+    def __init__(self, model: SequentialModel, num_particles: int):
         if num_particles < 1:
             raise ValueError("need at least one particle")
         self.model = model
         self.num_particles = int(num_particles)
         self.input_ports = tuple(model.input_ports)
         self.output_ports = tuple(model.output_ports)
-        if name:
-            self.name = name
 
     def regenerate(self, inputs, outputs, rng):
         self.check_inputs(inputs)

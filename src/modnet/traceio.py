@@ -10,12 +10,13 @@ TraceWriter joins each row's cells with ',' itself and writes rows in blocks
 of _BLOCK. The bytes are those csv.writer's excel dialect would write: it
 quotes only a cell holding ',', '"', '\r' or '\n', or an empty cell alone on
 its row, and no trace cell is any of these (ints, float reprs, ';'-joined
-tuples and 0/1, at least three cells a row). Records are positional (see
-ChainRecord), so a row is read in column order. Within a block, the cell of
-a nonzero float is formatted once per value and then reused, and so is a
-row's joined tail (its log-weight cells, total and accepted flag), keyed by
-those values. A tail holding a zero or another integral value skips the
-cache: 0.0 == -0.0 and 1 == 1.0, and equal keys would share one text.
+tuples and 0/1, at least three cells a row). Records are positional tuples
+in node order (see ChainRecord), so a row is read in column order. Within a
+block, a row's joined tail (its log-weight cells, total and accepted flag)
+is formatted once per distinct tail and then reused, keyed by those values;
+single cells are not cached. A tail holding a zero or another integral value
+skips the cache: 0.0 == -0.0 and 1 == 1.0, and equal keys would share one
+text.
 
 TraceAccumulator holds rows and folds them per block. Each row makes one
 lookup of its (site, proposed value, site values), which gives a plan made
@@ -27,10 +28,12 @@ node over the held rows in row order: the same arithmetic in the same order
 as one update per row, so the moments are bit-identical. The fold then drops
 the plans and rows, so a real-valued site holds at most a block of them.
 
-CSV schema, versioned below: one column per scheduled site holding that
-site's current output value, named after the site's proposal port (falling
-back to port_nodename when two sites share a port name), then lw_<node name>
-for every node in topological order, then total_lw, then accepted (0/1).
+CSV schema, versioned below: one column per scheduled site, in topological
+order, holding that site's current output value, named after the site's
+proposal port (falling back to port_nodename when two sites share a port
+name), then lw_<node name> for every node in topological order, then
+total_lw, then accepted (0/1). Both sinks order the sites by the network's
+node order themselves, so the order a caller lists them in cannot matter.
 
 The value columns trace the chain itself. The lw columns carry the
 log-weights the iteration evaluated (see ChainRecord), so on rejected rows
@@ -99,8 +102,8 @@ class TraceWriter:
     path; an exception deletes it, rows still held included."""
 
     def __init__(self, path, net: ModuleNetwork, site_ports: dict[int, str]):
-        # the column order of a record's site values
-        self.site_ids = tuple(site_ports)
+        # the column order of a record's site values: node order
+        self.site_ids = tuple(i for i in net.node_ids() if i in site_ports)
         cols = site_column_names(net, site_ports)
         self._file = _atomic_open(path, newline="")
         self._fh = self._file.__enter__()
@@ -110,10 +113,8 @@ class TraceWriter:
         header += ["total_lw", "accepted"]
         csv.writer(self._fh).writerow(header)
         self._rows: list[str] = []
-        # the cells of this block's nonzero floats, by value: exact modules
-        # give a few table entries, so log-weights and totals repeat
-        self._float_cells: dict[float, str] = {}
-        # joined row tails by (log_weights, total, accepted), per block
+        # joined row tails by (log_weights, total, accepted), per block:
+        # exact modules give a few table entries, so tails repeat
         self._tails: dict[tuple, str] = {}
 
     def __call__(self, rec: ChainRecord) -> None:
@@ -135,26 +136,12 @@ class TraceWriter:
         """A row's log-weight, total and accepted cells, joined; kept for
         the block unless a weight is integral (zeros and ints included)."""
         lws, total, accepted = key
+        xs = (*lws, total)
         # log-weights are floats by the range contract, so repr is their cell
-        float_cells = self._float_cells
-        cells = []
-        keep = True
-        for x in (*lws, total):
-            # zeros (0.0 == -0.0) and non-floats (1 == 1.0) skip the cache:
-            # equal keys with different reprs would share a cell
-            if type(x) is float and x:
-                cell = float_cells.get(x)
-                if cell is None:
-                    cell = float_cells[x] = repr(x)
-                if x.is_integer():
-                    keep = False
-            else:
-                cell = repr(x)
-                keep = False
-            cells.append(cell)
-        cells.append("1" if accepted else "0")
-        tail = ",".join(cells)
-        if keep:
+        tail = ",".join([*map(repr, xs), "1" if accepted else "0"])
+        # zeros (0.0 == -0.0) and integral values (1 == 1.0) skip the cache:
+        # equal keys with different reprs would share a tail
+        if all(type(x) is float and x and not x.is_integer() for x in xs):
             self._tails[key] = tail
         return tail
 
@@ -164,7 +151,6 @@ class TraceWriter:
             rows.append("")  # the last row's line terminator
             self._fh.write("\r\n".join(rows))
             rows.clear()
-            self._float_cells.clear()
             self._tails.clear()
 
     def close(self) -> None:
@@ -233,11 +219,11 @@ class TraceAccumulator:
     group's moments per node. Accumulators merge, so chains summarize
     independently and combine.
 
-    node_names lists every node in net.node_ids() order and site_ids every
-    scheduled site in the schedule's order: the positions of a record's
-    log_weights and site_values. frequencies and lw_moments take in held
-    rows at each fold (see the module docstring); the other counts are
-    current after every row."""
+    node_names lists every node in net.node_ids() order, and site_ids every
+    scheduled site, kept in node_names order whatever order it is given in:
+    the positions of a record's log_weights and site_values. frequencies and
+    lw_moments take in held rows at each fold (see the module docstring);
+    the other counts are current after every row."""
 
     node_names: dict[int, str]
     site_ids: tuple[int, ...]
@@ -255,6 +241,9 @@ class TraceAccumulator:
                          compare=False)
     _held: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+
+    def __post_init__(self):
+        self.site_ids = tuple(i for i in self.node_names if i in self.site_ids)
 
     def __call__(self, rec: ChainRecord) -> None:
         self.iterations += 1

@@ -6,10 +6,10 @@ full battery. Statistical criteria use generators seeded from the PINNED
 table below, so every verdict is reproducible bit for bit; reduced-budget
 runs mark those criteria SKIPPED rather than silently weakening them.
 
-Oracle targets come from a fixtures document (see outlier_oracle); pass
-fixtures=None to recompute them in-process. check_module_contract is the one
-sampling check of the module contract; criterion 2 and the per-backend tests
-both call it.
+Oracle targets come from a fixtures document (see outlier_oracle), which
+the caller reads and passes in. check_module_contract is the one sampling
+check of the module contract; criterion 2 and the per-backend tests both
+call it.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ PINNED = {
 
 FULL_ITERATIONS = 50_000
 FULL_CHAINS = 4
+# criterion 3a's chain length and criterion 4's sweeps per particle count
+CHAIN3_ITERATIONS = 200_000
+SWEEP_RUNS = 1000
 
 
 @dataclass
@@ -206,7 +209,8 @@ def unbiasedness(fixtures: dict):
 
 
 @_criterion("3a chain stationarity", "< 0.01")
-def chain3_posterior(iterations: int = 200_000):
+def chain3_posterior():
+    iterations = CHAIN3_ITERATIONS
     oracle = posterior(chain3_oracle(), {"x3": 1}, ("x1", "x2"))
     rng = np.random.default_rng(PINNED["c3a"])
     net = chain3_network()
@@ -214,7 +218,7 @@ def chain3_posterior(iterations: int = 200_000):
     counts: dict[tuple, int] = {}
 
     def sink(rec):
-        # site values in schedule order: (x1, x2)
+        # site values in node order: (x1, x2)
         key = rec.site_values
         counts[key] = counts.get(key, 0) + 1
 
@@ -254,7 +258,7 @@ def app_posterior(fixtures: dict, out_dir, workers: int = 1,
 
 
 @_criterion("4 sweep convergence", "1.1x slack per step; final gap < 0.05")
-def sweep_convergence(runs: int = 1000):
+def sweep_convergence():
     T, init, trans, emit = 5, 0.45, (0.25, 0.75), (0.2, 0.8)
     ys = (1, 0, 1, 1, 0)
     truth = log_evidence(hmm_oracle_model(T, init, trans, emit),
@@ -267,8 +271,8 @@ def sweep_convergence(runs: int = 1000):
     variances, gaps, means = [], [], []
     for k in ks:
         lws = np.fromiter(
-            (smc_run(hmm, {}, outputs, k, rng)[1] for _ in range(runs)),
-            dtype=float, count=runs)
+            (smc_run(hmm, {}, outputs, k, rng)[1] for _ in range(SWEEP_RUNS)),
+            dtype=float, count=SWEEP_RUNS)
         variances.append(float(lws.var(ddof=1)))
         means.append(float(lws.mean()))
         gaps.append(max(truth - means[-1], 0.0))
@@ -372,26 +376,6 @@ def _state_fingerprint(net) -> list:
     return fp
 
 
-class _FixedProposal(SiteProposal):
-    """Always proposes the same value; used to force off-support moves."""
-
-    def __init__(self, target, value, port=None):
-        super().__init__(target=target, sample=lambda cur, rng: value,
-                         log_density=lambda cand, cur: 0.0, port=port)
-
-
-class _OneWayFlip(SiteProposal):
-    """Flips 0 <-> 1 but claims it can never propose 0, so the reverse
-    density of any 0 -> 1 move is -inf."""
-
-    def __init__(self, target, port=None):
-        def density(cand, cur):
-            return -math.inf if cand.data == 0 else 0.0
-        super().__init__(target=target,
-                         sample=lambda cur, rng: discrete(1 - cur.data),
-                         log_density=density, port=port)
-
-
 @_criterion("7 reject purity", "bit-identical state, -inf always rejected")
 def reject_purity():
     failures = []
@@ -415,7 +399,7 @@ def reject_purity():
     # off-support proposal at the inverse-backed site: target lw hits -inf
     net = switch_hmm_network(num_particles=4, train_samples=0, rng=rng)
     net.initialize(rng)
-    bad = _FixedProposal(1, discrete(7), port="a")
+    bad = SiteProposal(1, lambda cur, rng: discrete(7), lambda cand, cur: 0.0, "a")
     for _ in range(50):
         before = _state_fingerprint(net)
         info = mh_update(net, bad, rng)
@@ -443,10 +427,13 @@ def reject_purity():
         if _state_fingerprint(dead) != before:
             failures.append("child -inf rejection mutated state")
 
-    # reverse proposal density of -inf also forces rejection
+    # reverse proposal density of -inf also forces rejection: a flip that
+    # claims it can never propose 0
     net3 = chain3_network()
     net3.initialize(rng)
-    one_way = _OneWayFlip(1, port="z")
+    one_way = SiteProposal(
+        1, lambda cur, rng: discrete(1 - cur.data),
+        lambda cand, cur: -math.inf if cand.data == 0 else 0.0, "z")
     saw_reverse_block = False
     for _ in range(50):
         cur = net3.outputs_of(1)["z"].data
@@ -480,8 +467,10 @@ def conjugate_correctness(fixtures: dict | None):
     n = len(xs)
     s_in, s_out = reg["sigma_inlier"], reg["sigma_outlier"]
 
+    prior = prior_line_state()
+
     def sequential(sigmas) -> float:
-        st = prior_line_state(doc)
+        st = prior
         total = 0.0
         for x, b, s in zip(xs, bs, sigmas):
             lp, st = st.condition(x, b, s)
@@ -534,13 +523,11 @@ STATISTICAL = (unbiasedness, chain3_posterior, app_posterior, sweep_convergence,
                inverse_limit, trace_variation)
 
 
-def run_all(fixtures: dict | None = None, out_dir=None, workers: int = 1,
+def run_all(fixtures: dict, out_dir=None, workers: int = 1,
             iterations: int | None = None,
             chains: int | None = None) -> list[CriterionResult]:
     """Run the battery. iterations/chains below the full budget switch the
     statistical criteria to SKIPPED; criteria 1, 7, and 8 always run."""
-    if fixtures is None:
-        fixtures = oo.compute_fixtures()
     iterations = FULL_ITERATIONS if iterations is None else iterations
     chains = FULL_CHAINS if chains is None else chains
     full = iterations >= FULL_ITERATIONS and chains >= FULL_CHAINS

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from modnet.experiment import (
     run_experiment,
     run_one_chain,
 )
+from modnet.mh import discrete_uniform_proposal, gaussian_walk_proposal
 from modnet.oracle import posterior
 from modnet.reference_models import chain3_oracle
 from modnet.traceio import TraceAccumulator
@@ -84,6 +86,23 @@ def test_defaults_and_frozen_proposals():
 def test_bad_configs_are_named(doc, why):
     with pytest.raises(ConfigError, match=why):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("sigma", math.nan), ("sigma", math.inf), ("sigma", True),
+    ("domain", [True, 0]), ("domain", [0, 2.7]), ("domain", ["1"]),
+])
+def test_config_and_constructor_refuse_a_setting_alike(key, value):
+    # one check per setting: the constructor's own, which parse_config
+    # reuses for its per-key message
+    kind, make = {"sigma": ("gaussian_walk", gaussian_walk_proposal),
+                  "domain": ("discrete_uniform", discrete_uniform_proposal)}[key]
+    with pytest.raises(ValueError) as built:
+        make(1, value)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config({"network": "chain3", "seed": 1,
+                      "proposals": [{"site": "X1", "kind": kind, key: value}]})
+    assert str(parsed.value) == f"field 'proposals[0]': {built.value}, got {value!r}"
 
 
 def test_replace_revalidates():

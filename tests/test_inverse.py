@@ -248,8 +248,6 @@ def test_trained_tables_approach_the_true_conditionals():
 def test_training_validates_arguments():
     with pytest.raises(ValueError):
         train_inverse(_spec(), 0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        train_inverse(_spec(), 10, np.random.default_rng(0), smoothing=0.0)
 
 
 def test_unseen_contexts_fall_back_to_uniform():
@@ -558,7 +556,7 @@ def _short_row_inverse(spec):
         inverse.InverseFactor("u2", (0, 1), ("z",), {(0,): (0.3, 0.2), (1,): (0.4, 0.6)}),
         inverse.InverseFactor("u1", (0, 1), ("z", "u2"),
                               {key: (0.5, 0.5) for key in product((0, 1), (0, 1))}),
-    ), 1.0, 0)
+    ), 0)
 
 
 def test_inverse_draws_match_the_one_uniform_per_row_walk():

@@ -63,10 +63,10 @@ def test_flip_proposal_is_deterministic_and_symmetric():
 
 
 def test_discrete_uniform_proposal_density_and_frequencies():
-    with pytest.raises(ValueError):
-        discrete_uniform_proposal(1, [])
-    with pytest.raises(ValueError):
-        discrete_uniform_proposal(1, [0, 0, 1])
+    # nothing is coerced: True, 2.7 and "1" would otherwise become ints
+    for bad in ([], [0, 0, 1], [True, 0], [0, 2.7], ["1"]):
+        with pytest.raises(ValueError, match="'domain' must be"):
+            discrete_uniform_proposal(1, bad)
     prop = discrete_uniform_proposal(1, [0, 1, 2])
     assert prop.log_density(discrete(2), discrete(0)) == pytest.approx(
         -math.log(3), rel=1e-15
@@ -88,8 +88,10 @@ def test_discrete_uniform_proposal_density_and_frequencies():
 
 
 def test_gaussian_walk_proposal_matches_normal_density():
-    with pytest.raises(ValueError):
-        gaussian_walk_proposal(1, 0.0)
+    # a non-finite step would only fail mid-chain; a bool is not a number
+    for bad in (0.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="'sigma' must be"):
+            gaussian_walk_proposal(1, bad)
     prop = gaussian_walk_proposal(1, 0.7)
     for old, new in ((0.0, 0.3), (-1.2, 2.5), (4.0, 4.0)):
         want = stats.norm.logpdf(new, loc=old, scale=0.7)
@@ -245,7 +247,7 @@ def test_records_report_the_evaluated_configuration():
             want = {1: _bern_lw(p1, cur[1]),
                     2: _row_lw(t2[cur[1]], v),
                     3: _row_lw(t3[v], 1)}
-        # positional: site values in schedule order, weights in node order
+        # positional: site values and weights both in node order
         assert r.log_weights == (want[1], want[2], want[3])
         assert r.total_log_weight == want[1] + want[2] + want[3]
         assert not r.neg_inf_proposal

@@ -1,3 +1,4 @@
+import ast
 import shlex
 from pathlib import Path
 
@@ -28,3 +29,49 @@ def test_readme_documents_the_command_line_and_config_fields():
     config_text = section.split("An experiment config")[1]
     for name in ExperimentConfig.__dataclass_fields__:
         assert f"`{name}`" in config_text or f'"{name}"' in config_text, name
+
+
+def _loaded_names(tree) -> set:
+    """Every name a module reads, as a bare name or an attribute, plus the
+    strings of its __all__."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_no_unused_import_or_orphaned_private_name():
+    # a lint-free dead-code guard: each import is used by its module, and
+    # each module-level _name is read somewhere in the package
+    src = Path(__file__).parent.parent / "src" / "modnet"
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    used = {name: _loaded_names(tree) for name, tree in trees.items()}
+    everywhere = set().union(*used.values())
+    stale = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used[name]:
+                        stale.append(f"{name}: unused import {bound}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for d in defined:
+                if d.startswith("_") and not d.startswith("__") and d not in everywhere:
+                    stale.append(f"{name}: private {d} is never read")
+    assert not stale, stale

@@ -73,12 +73,38 @@ def test_writer_emits_the_pinned_header_and_faithful_rows(tmp_path):
     assert len(rows) == 1 + len(records)
     for row, rec in zip(rows[1:], records):
         assert int(row[0]) == rec.iteration
-        # site values in schedule order, log-weights in node order
+        # site values and log-weights both in node order
         assert int(row[1]) == rec.site_values[0]
         assert int(row[2]) == rec.site_values[1]
         assert [float(c) for c in row[3:6]] == list(rec.log_weights)
         assert float(row[6]) == rec.total_log_weight
         assert row[7] == ("1" if rec.accepted else "0")
+
+
+@pytest.mark.parametrize("listed", [{1: "z", 2: "z"}, {2: "z", 1: "z"}])
+def test_sinks_label_sites_in_node_order_whatever_the_order_given(tmp_path, listed):
+    # the schedule lists X2 before X1, and the sinks get the sites in either
+    # order; every column and rate must still belong to its own site
+    net = chain3_network()
+    rng = np.random.default_rng(0)
+    net.initialize(rng)
+    acc = TraceAccumulator({i: net.name_of(i) for i in net.node_ids()}, tuple(listed))
+    states = []
+    path = tmp_path / "trace.csv"
+    with TraceWriter(path, net, listed) as writer:
+        def sink(rec):
+            writer(rec)
+            acc(rec)
+            states.append((net.outputs_of(1)["z"].data, net.outputs_of(2)["z"].data))
+        run_chain(net, [flip_proposal(2), flip_proposal(1)], 2000, rng, sink=sink)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][1:3] == ["z_X1", "z_X2"]
+    assert [(int(r[1]), int(r[2])) for r in rows[1:]] == states
+    rates = acc.to_jsonable()["value_rates"]
+    assert rates["X1"]["1"] == sum(x1 for x1, _ in states) / 2000
+    assert rates["X2"]["1"] == sum(x2 for _, x2 in states) / 2000
+    assert rates["X1"]["1"] != rates["X2"]["1"]
 
 
 def test_identical_runs_write_identical_bytes(tmp_path):
