@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "below the full budget the statistical criteria are "
                    "reported as SKIPPED")
     p.add_argument("--chains", type=int, help="chain budget; same skip rule")
-    p.add_argument("--workers", type=int, help="process pool size for chains")
+    p.add_argument("--workers", type=int, help="process pool size for chains "
+                   "and criterion 2's module groups")
     p.set_defaults(func=cmd_validate)
     return ap
 

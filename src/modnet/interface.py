@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Any, Mapping
 
 from . import values
-from .values import Value
+from .values import DISCRETE, REAL, Value
 
 
 class ModnetError(Exception):
@@ -43,7 +43,12 @@ class DegenerateTraceError(ModnetError):
 
 
 def check_log_weight(lw: float) -> float:
-    """Validate the log-weight range contract: finite or -inf, never NaN/+inf."""
+    """Validate the log-weight range contract: finite or -inf, never NaN/+inf.
+
+    A plain float below +inf (NaN compares false) is returned as it is; any
+    other value is converted and checked the long way, which raises."""
+    if type(lw) is float and lw < math.inf:
+        return lw
     lw = float(lw)
     if math.isnan(lw):
         raise SchemaError("log-weight is NaN")
@@ -130,6 +135,9 @@ def _walk(domain, probs, u: float):
     return domain[-1]
 
 
+# The exact modules test the well-formed case, `type(v) is Value and
+# v.kind == kind`, inline and call _require_kind only when it fails: that
+# raises, or returns a subclass of Value of the right kind unchanged.
 def _require_kind(value: Value, kind: str, where: str) -> Value:
     if not isinstance(value, Value):
         raise SchemaError(f"{where}: expected a Value, got {type(value).__name__}")
@@ -147,7 +155,9 @@ def bernoulli_module(theta: float, port: str = "z") -> ProbModule:
         return {port: values.discrete(1 if rng.random() < theta else 0)}
 
     def log_density(inputs, outputs):
-        z = _require_kind(outputs[port], values.DISCRETE, "bernoulli").data
+        v = outputs[port]
+        z = v.data if type(v) is Value and v.kind == DISCRETE else \
+            _require_kind(v, DISCRETE, "bernoulli").data
         if z == 1:
             return math.log(theta)
         if z == 0:
@@ -166,7 +176,9 @@ def normal_module(mu: float, sigma: float, port: str = "z") -> ProbModule:
         return {port: values.real(mu + sigma * rng.standard_normal())}
 
     def log_density(inputs, outputs):
-        z = _require_kind(outputs[port], values.REAL, "normal").data
+        v = outputs[port]
+        z = v.data if type(v) is Value and v.kind == REAL else \
+            _require_kind(v, REAL, "normal").data
         t = (z - mu) / sigma
         return -0.5 * math.log(2.0 * math.pi) - math.log(sigma) - 0.5 * t * t
 
@@ -197,10 +209,12 @@ def table_module(
              for z, k in column if probs[k] > 0.0}
 
     def key_of(inputs):
-        return tuple([
-            _require_kind(inputs[p], values.DISCRETE, f"table input {p!r}").data
-            for p in input_ports
-        ])
+        key = []
+        for p in input_ports:
+            v = inputs[p]
+            key.append(v.data if type(v) is Value and v.kind == DISCRETE else
+                       _require_kind(v, DISCRETE, f"table input {p!r}").data)
+        return tuple(key)
 
     def sample(inputs, rng):
         key = key_of(inputs)
@@ -210,7 +224,9 @@ def table_module(
 
     def log_density(inputs, outputs):
         key = key_of(inputs)
-        z = _require_kind(outputs[port], values.DISCRETE, "table output").data
+        v = outputs[port]
+        z = v.data if type(v) is Value and v.kind == DISCRETE else \
+            _require_kind(v, DISCRETE, "table output").data
         return log_p.get((key, z), -math.inf)
 
     return ExactModule(sample, log_density, tuple(input_ports), (port,))

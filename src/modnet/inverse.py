@@ -5,9 +5,10 @@ output variables, each with a conditional probability table over its parents.
 The inverse runs the other way: conditioned on the outputs, latents are
 sampled last-to-first, each from a conditional table over the outputs plus
 the latents already drawn. Tables are either estimated from forward samples
-(with add-one smoothing: a pseudo-count of 1 on every entry, so every row
-stays strictly positive; one count of every full assignment serves all the
-tables) or enumerated exactly in rational arithmetic.
+(with add-one smoothing: a pseudo-count of 1 on every entry the forward
+model allows, that is each value v with p(context, v) > 0, read from the
+zero pattern of the forward tables; one count of every full assignment
+serves all the tables) or enumerated exactly in rational arithmetic.
 
 Training holds one byte per sample per variable (domains of up to 256
 values) plus one fixed slice of temporaries: parent codes, uniforms,
@@ -30,9 +31,10 @@ gives the same doubles and leaves the generator at the same place; a u past
 a row's whole float sum takes the last value, as the walk does.
 
 regenerate is unbiased for p(z) with either kind of table. simulate meets the
-harmonic identity E[exp(-lw) 1{z = z*}] = 1 only if the inverse puts no mass
-on latents that p(u, z*) rules out: exact tables, or a model whose forward
-tables have every entry positive, since smoothing leaves no zero in a row.
+harmonic identity E[exp(-lw) 1{z = z*}] = 1 when the inverse puts no mass on
+latents that p(u, z*) rules out, which holds for both: exact tables give
+those latents probability 0, and learned rows smooth only over the values
+the forward model allows in their context.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ from .interface import ProbModule, SchemaError
 from .values import Value, discrete
 
 PROB_ROW_TOL = 1e-9
-# samples per slice of the forward walk's temporaries
-_SLICE = 65_536
+# samples per slice of the forward walk's temporaries: a slice's float64
+# and intp arrays take 64 KiB, under glibc's default 128 KiB mmap threshold,
+# so they come from the heap whatever the process allocated before
+_SLICE = 8_192
 
 
 @dataclass(frozen=True)
@@ -175,8 +179,10 @@ def _encode(cols: Mapping[str, np.ndarray], variables, rows: slice) -> np.ndarra
     variable most significant, so codes count up in itertools.product order.
     The one-byte columns are widened by adding them into the intp code, never
     multiplied in their own dtype, where they would overflow."""
-    code = np.zeros(rows.stop - rows.start, dtype=np.intp)
-    for v in variables:
+    if not variables:
+        return np.zeros(rows.stop - rows.start, dtype=np.intp)
+    code = cols[variables[0].name][rows].astype(np.intp)
+    for v in variables[1:]:
         code *= len(v.domain)
         code += cols[v.name][rows]
     return code
@@ -195,13 +201,18 @@ def sample_batch(spec: DiscreteModelSpec, n: int, rng) -> dict[str, np.ndarray]:
         parents = [spec.variable(p) for p in v.parents]
         cum = np.array([v.table[key] for key in product(*[p.domain for p in parents])],
                        dtype=float).cumsum(axis=1)
+        # one row of thresholds per bound; the last bound would only clamp
+        bounds = np.ascontiguousarray(cum[:, :-1].T)
         col = cols[v.name] = np.zeros(n, np.min_scalar_type(len(v.domain) - 1))
         for rows in _slices(n):
-            code = _encode(cols, parents, rows)
-            u, out = rng.random(len(code)), col[rows]
-            # one gather-and-compare per bound; the last bound would only clamp
-            for j in range(len(v.domain) - 1):
-                out += u >= cum[:, j][code]
+            u, out = rng.random(rows.stop - rows.start), col[rows]
+            if parents:
+                code = _encode(cols, parents, rows)
+                for b in bounds:
+                    out += u >= b[code]
+            else:
+                for b in bounds:
+                    out += u >= b[0]
     return cols
 
 
@@ -218,11 +229,30 @@ def _sampling_plan(spec: DiscreteModelSpec) -> list[tuple[str, tuple[str, ...]]]
     return plan
 
 
+def _support(spec: DiscreteModelSpec, order) -> np.ndarray:
+    """Whether p > 0 at each full assignment, flat in _encode's code order
+    over order: the AND of every forward table's positive entries."""
+    axis = {v.name: k for k, v in enumerate(order)}
+    grid = np.indices([len(v.domain) for v in order], sparse=True)
+    possible = True
+    for v in spec.variables:
+        parents = [spec.variable(p) for p in v.parents]
+        positive = np.array([v.table[key] for key in product(*[p.domain for p in parents])]
+                            ).reshape(*[len(p.domain) for p in parents], len(v.domain)) > 0.0
+        # indexed by the open grids, each entry reaches every full
+        # assignment that agrees with it on the table's variables
+        possible = possible & positive[tuple(grid[axis[n]] for n in (*v.parents, v.name))]
+    return possible.reshape(-1)
+
+
 def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng) -> InverseNetwork:
     """Estimate inverse conditionals by counting forward samples.
 
-    Add-one smoothing keeps every row positive; a context never seen in
-    training falls back to a uniform row. Memory is the one-byte sample
+    Add-one smoothing covers the values v with p(context, v) > 0 and leaves
+    the rest at 0, so a context never seen in training gets a uniform row
+    over them; where every forward entry is positive that is every value, and
+    a row is (joint + 1) / (counts + d). A context the forward model rules out
+    gets a uniform row over the whole domain. Memory is the one-byte sample
     columns plus one slice of codes and integer counts summed over slices.
     """
     if n_samples < 1:
@@ -233,10 +263,14 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng) -> InverseNetwor
     # then latents last to first, summed over slices. Each factor's (context,
     # variable) is a prefix of that order, so its joint counts are the full
     # counts with the later variables summed out, exactly, in integers.
+    # The forward model's support is reduced the same way, with any() for
+    # the sum: a factor's row smooths only over the values v with
+    # p(context, v) > 0.
     order = (*spec.outputs, *reversed(spec.latents))
     radix = math.prod(len(v.domain) for v in order)
     prefix = sum(np.bincount(_encode(cols, order, rows), minlength=radix)
                  for rows in _slices(n_samples))
+    possible = _support(spec, order)
     factors = []
     for var, ctx in reversed(_sampling_plan(spec)):
         v = spec.variable(var)
@@ -246,14 +280,14 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng) -> InverseNetwor
         prefix = joint.sum(axis=1)
         joint = joint.astype(np.float64)
         counts = joint.sum(axis=1, keepdims=True)
-        table_arr = (joint + 1.0) / (counts + d)
-
-        table = {}
-        for i, key in enumerate(product(*[c.domain for c in ctx_vars])):
-            if counts[i, 0] == 0.0:
-                table[key] = (1.0 / d,) * d
-            else:
-                table[key] = tuple(table_arr[i])
+        support = possible.reshape(-1, d)
+        possible = support.any(axis=1)
+        # a context the model rules out is reached only from an impossible
+        # output, which weighs -inf whatever is drawn: its row is uniform
+        support = support | ~possible[:, None]
+        table_arr = (np.where(support, joint + 1.0, 0.0)
+                     / (counts + support.sum(axis=1, keepdims=True)))
+        table = dict(zip(product(*[c.domain for c in ctx_vars]), map(tuple, table_arr)))
         factors.append(InverseFactor(var, v.domain, ctx, table))
     return InverseNetwork(tuple(reversed(factors)), int(n_samples))
 

@@ -17,25 +17,36 @@ id), then exactly one uniform for the accept test. The uniform is drawn even
 when the decision is already forced, so the stream position never depends on
 the outcome.
 
+What an update reads is built once per network: build_network stores each
+node's wiring as a tuple of (input port, parent, parent port) and its
+regenerate family, (node, *children), which mh_update walks as it is. What
+it checks is checked on every update: the target is unobserved and
+initialized, the proposal's port exists, and every regenerate call checks
+its own input and output ports (and, in the exact modules, its value kinds).
 Each regenerated log-weight is checked against the range contract by
 mh_update as it comes back from the module. ExactModule.regenerate checks its
 own weight as well, so an exact module's weight is checked twice; every other
-backend's is checked once, by mh_update alone. On accept, the target's
-outputs and every touched node's (log-weight, aux) pair are swapped in
-together, written straight to the node handles with no second check; inputs
-are never stored, since each node derives them from its parents' outputs. On
-reject, nothing is touched: the discarded call results simply go out of scope.
+backend's is checked once, by mh_update alone. The range and kind checks
+test the well-formed case first; anything else takes the full check, which
+alone raises. On accept, the target's outputs and every touched node's
+(log-weight, aux) pair are swapped in together, written straight to the node
+handles with no second check; inputs are never stored, since each node
+derives them from its parents' outputs. On reject, nothing is touched: the
+discarded call results simply go out of scope.
 
 UpdateInfo and ChainRecord are named tuples: one of each is built per
-iteration, so they stay as cheap as a plain tuple. A proposal whose port is
+iteration, with tuple.__new__ as a named tuple's own _make does, so each
+costs what a plain tuple does. A proposal whose port is
 named and exists is used as is; any other goes through resolve_port, so the
 configured proposals, which carry their resolved port, skip that lookup.
 
 A ChainRecord is positional: its site values and its log-weights both
 follow the network's node_ids order, whatever order the schedule lists its
-sites in, so run_chain builds a record without a dict. It reads each node's
-stored weight and, on a reject only, lays the regenerated weights over them;
-on an accept the stored weights already are the regenerated ones.
+sites in, so run_chain builds a record without a dict. Per call it works
+out where each schedule entry's family sits in that order. It reads the site
+values and stored weights again only after an accept, since nothing else
+changes them, and shares those tuples with the records up to the next one;
+a reject lays its regenerated weights over a copy.
 
 The proposal constructors validate their own settings with check_domain and
 check_sigma; experiment.parse_config runs the same checks on a config's
@@ -67,6 +78,10 @@ class SiteProposal:
     sample: Callable[[Value, Any], Value]
     log_density: Callable[[Value, Value], float]
     port: str | None = None
+
+
+# makes UpdateInfo and ChainRecord values without the generated __new__'s frame
+_new = tuple.__new__
 
 
 class UpdateInfo(NamedTuple):
@@ -143,14 +158,16 @@ def mh_update(net: ModuleNetwork, proposal: SiteProposal, rng) -> UpdateInfo:
 
     # an initialized target means an initialized network: initialize fills
     # every node's slot in one pass, so the handles below are all populated
-    regen = []
+    regen = {}
+    slots = []
     delta = 0.0
     neg_inf = False
-    for n in (node, *node.children):
+    for n in node.family:
         lw, aux = n.module.regenerate(
             n.inputs(override), new_outputs if n is node else n.outputs, rng)
         lw = check_log_weight(lw)
-        regen.append((n, lw, aux))
+        regen[n.id] = lw
+        slots.append((lw, aux))
         if lw == -math.inf:
             neg_inf = True
         else:
@@ -173,11 +190,10 @@ def mh_update(net: ModuleNetwork, proposal: SiteProposal, rng) -> UpdateInfo:
 
     if accepted:
         node.outputs = new_outputs
-        for n, lw, aux in regen:
-            n.state = (lw, aux)
+        for n, slot in zip(node.family, slots):
+            n.state = slot
 
-    return UpdateInfo(i, new_value.data, accepted, neg_inf, log_alpha,
-                      {n.id: lw for n, lw, _ in regen})
+    return _new(UpdateInfo, (i, new_value.data, accepted, neg_inf, log_alpha, regen))
 
 
 def run_chain(
@@ -206,24 +222,36 @@ def run_chain(
     sites = [(net.node(s), site_ports[s]) for s in ids if s in site_ports]
     nodes = [net.node(j) for j in ids]
     position = {j: k for k, j in enumerate(ids)}
+    # where each schedule entry's regenerated weights go in a record, in the
+    # order of its target's family, which is the order of regen_log_weights
+    family_at = [tuple(position[n.id] for n in net.node(p.target).family)
+                 for p in schedule]
     draw = len(schedule) > 1
 
+    # Stored weights and site values change only on an accept, so a record
+    # shares their tuples with the records before it until the next one.
+    row = stored = None
     for it in range(iterations):
         k = int(rng.integers(len(schedule))) if draw else 0
         info = mh_update(net, schedule[k], rng)
-        if sink is not None:
-            lws = [n.state[0] for n in nodes]
-            if not info.accepted:
-                for j, lw in info.regen_log_weights.items():
-                    lws[position[j]] = lw
-            total = 0.0
-            for lw in lws:
-                total += lw
-            sink(ChainRecord(
-                it, info.site, info.proposed_value, info.accepted,
-                info.neg_inf_proposal,
-                tuple([n.outputs[p].data for n, p in sites]),
-                tuple(lws), total))
+        if sink is None:
+            continue
+        accepted = info.accepted
+        if accepted or row is None:
+            row = tuple([n.outputs[p].data for n, p in sites])
+            stored = tuple([n.state[0] for n in nodes])
+        if accepted:
+            lws = stored
+        else:
+            lws = list(stored)
+            for pos, lw in zip(family_at[k], info.regen_log_weights.values()):
+                lws[pos] = lw
+            lws = tuple(lws)
+        total = 0.0
+        for lw in lws:
+            total += lw
+        sink(_new(ChainRecord, (it, info.site, info.proposed_value, accepted,
+                                info.neg_inf_proposal, row, lws, total)))
 
 
 # -- proposal library -------------------------------------------------------

@@ -6,6 +6,12 @@ lives in a single slot and is only ever replaced whole, so a log-weight can
 never be paired with auxiliary state from a different call. Observed nodes
 have their outputs fixed at construction and never change. Inputs are not
 stored: each node derives them from its wiring and the parents' outputs.
+
+build_network validates the description once and leaves each node with what
+never changes after it: its wiring as a tuple of (input port, parent handle,
+parent port) and its regenerate family (node, *children). The sampler reads
+both as they are on every update; only outputs and the (log-weight, aux)
+slot change.
 """
 
 from __future__ import annotations
@@ -54,11 +60,13 @@ class EdgeSpec:
 
 
 class _Node:
-    """A node's live state handle. wiring maps each input port to the parent
-    handle and port that drive it; children are the handles of the nodes this
-    one drives, by ascending id."""
+    """A node's live state handle. wiring holds one (input port, parent
+    handle, parent port) triple per input port; family is (self, *children),
+    the nodes an MH update at this node regenerates, children being the
+    handles of the nodes this one drives, by ascending id. Both are fixed by
+    build_network."""
 
-    __slots__ = ("id", "name", "module", "observed", "wiring", "children",
+    __slots__ = ("id", "name", "module", "observed", "wiring", "family",
                  "outputs", "state")
 
     def __init__(self, spec: NodeSpec, observed: bool):
@@ -66,10 +74,14 @@ class _Node:
         self.name = spec.name if spec.name is not None else str(spec.id)
         self.module = spec.module
         self.observed = observed
-        self.wiring: dict[str, tuple[_Node, str]] = {}  # dst_port -> (src, src port)
-        self.children: tuple[_Node, ...] = ()
+        self.wiring: tuple[tuple[str, _Node, str], ...] = ()
+        self.family: tuple[_Node, ...] = (self,)
         self.outputs: ModuleIO | None = None
         self.state: tuple[float, Any] | None = None  # (log-weight, aux), one slot
+
+    @property
+    def children(self) -> tuple[_Node, ...]:
+        return self.family[1:]
 
     def inputs(self, override: Mapping[int, ModuleIO]) -> ModuleIO:
         """Inputs read through the wiring from each parent's current outputs,
@@ -77,7 +89,7 @@ class _Node:
         Every parent read must be populated. Inputs are never stored; this is
         the only place they are formed."""
         inputs: ModuleIO = {}
-        for dst_port, (src, src_port) in self.wiring.items():
+        for dst_port, src, src_port in self.wiring:
             outputs = override.get(src.id)
             inputs[dst_port] = (src.outputs if outputs is None else outputs)[src_port]
         return inputs
@@ -219,6 +231,7 @@ def build_network(
         if obs_id not in by_id:
             raise NetworkBuildError(f"observation targets unknown node {obs_id}")
 
+    wiring: dict[int, dict[str, tuple[_Node, str]]] = {i: {} for i in by_id}
     for e in edge_list:
         if e.src not in by_id:
             raise NetworkBuildError(f"edge source {e.src} does not exist")
@@ -232,14 +245,14 @@ def build_network(
             raise NetworkBuildError(
                 f"node {e.dst} has no input port {e.dst_port!r}"
             )
-        if e.dst_port in by_id[e.dst].wiring:
+        if e.dst_port in wiring[e.dst]:
             raise NetworkBuildError(
                 f"input port {e.dst_port!r} of node {e.dst} is driven twice"
             )
-        by_id[e.dst].wiring[e.dst_port] = (by_id[e.src], e.src_port)
+        wiring[e.dst][e.dst_port] = (by_id[e.src], e.src_port)
 
     for node in by_id.values():
-        missing = set(node.module.input_ports) - set(node.wiring)
+        missing = set(node.module.input_ports) - set(wiring[node.id])
         if missing:
             raise NetworkBuildError(
                 f"node {node.id}: input ports {sorted(missing)} are unbound"
@@ -249,7 +262,7 @@ def build_network(
     children: dict[int, set[int]] = {i: set() for i in by_id}
     indeg = {}
     for node in by_id.values():
-        parents = {src.id for src, _ in node.wiring.values()}
+        parents = {src.id for src, _ in wiring[node.id].values()}
         for src in parents:
             children[src].add(node.id)
         indeg[node.id] = len(parents)
@@ -282,5 +295,6 @@ def build_network(
         node.outputs = dict(outs)
 
     for i, node in by_id.items():
-        node.children = tuple(by_id[c] for c in sorted(children[i]))
+        node.wiring = tuple((p, src, sp) for p, (src, sp) in wiring[i].items())
+        node.family = (node, *(by_id[c] for c in sorted(children[i])))
     return ModuleNetwork(by_id, tuple(order))

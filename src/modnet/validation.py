@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import struct
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -175,29 +177,53 @@ def check_module_contract(module, inputs, outputs, truth: float, n: int, rng) ->
     return result
 
 
-@_criterion("2 unbiasedness", "<= 4 SEs on every module")
-def unbiasedness(fixtures: dict):
+def _c2_inverse(fixtures: dict) -> dict:
+    # trains and checks on one generator, so it is one task
     rng = np.random.default_rng(PINNED["c2_inverse"])
     spec = switch_prior_spec()
-    parts = {"module A (inverse)": check_module_contract(
+    return check_module_contract(
         InverseModule(spec, train_inverse(spec, 100_000, rng)), {},
-        {"a": discrete(1)}, fixtures["switch_marginal"]["1"], 100_000, rng)}
+        {"a": discrete(1)}, fixtures["switch_marginal"]["1"], 100_000, rng)
 
-    truth_b = math.exp(fixtures["log_evidence_by_switch"]["1"])
-    in_b = {"a": discrete(1)}
-    out_b = {"b": real_vector(default_dataset()["responses"])}
-    for key, k, n in (("c2_sweep_k1", 1, 100_000), ("c2_sweep_k30", 30, 10_000)):
-        parts[f"module B (sweep, K={k})"] = check_module_contract(
-            build_regression_module(k), in_b, out_b, truth_b, n,
-            np.random.default_rng(PINNED[key]))
 
+def _c2_sweep(fixtures: dict, key: str, k: int, n: int) -> dict:
+    truth = math.exp(fixtures["log_evidence_by_switch"]["1"])
+    return check_module_contract(
+        build_regression_module(k), {"a": discrete(1)},
+        {"b": real_vector(default_dataset()["responses"])}, truth, n,
+        np.random.default_rng(PINNED[key]))
+
+
+def _c2_hmm(fixtures: dict) -> dict:
     T, init, trans, emit = 4, 0.4, (0.25, 0.7), (0.15, 0.8)
     ys = (1, 0, 1, 1)
-    truth_h = math.exp(log_evidence(hmm_oracle_model(T, init, trans, emit),
-                                    hmm_oracle_observation(ys)))
-    parts["discrete sequential model"] = check_module_contract(
+    truth = math.exp(log_evidence(hmm_oracle_model(T, init, trans, emit),
+                                  hmm_oracle_observation(ys)))
+    return check_module_contract(
         SmcModule(BinaryHmm(T, init, emit, trans=trans), 5), {},
-        hmm_observation(ys), truth_h, 30_000, np.random.default_rng(PINNED["c2_hmm"]))
+        hmm_observation(ys), truth, 30_000, np.random.default_rng(PINNED["c2_hmm"]))
+
+
+# criterion 2's groups: each draws from its own pinned generator, so they
+# give the same numbers in any process and in any order
+_C2_GROUPS = {
+    "module A (inverse)": (_c2_inverse,),
+    "module B (sweep, K=1)": (_c2_sweep, "c2_sweep_k1", 1, 100_000),
+    "module B (sweep, K=30)": (_c2_sweep, "c2_sweep_k30", 30, 10_000),
+    "discrete sequential model": (_c2_hmm,),
+}
+
+
+@_criterion("2 unbiasedness", "<= 4 SEs on every module")
+def unbiasedness(fixtures: dict, workers: int = 1):
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(_C2_GROUPS)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = {name: pool.submit(fn, fixtures, *args)
+                       for name, (fn, *args) in _C2_GROUPS.items()}
+            parts = {name: f.result() for name, f in futures.items()}
+    else:
+        parts = {name: fn(fixtures, *args) for name, (fn, *args) in _C2_GROUPS.items()}
 
     zs = [p["z"] for p in parts.values()]
     zs += [p["harmonic"]["z"] for p in parts.values() if "harmonic" in p]
@@ -539,7 +565,7 @@ def run_all(fixtures: dict, out_dir=None, workers: int = 1,
             tmp = tempfile.TemporaryDirectory(prefix="modnet-validate-")
             out_dir = tmp.name
         results += [
-            unbiasedness(fixtures),
+            unbiasedness(fixtures, workers=workers),
             chain3_posterior(),
             app_posterior(fixtures, out_dir, workers=workers, chains=chains,
                           iterations=iterations),

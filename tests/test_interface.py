@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from numpy.random import default_rng
 from scipy import stats
@@ -150,3 +151,51 @@ def test_exact_module_rejects_bad_log_weights():
     )
     with pytest.raises(SchemaError):
         nan_mod.regenerate({}, {"z": values.discrete(0)}, _NoRng())
+
+
+class _Real(float):
+    pass
+
+
+class _Value(values.Value):
+    pass
+
+
+def test_malformed_weights_and_values_raise_the_pinned_messages():
+    # the checks test the well-formed case first; everything else takes the
+    # full check, which converts what it accepts and raises as it always has
+    for bad, msg in ((math.nan, "log-weight is NaN"), (math.inf, "log-weight is +inf"),
+                     (np.float64("nan"), "log-weight is NaN"),
+                     (np.float64("inf"), "log-weight is +inf"),
+                     (_Real("nan"), "log-weight is NaN"), (_Real("inf"), "log-weight is +inf")):
+        with pytest.raises(SchemaError) as err:
+            check_log_weight(bad)
+        assert str(err.value) == msg
+    for ok in (-1.5, -math.inf, np.float64(-1.5), np.float64("-inf"), _Real(-2.0), 3):
+        got = check_log_weight(ok)
+        assert type(got) is float and got == float(ok)
+
+    table = table_module(("x",), {(0,): (0.9, 0.1), (1,): (0.4, 0.6)})
+    x0 = {"x": values.discrete(0)}
+    cases = [(bernoulli_module(0.3), {}, "bernoulli", values.DISCRETE, values.real(1.0)),
+             (normal_module(0.0, 1.0), {}, "normal", values.REAL, values.discrete(1)),
+             (table, x0, "table output", values.DISCRETE, values.real(1.0))]
+    for module, inputs, where, kind, wrong in cases:
+        for bad, msg in ((wrong, f"{where}: expected {kind} value, got {wrong.kind}"),
+                         (1, f"{where}: expected a Value, got int")):
+            with pytest.raises(SchemaError) as err:
+                module.regenerate(inputs, {"z": bad}, _NoRng())
+            assert str(err.value) == msg
+        # a subclass of Value of the right kind passes the full check
+        good = _Value(kind, 1 if kind == values.DISCRETE else 1.0)
+        assert module.regenerate(inputs, {"z": good}, _NoRng())[0] == \
+            module.regenerate(inputs, {"z": values.Value(kind, good.data)}, _NoRng())[0]
+    for bad, msg in ((values.real(0.0), "table input 'x': expected discrete value, got real"),
+                     (0, "table input 'x': expected a Value, got int")):
+        for call in (lambda: table.regenerate({"x": bad}, {"z": values.discrete(0)}, _NoRng()),
+                     lambda: table.simulate({"x": bad}, default_rng(0))):
+            with pytest.raises(SchemaError) as err:
+                call()
+            assert str(err.value) == msg
+    assert table.regenerate({"x": _Value(values.DISCRETE, 1)}, {"z": values.discrete(1)},
+                            _NoRng())[0] == math.log(0.6)

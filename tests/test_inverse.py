@@ -316,24 +316,38 @@ def test_learned_module_satisfies_the_harmonic_identity():
     assert res["harmonic"]["z"] < 4.5
 
 
-def test_smoothing_off_the_posterior_support_breaks_only_the_harmonic_identity():
-    # v0 is always 1, but the smoothed table for v0 given v1 = 1 keeps 1/202
-    # of its mass on v0 = 0, where p(v0, v1) = 0. regenerate scores those
-    # draws 0, so it stays unbiased; every simulate draw has v0 = 1 and
-    # exp(-lw) = q(v0 = 1 | v1 = 1) = 201/202, not 1.
+def test_smoothing_stays_on_the_posterior_support():
+    # v0 is always 1, so p(v0 = 0, v1 = 1) = 0: the learned row for v0 given
+    # v1 = 1 smooths over v0 = 1 alone, and every weight is exactly 1, in
+    # both halves of the contract, as the exact inverse's is. v1 = 0 is
+    # ruled out, so its context supports no value and its row is uniform.
     spec = DiscreteModelSpec(
         latents=(VariableSpec("v0", (0, 1), (), {(): (0.0, 1.0)}),),
         outputs=(VariableSpec("v1", (0, 1), (), {(): (0.0, 1.0)}),),
     )
     z = {"v1": discrete(1)}
-    learned = InverseModule(spec, train_inverse(spec, 200, np.random.default_rng(0)))
-    res = check_module_contract(learned, {}, z, 1.0, 20_000, np.random.default_rng(1))
-    assert res["z"] < 4.5
-    assert res["harmonic"]["mean"] == pytest.approx(201 / 202, rel=1e-12)
-    assert res["harmonic"]["z"] > 1e6
-    exact = InverseModule(spec, exact_inverse(spec))
-    res = check_module_contract(exact, {}, z, 1.0, 2000, np.random.default_rng(1))
-    assert res["harmonic"]["mean"] == 1.0 and res["z"] == res["harmonic"]["z"] == 0.0
+    inv = train_inverse(spec, 200, np.random.default_rng(0))
+    assert inv.factors[0].table == {(0,): (0.5, 0.5), (1,): (0.0, 1.0)}
+    for module in (InverseModule(spec, inv), InverseModule(spec, exact_inverse(spec))):
+        res = check_module_contract(module, {}, z, 1.0, 2000, np.random.default_rng(1))
+        assert res["harmonic"]["mean"] == 1.0 and res["z"] == res["harmonic"]["z"] == 0.0
+
+
+def test_an_unseen_context_is_uniform_over_its_support():
+    # v0 = 0 is impossible, so both rows of v0 given v1 smooth over {1, 2};
+    # one training sample leaves one v1 context unseen
+    spec = DiscreteModelSpec(
+        latents=(VariableSpec("v0", (0, 1, 2), (), {(): (0.0, 0.5, 0.5)}),),
+        outputs=(VariableSpec("v1", (0, 1), ("v0",),
+                              {(u,): (0.5, 0.5) for u in (0, 1, 2)}),),
+    )
+    rng = np.random.default_rng(3)
+    cols = sample_batch(spec, 1, rng)
+    seen, drawn = int(cols["v1"][0]), int(cols["v0"][0])
+    table = train_inverse(spec, 1, np.random.default_rng(3)).factors[0].table
+    assert table[(1 - seen,)] == (0.0, 0.5, 0.5)
+    assert table[(seen,)] == tuple((2.0 if v == drawn else 1.0) / 3.0 if v else 0.0
+                                   for v in (0, 1, 2))
 
 
 def test_more_training_data_stabilizes_the_weight():
@@ -412,25 +426,34 @@ def test_inverse_weights_on_random_specs(spec, seed):
             lw, aux = learned.regenerate({}, outputs, rng)
             assert lw == pytest.approx(
                 _hand_log_weight(spec, learned_inv, {**z, **aux}), rel=1e-12)
-    # the contract at one forward-sampled output: both halves for the exact
-    # inverse. The learned inverse is always unbiased; its harmonic identity
-    # needs every forward entry positive, so that the smoothed tables put no
-    # mass where the posterior has none.
+    # the contract at one forward-sampled output, both halves for both
+    # inverses: smoothing stays on the posterior's support, so the learned
+    # tables put no mass where the posterior has none
     outputs = exact.simulate({}, rng)[0]
     z = {k: v.data for k, v in outputs.items()}
     truth = math.exp(log_evidence(oracle, z))
-    got = check_module_contract(exact, {}, outputs, truth, 2000, rng)
-    assert got["z"] < 4.5 and got["harmonic"]["z"] < 4.5
-    got = check_module_contract(learned, {}, outputs, truth, 2000, rng)
-    assert got["z"] < 4.5
-    if all(p > 0.0 for v in spec.variables for row in v.table.values() for p in row):
-        assert got["harmonic"]["z"] < 4.5
+    for module in (exact, learned):
+        got = check_module_contract(module, {}, outputs, truth, 2000, rng)
+        assert got["z"] < 4.5 and got["harmonic"]["z"] < 4.5
+
+
+def _possible_assignments(spec):
+    """Every full assignment to which each forward table gives mass."""
+    names = [v.name for v in spec.variables]
+    for combo in product(*[v.domain for v in spec.variables]):
+        assign = dict(zip(names, combo))
+        if all(v.table[tuple(assign[p] for p in v.parents)][v.domain.index(assign[v.name])]
+               > 0.0 for v in spec.variables):
+            yield assign
 
 
 def _reference_tables(spec, n, rng):
     """train_inverse's tables counted one factor at a time, each with its own
-    bincount over (context, variable)."""
+    bincount over (context, variable), and smoothed with a pseudo-count of 1
+    over the values the enumerated possible assignments reach in a context;
+    a context none reaches gets a uniform row."""
     cols = sample_batch(spec, n, rng)
+    possible = list(_possible_assignments(spec))
     tables = []
     ctx = list(spec.outputs)
     for v in reversed(spec.latents):
@@ -442,11 +465,16 @@ def _reference_tables(spec, n, rng):
             radix *= len(c.domain)
         joint = np.bincount(code * d + cols[v.name], minlength=radix * d)
         joint = joint.reshape(radix, d).astype(np.float64)
-        counts = joint.sum(axis=1, keepdims=True)
-        arr = (joint + 1.0) / (counts + 1.0 * d)
+        counts = joint.sum(axis=1)
+        reached = {(tuple(a[c.name] for c in ctx), a[v.name]) for a in possible}
         table = {}
         for i, key in enumerate(product(*[c.domain for c in ctx])):
-            table[key] = (1.0 / d,) * d if counts[i, 0] == 0.0 else tuple(arr[i])
+            support = [(key, x) in reached for x in v.domain]
+            if not any(support):
+                table[key] = (1.0 / d,) * d
+                continue
+            table[key] = tuple((joint[i, j] + 1.0) / (counts[i] + sum(support))
+                               if on else 0.0 for j, on in enumerate(support))
         tables.append((v.name, tuple(c.name for c in ctx), table))
         ctx.append(v)
     return tables

@@ -1,7 +1,10 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from modnet import mh, network
@@ -423,3 +426,152 @@ def test_each_regenerated_weight_is_checked_once(setup, monkeypatch):
         accepted += info.accepted
     # the accept path writes the slot without a second check
     assert accepted > 0 and calls["network"] == 0
+
+
+# -- random exact networks against the per-update reference ----------------------
+
+@st.composite
+def exact_networks(draw):
+    """2-4 nodes in id order, each a bernoulli_module or a table_module over
+    (0, 1) or (0, 1, 2) on random earlier parents; rows from integer weights
+    0-3, so some entries are zero and some proposals score -inf. Observed
+    nodes draw weights 1-3, so every observation stays reachable. Returns
+    (nodes, edges, observed, sites): plain data, so each call of _build
+    makes its own modules."""
+    n = draw(st.integers(2, 4))
+    nodes, edges = [], []
+    for i in range(1, n + 1):
+        parents = [j for j in range(1, i) if draw(st.booleans())]
+        domain = draw(st.sampled_from([(0, 1), (0, 1, 2)]))
+        nodes.append([i, parents, domain, 0])
+    observed = {}
+    for node in nodes:
+        if draw(st.booleans()) and len(observed) < n - 1:
+            node[3] = 1
+            observed[node[0]] = draw(st.sampled_from(node[2]))
+    made = []
+    for i, parents, domain, lo in nodes:
+        keys = list(product(*[nodes[j - 1][2] for j in parents]))
+        rows = {}
+        for key in keys:
+            w = draw(st.lists(st.integers(lo, 3), min_size=len(domain),
+                              max_size=len(domain)).filter(any))
+            rows[key] = tuple(x / sum(w) for x in w)
+        bern = (not parents and domain == (0, 1) and 0.0 < rows[()][1] < 1.0
+                and draw(st.booleans()))
+        made.append((i, parents, domain, rows, bern))
+        edges += [(j, i, f"x{k}") for k, j in enumerate(parents)]
+    sites = []
+    for i, parents, domain, rows, bern in made:
+        if i in observed:
+            continue
+        kinds = ["uniform"] + (["flip"] if domain == (0, 1) else [])
+        kind = draw(st.sampled_from(kinds))
+        # a uniform proposal over a wider domain may leave the table's support
+        wide = kind == "uniform" and draw(st.booleans())
+        sites.append((i, kind, domain + (len(domain),) if wide else domain))
+    return made, edges, observed, sites
+
+
+def _build(made, edges, observed):
+    specs = []
+    for i, parents, domain, rows, bern in made:
+        if bern:
+            module = bernoulli_module(rows[()][1])
+        else:
+            module = table_module(tuple(f"x{k}" for k in range(len(parents))),
+                                  rows, domain)
+        specs.append(NodeSpec(i, module))
+    return build_network(specs, [EdgeSpec(j, "z", i, port) for j, i, port in edges],
+                         {i: {"z": discrete(v)} for i, v in observed.items()})
+
+
+def _reference_chain(net, edges, schedule, iterations, rng):
+    """The per-update loop as it stood before the family and wiring tuples:
+    inputs read from the edge list, the family rebuilt every update, the
+    record laid over the stored weights. Returns the ChainRecords as tuples."""
+    wires = {i: [(port, j) for j, k, port in edges if k == i] for i in net.node_ids()}
+    children = {i: sorted({k for j, k, _ in edges if j == i}) for i in net.node_ids()}
+    ids = net.node_ids()
+    sites = {p.target: resolve_port(net, p) for p in schedule}
+    records = []
+    for it in range(iterations):
+        k = int(rng.integers(len(schedule))) if len(schedule) > 1 else 0
+        prop = schedule[k]
+        i = prop.target
+        old = net.outputs_of(i)
+        old_value = old["z"]
+        new_value = prop.sample(old_value, rng)
+        new = {**old, "z": new_value}
+        regen = []
+        delta, neg_inf = 0.0, False
+        for j in (i, *children[i]):
+            inputs = {port: (new if src == i else net.outputs_of(src))["z"]
+                      for port, src in wires[j]}
+            lw, aux = net.module_of(j).regenerate(
+                inputs, new if j == i else net.outputs_of(j), rng)
+            regen.append((j, lw, aux))
+            if lw == -math.inf:
+                neg_inf = True
+            else:
+                delta += lw - net.lookup_log_weight(j)
+        log_alpha = -math.inf if neg_inf else (
+            prop.log_density(old_value, new_value)
+            - prop.log_density(new_value, old_value) + delta)
+        u = rng.random()
+        log_s = math.log(u) if u > 0.0 else -math.inf
+        accepted = log_alpha != -math.inf and log_s <= log_alpha
+        if accepted:
+            net.node(i).outputs = new
+            for j, lw, aux in regen:
+                net.node(j).state = (lw, aux)
+        lws = [net.lookup_log_weight(j) for j in ids]
+        if not accepted:
+            for j, lw, _ in regen:
+                lws[ids.index(j)] = lw
+        total = 0.0
+        for lw in lws:
+            total += lw
+        records.append((it, i, new_value.data, accepted, neg_inf,
+                        tuple(net.outputs_of(j)[sites[j]].data for j in ids if j in sites),
+                        tuple(lws), total))
+    return records
+
+
+def _schedule(sites):
+    return [flip_proposal(i, "z") if kind == "flip"
+            else discrete_uniform_proposal(i, domain, "z")
+            for i, kind, domain in sites]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(spec=exact_networks(), seed=st.integers(0, 2**32 - 1))
+def test_chain_records_match_the_per_update_reference(spec, seed):
+    made, edges, observed, sites = spec
+    net, ref = _build(made, edges, observed), _build(made, edges, observed)
+    for n in (net, ref):
+        n.initialize(np.random.default_rng(seed))
+    # every module counts its regenerate calls, reset after each record
+    calls = {}
+    for i in net.node_ids():
+        module = net.module_of(i)
+
+        def counted(inputs, outputs, rng, _i=i, _regenerate=module.regenerate):
+            calls[_i] = calls.get(_i, 0) + 1
+            return _regenerate(inputs, outputs, rng)
+        module.regenerate = counted
+    children = {i: {k for j, k, _ in edges if j == i} for i in net.node_ids()}
+    records = []
+
+    def sink(rec):
+        # one regenerate per member of the site's family, none elsewhere
+        assert calls == dict.fromkeys({rec.site, *children[rec.site]}, 1)
+        calls.clear()
+        records.append(rec)
+
+    run_chain(net, _schedule(sites), 200, np.random.default_rng(seed + 1), sink)
+    want = _reference_chain(ref, edges, _schedule(sites), 200,
+                            np.random.default_rng(seed + 1))
+    assert records == want
+    assert [n.state for n in map(net.node, net.node_ids())] == \
+        [n.state for n in map(ref.node, ref.node_ids())]
