@@ -8,14 +8,19 @@ each module's exp(lw) is an unbiased estimate of its output probability; no
 module ever needs an exact density.
 
 run_chain picks the site of each update by random scan: one uniform choice
-of schedule entry per iteration, drawn before the update, and no draw at all
-for a one-entry schedule.
+of schedule entry per iteration. The choices are drawn a block at a time:
+at iterations 0, 1024, 2048, ... one rng.integers(len(schedule), size=1024)
+call draws the next 1,024, before that iteration's update. A block is always
+full, even when fewer iterations are left, so a chain of N iterations is
+exactly the first N iterations of a longer chain from the same state and
+generator. A one-entry schedule takes no draw at all.
 
 RNG consumption per update, in order: the proposal's own draws, then the
 regenerating modules' draws (target node first, then children by ascending
 id), then exactly one uniform for the accept test. The uniform is drawn even
 when the decision is already forced, so the stream position never depends on
-the outcome.
+the outcome. The site choices are independent of all of these, so drawing
+them ahead changes the stream but not the chain's law.
 
 What an update reads is built once per network: build_network stores each
 node's wiring as a tuple of (input port, parent, parent port) and its
@@ -57,6 +62,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from numbers import Integral
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import values
@@ -79,6 +86,9 @@ class SiteProposal:
     log_density: Callable[[Value, Value], float]
     port: str | None = None
 
+
+# how many schedule indices run_chain draws per rng call
+_SCAN_BLOCK = 1024
 
 # makes UpdateInfo and ChainRecord values without the generated __new__'s frame
 _new = tuple.__new__
@@ -196,6 +206,13 @@ def mh_update(net: ModuleNetwork, proposal: SiteProposal, rng) -> UpdateInfo:
     return _new(UpdateInfo, (i, new_value.data, accepted, neg_inf, log_alpha, regen))
 
 
+def _scan(rng, n: int):
+    """Schedule indices for run_chain, uniform on range(n), drawn in full
+    blocks of _SCAN_BLOCK as they are needed."""
+    while True:
+        yield from rng.integers(n, size=_SCAN_BLOCK).tolist()
+
+
 def run_chain(
     net: ModuleNetwork,
     schedule: Sequence[SiteProposal],
@@ -206,11 +223,19 @@ def run_chain(
     """Run a random-scan site-mixture chain, streaming one ChainRecord per
     iteration.
 
-    Each iteration picks a schedule entry uniformly with one
-    rng.integers(len(schedule)) draw before the update. A one-entry schedule
-    takes no draw: rng.integers(1) returns 0 without advancing the
-    generator, so skipping it leaves the stream as it was.
+    Each iteration picks a schedule entry uniformly. The picks are drawn
+    1,024 at a time, with one rng.integers(len(schedule), size=1024) call at
+    iterations 0, 1024, 2048, ..., before that iteration's update. The last
+    block is full too, so the records of a chain of N iterations are the
+    first N records of any longer chain run from the same network state and
+    generator. A one-entry schedule takes no draw: rng.integers(1) returns
+    zeros without advancing the generator, so skipping it leaves the stream
+    as it was. iterations must be an integer >= 0; anything else, a bool or
+    a float included, raises ValueError.
     """
+    if (isinstance(iterations, bool) or not isinstance(iterations, Integral)
+            or iterations < 0):
+        raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
     if not schedule:
         raise ValueError("schedule is empty")
     for prop in schedule:
@@ -226,13 +251,13 @@ def run_chain(
     # order of its target's family, which is the order of regen_log_weights
     family_at = [tuple(position[n.id] for n in net.node(p.target).family)
                  for p in schedule]
-    draw = len(schedule) > 1
+    # zip takes from range first, so no block is drawn past the last iteration
+    picks = _scan(rng, len(schedule)) if len(schedule) > 1 else repeat(0)
 
     # Stored weights and site values change only on an accept, so a record
     # shares their tuples with the records before it until the next one.
     row = stored = None
-    for it in range(iterations):
-        k = int(rng.integers(len(schedule))) if draw else 0
+    for it, k in zip(range(iterations), picks):
         info = mh_update(net, schedule[k], rng)
         if sink is None:
             continue

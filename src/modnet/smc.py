@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Any
 
 from .interface import DegenerateTraceError, ModuleIO, ProbModule, SchemaError
@@ -139,6 +140,20 @@ def _uniform_row(K, rng) -> list[int]:
     return [int(a) for a in rng.integers(0, K, size=K)]
 
 
+def _particle_count(num_particles) -> int:
+    """The one rule for a particle count, in smc_run and SmcModule: an
+    integer (a numpy one too), not a bool, of at least 1. Nothing is
+    truncated."""
+    # a plain int, as every sweep passes, takes a single test
+    if type(num_particles) is not int:
+        if isinstance(num_particles, bool) or not isinstance(num_particles, Integral):
+            raise ValueError(f"num_particles must be an integer, got {num_particles!r}")
+        num_particles = int(num_particles)
+    if num_particles < 1:
+        raise ValueError("need at least one particle")
+    return num_particles
+
+
 def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
             num_particles: int, rng,
             pinned: Latents | None = None) -> tuple[Latents, float]:
@@ -157,9 +172,7 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
     model's prior_sample on an empty population must draw nothing from rng,
     so skipping the call leaves the stream as it was.
     """
-    K = int(num_particles)
-    if K < 1:
-        raise ValueError("need at least one particle")
+    K = _particle_count(num_particles)
     obs = model.unpack_outputs(outputs)
     T = model.num_steps
     if len(obs) != T:
@@ -225,10 +238,8 @@ class SmcModule(ProbModule):
     sweep's log Z-hat and the aux is the selected Latents."""
 
     def __init__(self, model: SequentialModel, num_particles: int):
-        if num_particles < 1:
-            raise ValueError("need at least one particle")
         self.model = model
-        self.num_particles = int(num_particles)
+        self.num_particles = _particle_count(num_particles)
         self.input_ports = tuple(model.input_ports)
         self.output_ports = tuple(model.output_ports)
 

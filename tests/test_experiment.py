@@ -237,9 +237,9 @@ def test_other_builtin_networks_run_end_to_end(tmp_path):
 # and says so. They assume numpy's PCG64 streams and IEEE doubles.
 PINNED_DIGESTS = {
     "chain3": {
-        "summary.json": "9387df05fde36b1a8eb2d4320170963fb32691ca6ba8aeef1db71c6371b42ac8",
-        "trace_chain0.csv": "1d30095caf27959f08fb470eded4b75604a37b2176f6dd8bba3a87abab39b075",
-        "trace_chain1.csv": "88a5413a8dd3a045f524bccb4e94c20dfa351339a2c05482827f71c81736dc66",
+        "summary.json": "adfb1ba0cc6daac4db569406cc35613cf139001d99962a41130c2ca3bb047b72",
+        "trace_chain0.csv": "70e0269ad84cd043af4ebdcc0143a5cdb6cbe3beb4d13cf57b744938b4368123",
+        "trace_chain1.csv": "56f575ac94c9e57fa15614c72ec31ebca49e372ad610c034683b7d0da82ccf81",
     },
     "outlier_regression": {
         "summary.json": "130eee142f0cb7c8532bff4a0eff6779d336db0768f735e2776192b8b8e44197",
@@ -262,3 +262,15 @@ def test_run_artifacts_match_pinned_digests(tmp_path, network):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.iterdir())}
     assert got == PINNED_DIGESTS[network]
+
+
+def test_shorter_run_writes_the_first_rows_of_a_longer_one(tmp_path):
+    # chain3 has two sites, so its runs cross scan blocks at 1024 and 2048
+    traces = {}
+    for n in (200, 1025, 2500):
+        cfg = parse_config({"network": "chain3", "seed": 9, "chains": 1,
+                            "iterations": n})
+        run_experiment(cfg, out_dir=tmp_path / str(n))
+        traces[n] = (tmp_path / str(n) / "trace_chain0.csv").read_text().splitlines()
+    for n in (200, 1025):
+        assert traces[n] == traces[2500][:n + 1]

@@ -27,15 +27,21 @@ from modnet.values import discrete, real
 
 
 class CountingRng:
-    """Pass-through rng that counts uniform draws."""
+    """Pass-through rng that counts uniform draws and records the arguments
+    of every integers call."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
         self.random_calls = 0
+        self.integers_calls = []
 
     def random(self):
         self.random_calls += 1
         return self._rng.random()
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls.append((args, kwargs))
+        return self._rng.integers(*args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -176,8 +182,9 @@ def _reference_chain3(seed, iterations):
     """Plain single-site MH on the three-node chain, written from scratch.
 
     Consumes the rng exactly like initialize + run_chain with flip
-    proposals: two uniforms to initialize, then per update one integers(2)
-    draw for the site and one uniform for the accept test.
+    proposals: two uniforms to initialize, then at iterations 0, 1024, ...
+    one integers(2, size=1024) draw for the next 1,024 sites, and per update
+    one uniform for the accept test.
     """
     p1, t2, t3 = CHAIN3["x1_p1"], CHAIN3["x2_p1"], CHAIN3["x3_p1"]
     rng = np.random.default_rng(seed)
@@ -187,8 +194,10 @@ def _reference_chain3(seed, iterations):
     lw2 = _row_lw(t2[x1], x2)
     lw3 = _row_lw(t3[x2], 1)
     states = []
-    for _ in range(iterations):
-        if int(rng.integers(2)) == 0:
+    for it in range(iterations):
+        if it % 1024 == 0:
+            block = [int(k) for k in rng.integers(2, size=1024)]
+        if block[it % 1024] == 0:
             new = 1 - x1
             n1 = _bern_lw(p1, new)
             n2 = _row_lw(t2[new], x2)
@@ -206,17 +215,80 @@ def _reference_chain3(seed, iterations):
     return states
 
 
-@pytest.mark.parametrize("seed", [0, 7, 123])
-def test_random_scan_chain_matches_reference_implementation_exactly(seed):
+def _chain3_sites(seed, iterations):
     net = chain3_network()
     rng = np.random.default_rng(seed)
     net.initialize(rng)
     got = []
     run_chain(
-        net, [flip_proposal(1), flip_proposal(2)], 300, rng,
+        net, [flip_proposal(1), flip_proposal(2)], iterations, rng,
         sink=lambda r: got.append(r.site_values),
     )
-    assert got == _reference_chain3(seed, 300)
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_random_scan_chain_matches_reference_implementation_exactly(seed):
+    assert _chain3_sites(seed, 300) == _reference_chain3(seed, 300)
+
+
+def test_chain_across_scan_blocks_matches_reference_implementation():
+    # 2,500 iterations draw three blocks of sites, refilled at 1024 and 2048
+    assert _chain3_sites(5, 2500) == _reference_chain3(5, 2500)
+
+
+@pytest.mark.parametrize("iterations, blocks", [(0, 0), (1, 1), (1024, 1),
+                                                (1025, 2), (2500, 3)])
+def test_scan_draws_one_full_block_per_1024_iterations(iterations, blocks):
+    # flip proposals and exact modules draw no integers, so every integers
+    # call here is a scan draw
+    net = chain3_network()
+    net.initialize(np.random.default_rng(3))
+    rng = CountingRng(4)
+    run_chain(net, [flip_proposal(1), flip_proposal(2)], iterations, rng)
+    assert rng.integers_calls == [((2,), {"size": 1024})] * blocks
+
+    rng = CountingRng(4)
+    run_chain(net, [flip_proposal(2)], iterations, rng)
+    assert rng.integers_calls == []
+
+
+@pytest.mark.parametrize("schedule", [[flip_proposal(2), flip_proposal(1)],
+                                      [flip_proposal(1)]],
+                         ids=["two-site", "one-site"])
+def test_chain_is_a_prefix_of_any_longer_chain(schedule):
+    def records(iterations):
+        net = chain3_network()
+        rng = np.random.default_rng(21)
+        net.initialize(rng)
+        got = []
+        run_chain(net, schedule, iterations, rng, sink=got.append)
+        return got
+
+    longest = records(4000)
+    for n in (200, 1024, 1025, 2500):
+        assert records(n) == longest[:n]
+
+
+@pytest.mark.parametrize("iterations", [-3, True, False, 2.5, 3.0, "3", None])
+def test_run_chain_refuses_a_bad_iteration_count(iterations):
+    net = chain3_network()
+    net.initialize(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="iterations must be an integer >= 0, "
+                       f"got {iterations!r}"):
+        run_chain(net, [flip_proposal(1)], iterations, np.random.default_rng(1))
+
+
+def test_run_chain_takes_zero_and_numpy_iteration_counts():
+    got = []
+    net = chain3_network()
+    net.initialize(np.random.default_rng(0))
+    run_chain(net, [flip_proposal(1), flip_proposal(2)], 0,
+              np.random.default_rng(1), sink=got.append)
+    assert got == []
+    run_chain(net, [flip_proposal(1), flip_proposal(2)], np.int64(3),
+              np.random.default_rng(1), sink=got.append)
+    assert [r.iteration for r in got] == [0, 1, 2]
 
 
 # -- record semantics -------------------------------------------------------------
@@ -489,14 +561,20 @@ def _build(made, edges, observed):
 def _reference_chain(net, edges, schedule, iterations, rng):
     """The per-update loop as it stood before the family and wiring tuples:
     inputs read from the edge list, the family rebuilt every update, the
-    record laid over the stored weights. Returns the ChainRecords as tuples."""
+    record laid over the stored weights. Sites are drawn in blocks of 1,024
+    as run_chain draws them. Returns the ChainRecords as tuples."""
     wires = {i: [(port, j) for j, k, port in edges if k == i] for i in net.node_ids()}
     children = {i: sorted({k for j, k, _ in edges if j == i}) for i in net.node_ids()}
     ids = net.node_ids()
     sites = {p.target: resolve_port(net, p) for p in schedule}
     records = []
     for it in range(iterations):
-        k = int(rng.integers(len(schedule))) if len(schedule) > 1 else 0
+        if len(schedule) == 1:
+            k = 0
+        else:
+            if it % 1024 == 0:
+                block = [int(k) for k in rng.integers(len(schedule), size=1024)]
+            k = block[it % 1024]
         prop = schedule[k]
         i = prop.target
         old = net.outputs_of(i)

@@ -386,6 +386,8 @@ def test_size_validation():
                 pinned=Latents((0, 0)))
     with pytest.raises(ValueError):
         SmcModule(_model(), 0)
+    with pytest.raises(ValueError, match="need at least one particle"):
+        SmcModule(_model(), -2)
     with pytest.raises(SchemaError, match="observation steps"):
         smc_run(_model(), {}, hmm_observation([1, 0, 1]), 3,
                 np.random.default_rng(0))
@@ -393,3 +395,22 @@ def test_size_validation():
         smc_run(_model(), {}, hmm_observation(YS), 3, np.random.default_rng(0),
                 pinned=Latents((0,)))
 
+
+@pytest.mark.parametrize("count", [2.9, 2.0, True, False, "3", None])
+def test_particle_count_is_never_truncated(count):
+    message = f"num_particles must be an integer, got {count!r}"
+    with pytest.raises(ValueError, match=message):
+        SmcModule(_model(), count)
+    with pytest.raises(ValueError, match=message):
+        smc_run(_model(), {}, hmm_observation(YS), count, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        smc_run(_model(), {}, hmm_observation(YS), count, np.random.default_rng(0),
+                pinned=Latents((0, 0)))
+
+
+def test_numpy_particle_count_runs_as_the_plain_int():
+    module = SmcModule(_model(), np.int64(3))
+    assert type(module.num_particles) is int and module.num_particles == 3
+    runs = [smc_run(_model(), {}, hmm_observation(YS), k, np.random.default_rng(4))
+            for k in (3, np.int64(3))]
+    assert runs[0] == runs[1]
