@@ -169,8 +169,10 @@ def bernoulli_module(theta: float, port: str = "z") -> ProbModule:
 
 def normal_module(mu: float, sigma: float, port: str = "z") -> ProbModule:
     """Exact scalar Gaussian."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
+    if not 0.0 < sigma < math.inf:  # NaN fails too
+        raise ValueError("sigma must be positive and finite")
 
     def sample(inputs, rng):
         return {port: values.real(mu + sigma * rng.standard_normal())}

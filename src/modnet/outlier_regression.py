@@ -134,13 +134,20 @@ class RegressionSequentialModel(SequentialModel):
         return mean + math.sqrt(var) * rng.standard_normal()
 
     def step(self, t, states, inputs, latents, obs):
+        x = self.covariates[t]
+        sigma_in, sigma_out = self.sigma_in, self.sigma_out
+        if len(states) == 1:
+            # one particle, one condition call: no pair can recur
+            w, line = states[0].condition(
+                x, obs, sigma_out if latents[0] == 1 else sigma_in)
+            if self.rates.get(inputs["a"].data) is None:
+                w = -math.inf
+            return [w], [line]
         # Resampling copies parents, so particles often share a (line,
         # indicator) pair: condition once per pair, in one memo per noise
         # level, chosen by the same lat == 1 test as the sigma. Keying on
         # id() is safe because `states` keeps every parent alive for the
         # whole call.
-        x = self.covariates[t]
-        sigma_in, sigma_out = self.sigma_in, self.sigma_out
         done_in, done_out = {}, {}
         log_w, new_states = [], []
         for line, lat in zip(states, latents):

@@ -9,6 +9,7 @@ enumerator. Tests drive both and compare.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 from .interface import (ModuleIO, SchemaError, bernoulli_module, table_module)
 from .inverse import (DiscreteModelSpec, InverseModule, VariableSpec,
@@ -23,6 +24,19 @@ def _row(p1: float) -> tuple[float, float]:
     return (1.0 - p1, p1)
 
 
+def _probability(name: str, p) -> float:
+    p = float(p)
+    if not 0.0 <= p <= 1.0:  # NaN and the infinities fail too
+        raise ValueError(f"{name} must be a probability in [0, 1], got {p!r}")
+    return p
+
+
+def _pair(name: str, pair) -> tuple[float, float]:
+    if len(pair) != 2:
+        raise ValueError(f"{name} must be a pair of probabilities, got {pair!r}")
+    return _probability(f"{name}[0]", pair[0]), _probability(f"{name}[1]", pair[1])
+
+
 # -- binary hidden chain ------------------------------------------------------
 
 
@@ -32,6 +46,8 @@ class BinaryHmm(SequentialModel):
     trans and emit are (p(1 | prev=0), p(1 | prev=1)) pairs. With an input
     port, trans_by_input picks the transition pair from the input value; a
     value with no entry weights every step to -inf instead of raising.
+    num_steps must be an integer >= 1 (not a bool, nothing truncated) and
+    every probability must lie in [0, 1]; anything else raises ValueError.
     """
 
     output_ports = ("y",)
@@ -44,11 +60,15 @@ class BinaryHmm(SequentialModel):
             raise ValueError("give exactly one of trans or trans_by_input")
         if (input_port is None) != (trans_by_input is None):
             raise ValueError("trans_by_input requires an input port")
+        if (isinstance(num_steps, bool) or not isinstance(num_steps, Integral)
+                or num_steps < 1):
+            raise ValueError(f"num_steps must be an integer >= 1, got {num_steps!r}")
         self.num_steps = int(num_steps)
-        self.init_p1 = float(init_p1)
-        self.emit = (float(emit[0]), float(emit[1]))
-        self.trans = trans
-        self.trans_by_input = trans_by_input
+        self.init_p1 = _probability("init_p1", init_p1)
+        self.emit = _pair("emit", emit)
+        self.trans = None if trans is None else _pair("trans", trans)
+        self.trans_by_input = None if trans_by_input is None else {
+            k: _pair(f"trans_by_input[{k!r}]", v) for k, v in trans_by_input.items()}
         self.input_port = input_port
         self.input_ports = (input_port,) if input_port else ()
 

@@ -18,12 +18,14 @@ step, summed in a fixed left-to-right order, so the same draws give the same
 float. Every float sum here is an explicit fold rather than sum(), which
 compensates its rounding from Python 3.12 on.
 
-With one particle the sweep is sequential importance sampling: the only
-ancestor is 0 and the normalized row is [1.0]. The two step helpers know
-this and skip the exponentials, sums and bisection, but still draw the one
-uniform that resampling would (a scalar rng.random(), the same double as
-random(1) with the generator left at the same place), so a one-particle sweep
-gives the same floats and the same stream as the general step.
+With one particle the sweep is sequential importance sampling, and smc_run
+runs it as its own short loop: per step one prior draw (or the pinned
+latent) and one step call, with the step's log-weight added to log Z-hat.
+Resampling and the final selection have only particle 0 to pick, so the loop
+keeps no ancestor rows and draws no uniform for either; a pinned one-particle
+sweep draws nothing at all. Each step's term is the same float the general
+step gives for a one-entry row, so log Z-hat has the same bits for the same
+latents whatever the weight, -0.0, +inf and NaN included.
 """
 
 from __future__ import annotations
@@ -100,10 +102,6 @@ def _normalise(row_w) -> tuple[float, list[float] | None]:
     m = max(row_w)
     if m == -math.inf:
         return -math.inf, None
-    if len(row_w) == 1:
-        # the loops' float operations: exp(m - m) is the whole total, and
-        # the one entry's running sum is set to 1.0
-        return m + math.log(math.exp(m - m)), [1.0]
     probs = []
     total = 0.0
     for w in row_w:
@@ -129,10 +127,6 @@ def _normalise(row_w) -> tuple[float, list[float] | None]:
 # sets cum to 1.0 from the last positive-probability particle on, and every
 # uniform u is < 1.
 def _multinomial_row(cum, K, rng) -> list[int]:
-    if K == 1:
-        # one scalar draw, the double random(1) would give; 0 is the only parent
-        rng.random()
-        return [0]
     return [bisect_right(cum, u) for u in rng.random(K).tolist()]
 
 
@@ -167,21 +161,20 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
     With pinned set, the sweep is conditional: one slot, drawn uniformly
     once, replays the pinned trajectory at every step while the rest of the
     system runs as usual. The pinned lineage survives resampling by always
-    keeping itself as ancestor, and is the selected trajectory. With one
-    particle there is no free particle, and prior_sample is not called: a
-    model's prior_sample on an empty population must draw nothing from rng,
-    so skipping the call leaves the stream as it was.
+    keeping itself as ancestor, and is the selected trajectory.
+
+    One particle runs as sequential importance sampling (_sis_run).
     """
     K = _particle_count(num_particles)
     obs = model.unpack_outputs(outputs)
     T = model.num_steps
     if len(obs) != T:
         raise SchemaError(f"expected {T} observation steps, got {len(obs)}")
-    slot = -1  # no particle is pinned
-    if pinned is not None:
-        if len(pinned.steps) != T:
-            raise SchemaError(f"pinned trajectory has {len(pinned.steps)} steps, want {T}")
-        slot = int(rng.integers(K))
+    if pinned is not None and len(pinned.steps) != T:
+        raise SchemaError(f"pinned trajectory has {len(pinned.steps)} steps, want {T}")
+    if K == 1:
+        return _sis_run(model, inputs, obs, rng, pinned)
+    slot = -1 if pinned is None else int(rng.integers(K))
 
     log_k = math.log(K)
     states = [model.initial_state(inputs)] * K
@@ -202,9 +195,6 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
             states = [states[a] for a in anc]
         if pinned is None:
             row_lat = prior_sample(t, states, inputs, rng)
-        elif K == 1:
-            # no free particle: an empty population would draw nothing
-            row_lat = [pinned.steps[t]]
         else:
             # the free particles draw in slot order, the pinned one not at all
             row_lat = prior_sample(t, states[:slot] + states[slot + 1:], inputs, rng)
@@ -230,6 +220,30 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
             a = anc_rows[t][a]
         v = Latents(tuple(reversed(steps)), extra)
     return v, log_z
+
+
+def _sis_run(model: SequentialModel, inputs: ModuleIO, obs: list, rng,
+             pinned: Latents | None) -> tuple[Latents, float]:
+    """smc_run with one particle. Pinned, there is no free particle:
+    prior_sample is not called and nothing is drawn."""
+    state = model.initial_state(inputs)
+    prior_sample = model.prior_sample
+    step = model.step
+    steps = [] if pinned is None else pinned.steps
+    log_z = 0.0
+    for t, ob in enumerate(obs):
+        if pinned is None:
+            (lat,) = prior_sample(t, [state], inputs, rng)
+            steps.append(lat)
+        else:
+            lat = steps[t]
+        (w,), (state,) = step(t, [state], inputs, [lat], ob)
+        # _normalise's logsumexp of the row [w]; log K = 0 is not subtracted,
+        # since x - 0.0 is x for every double
+        log_z += -math.inf if w == -math.inf else w + math.log(math.exp(w - w))
+    if pinned is not None:
+        return pinned, log_z
+    return Latents(tuple(steps), model.finalize_extra(state, inputs, rng)), log_z
 
 
 class SmcModule(ProbModule):

@@ -65,6 +65,22 @@ def test_normal_density_matches_reference():
         assert lw == pytest.approx(stats.norm.logpdf(z, 0.8, 1.6), rel=1e-12)
 
 
+@pytest.mark.parametrize("mu, sigma, message", [
+    (0.0, math.nan, "sigma must be positive and finite"),
+    (0.0, math.inf, "sigma must be positive and finite"),
+    (0.0, 0.0, "sigma must be positive and finite"),
+    (0.0, -1.0, "sigma must be positive and finite"),
+    (math.inf, 1.0, "mu must be finite"),
+    (-math.inf, 1.0, "mu must be finite"),
+    (math.nan, 1.0, "mu must be finite"),
+])
+def test_normal_module_refuses_non_finite_or_non_positive_parameters(mu, sigma, message):
+    # each used to build a module: NaN raised in the middle of a chain at the
+    # first regenerate, and an infinity scored every output -inf
+    with pytest.raises(ValueError, match=message):
+        normal_module(mu, sigma)
+
+
 def test_table_module_rows_and_missing_key():
     m = table_module(("x",), {(0,): (0.9, 0.1), (1,): (0.4, 0.6)})
     lw, _ = m.regenerate({"x": values.discrete(1)}, {"z": values.discrete(0)}, _NoRng())

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import re
 import struct
 from bisect import bisect_right
 
@@ -12,8 +13,7 @@ from modnet.interface import DegenerateTraceError, SchemaError
 from modnet.oracle import log_evidence
 from modnet.outlier_regression import RegressionSequentialModel, default_dataset
 from modnet.reference_models import BinaryHmm, hmm_oracle_model, hmm_observation
-from modnet.smc import (Latents, SmcModule, _multinomial_row, _normalise,
-                        _uniform_row, smc_run)
+from modnet.smc import Latents, SmcModule, _multinomial_row, _normalise, smc_run
 from modnet.validation import check_module_contract
 from modnet.values import discrete, real_vector
 
@@ -45,6 +45,16 @@ class HistoryHmm(BinaryHmm):
 
     def finalize_extra(self, state, inputs, rng):
         return state
+
+
+class _Delegate:
+    """A model whose every attribute is model's, for overriding one."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
 
 
 def _recording(model):
@@ -136,37 +146,43 @@ def test_one_particle_step_matches_the_general_formulas(w):
     want_lse, want_cum = _reference_normalise([w])
     assert _bits(lse) == _bits(want_lse)
     assert cum == want_cum
-    if cum is None:
-        # a dead row resamples uniformly, and over one slot that draws nothing
-        rng = np.random.default_rng(5)
-        before = rng.bit_generator.state
-        assert _uniform_row(1, rng) == [0]
-        assert rng.bit_generator.state == before
-        return
-    assert cum == [1.0]
-    got, ref = np.random.default_rng(21), np.random.default_rng(21)
-    for _ in range(20):
-        assert _multinomial_row(cum, 1, got) == [
-            bisect_right(want_cum, u) for u in ref.random(1).tolist()]
-        assert got.bit_generator.state == ref.bit_generator.state
+
+    # the one-particle loop adds the same term per step, plain and pinned
+    class Constant(_Delegate):
+        def step(self, t, states, inputs, latents, obs):
+            return [w] * len(states), self.model.step(t, states, inputs, latents, obs)[1]
+
+    want = 0.0
+    for _ in range(3):
+        want += want_lse - math.log(1)
+    model, outputs = Constant(_model(3)), hmm_observation([1, 0, 1])
+    v, log_z = smc_run(model, {}, outputs, 1, np.random.default_rng(21))
+    _, pinned_log_z = smc_run(model, {}, outputs, 1, np.random.default_rng(21), pinned=v)
+    assert _bits(log_z) == _bits(pinned_log_z) == _bits(want)
+
+
+def _k1_cases():
+    """The one-particle digest's six cases: the input-driven BinaryHmm and
+    the regression model, each on two live inputs and a dead one."""
+    hmm = BinaryHmm(4, 0.4, (0.15, 0.8),
+                    trans_by_input={0: (0.25, 0.7), 1: (0.6, 0.3)}, input_port="s")
+    y = hmm_observation([1, 0, 1, 1])
+    reg = RegressionSequentialModel()
+    b = {"b": real_vector(default_dataset()["responses"])}
+    return [(hmm, {"s": discrete(0)}, y), (hmm, {"s": discrete(1)}, y),
+            (hmm, {"s": discrete(9)}, y), (reg, {"a": discrete(1)}, b),
+            (reg, {"a": discrete(0)}, b), (reg, {"a": discrete(5)}, b)]
 
 
 # sha256 over 200 seeds of one-particle sweeps: the regression and BinaryHmm
 # models on plain, pinned and dead inputs, covering each log Z-hat's bits,
 # the selected Latents and the generator's state after every seed, plus a
 # one-particle simulate (forward pass and pinned sweep) on each live input.
-K1_SWEEPS_SHA256 = "88ca9fff4ef0ba1c55900edb640eb8e7bf8d5fb4748d182207bd8bc4c393be19"
+K1_SWEEPS_SHA256 = "241ce279167f9b8f261ff0886c7c7e0ff1a72eb7bb39876b6e7ab2e077bbf573"
 
 
 def test_one_particle_sweeps_match_the_pinned_digest():
-    hmm = BinaryHmm(4, 0.4, (0.15, 0.8),
-                    trans_by_input={0: (0.25, 0.7), 1: (0.6, 0.3)}, input_port="s")
-    y = hmm_observation([1, 0, 1, 1])
-    reg = RegressionSequentialModel()
-    b = {"b": real_vector(default_dataset()["responses"])}
-    cases = [(hmm, {"s": discrete(0)}, y), (hmm, {"s": discrete(1)}, y),
-             (hmm, {"s": discrete(9)}, y), (reg, {"a": discrete(1)}, b),
-             (reg, {"a": discrete(0)}, b), (reg, {"a": discrete(5)}, b)]
+    cases = _k1_cases()
     h = hashlib.sha256()
     for seed in range(200):
         rng = np.random.default_rng(seed)
@@ -179,16 +195,6 @@ def test_one_particle_sweeps_match_the_pinned_digest():
                 h.update(_bits(sim_lw) + repr((sim_out, sim_v)).encode())
         h.update(repr(rng.bit_generator.state).encode())
     assert h.hexdigest() == K1_SWEEPS_SHA256
-
-
-class _Delegate:
-    """A model whose every attribute is model's, for overriding one."""
-
-    def __init__(self, model):
-        self.model = model
-
-    def __getattr__(self, name):
-        return getattr(self.model, name)
 
 
 def test_pinned_one_particle_sweep_skips_the_empty_prior_draw():
@@ -229,6 +235,108 @@ def test_pinned_one_particle_sweep_skips_the_empty_prior_draw():
             assert (w, _bits(log_z)) == (w_ref, _bits(log_z_ref))
             assert got.bit_generator.state == ref.bit_generator.state
     assert sizes == []
+
+
+def _reference_sis(model, inputs, outputs, rng, pinned=None):
+    """Sequential importance sampling from the model's own methods: log
+    Z-hat sums each step's one-entry logsumexp minus log 1, left to right,
+    and nothing is drawn but the prior latents and the extras."""
+    obs = model.unpack_outputs(outputs)
+    state = model.initial_state(inputs)
+    steps, log_z = [], 0.0
+    for t in range(model.num_steps):
+        if pinned is None:
+            lat = model.prior_sample(t, [state], inputs, rng)[0]
+        else:
+            lat = pinned.steps[t]
+        log_w, (state,) = model.step(t, [state], inputs, [lat], obs[t])
+        log_z += _reference_normalise(log_w)[0] - math.log(1)
+        steps.append(lat)
+    if pinned is not None:
+        return pinned, log_z
+    return Latents(tuple(steps), model.finalize_extra(state, inputs, rng)), log_z
+
+
+def test_one_particle_sweep_is_sequential_importance_sampling():
+    for seed in range(150):
+        for model, inputs, outputs in _k1_cases():
+            got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            v, log_z = smc_run(model, inputs, outputs, 1, got)
+            v_ref, log_z_ref = _reference_sis(model, inputs, outputs, ref)
+            assert (v, _bits(log_z)) == (v_ref, _bits(log_z_ref))
+            assert got.bit_generator.state == ref.bit_generator.state
+            # pinned, the sweep replays v, scores it the same and draws nothing
+            before = got.bit_generator.state
+            w, pinned_log_z = smc_run(model, inputs, outputs, 1, got, pinned=v)
+            assert w is v and _bits(pinned_log_z) == _bits(log_z)
+            assert got.bit_generator.state == before
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_more_than_one_particle_runs_the_population_sweep(K):
+    # only K = 1 takes the one-particle loop: from two particles on, every
+    # step scores the whole population and log Z-hat subtracts log K
+    model = _model(3)
+    calls = _recording(model)
+    outputs = hmm_observation([1, 0, 1])
+    rng = np.random.default_rng(K)
+    for pinned in (None, Latents((1, 0, 1))):
+        calls.clear()
+        _, log_z = smc_run(model, {}, outputs, K, rng, pinned=pinned)
+        assert [len(states) for states, _, _ in calls] == [K] * 3
+        want = 0.0
+        for _, _, log_w in calls:
+            want += _normalise(log_w)[0] - math.log(K)
+        assert _bits(log_z) == _bits(want)
+
+
+def test_regression_one_particle_step_is_the_population_entry():
+    model = RegressionSequentialModel()
+    obs = default_dataset()["responses"]
+    rng = np.random.default_rng(3)
+    for a in (1, 5):
+        inputs = {"a": discrete(a)}
+        state = model.initial_state(inputs)
+        for t in range(model.num_steps):
+            for lat in (0, 1):
+                (w,), (line,) = model.step(t, [state], inputs, [lat], obs[t])
+                pop_w, pop_lines = model.step(t, [state, state, state], inputs,
+                                              [1 - lat, lat, lat], obs[t])
+                assert (_bits(w), line) == (_bits(pop_w[1]), pop_lines[1])
+                if a == 5:
+                    assert w == -math.inf
+            state = model.step(t, [state], inputs, [int(rng.integers(2))], obs[t])[1][0]
+
+
+@pytest.mark.parametrize("num_steps", [2.7, 2.0, True, False, 0, -2, "3", None])
+def test_binary_hmm_refuses_a_bad_step_count(num_steps):
+    message = re.escape(f"num_steps must be an integer >= 1, got {num_steps!r}")
+    with pytest.raises(ValueError, match=message):
+        BinaryHmm(num_steps, INIT_P1, EMIT, trans=TRANS)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"init_p1": 1.5}, "init_p1 must be a probability in [0, 1], got 1.5"),
+    ({"init_p1": math.nan}, "init_p1 must be a probability in [0, 1], got nan"),
+    ({"emit": (0.2, math.nan)}, "emit[1] must be a probability"),
+    ({"emit": (-0.1, 0.5)}, "emit[0] must be a probability"),
+    ({"emit": (0.2,)}, "emit must be a pair of probabilities"),
+    ({"trans": (0.3, math.inf)}, "trans[1] must be a probability"),
+    ({"trans": None, "trans_by_input": {0: TRANS, 1: (1.2, 0.5)}, "input_port": "s"},
+     "trans_by_input[1][0] must be a probability"),
+])
+def test_binary_hmm_refuses_a_bad_probability(kwargs, message):
+    # a NaN emission used to be scored -inf, and init_p1 1.5 was taken
+    args = {"init_p1": INIT_P1, "emit": EMIT, "trans": TRANS, **kwargs}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BinaryHmm(2, **args)
+
+
+def test_binary_hmm_takes_numpy_counts_and_the_closed_interval():
+    model = BinaryHmm(np.int64(3), 0.0, (0.0, 1.0), trans=(1.0, 0.0))
+    assert type(model.num_steps) is int and model.num_steps == 3
+    _, log_z = smc_run(model, {}, hmm_observation([0, 1, 0]), 2, np.random.default_rng(0))
+    assert log_z == 0.0
 
 
 def test_oracle_route_agrees_with_four_term_sum():
