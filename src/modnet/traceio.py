@@ -18,15 +18,15 @@ single cells are not cached. A tail holding a zero or another integral value
 skips the cache: 0.0 == -0.0 and 1 == 1.0, and equal keys would share one
 text.
 
-TraceAccumulator holds rows and folds them per block. Each row makes one
-lookup of its (site, proposed value, site values), which gives a plan made
-on the first such row of the block: the value cells to count and the held
-row lists of each site's (site, used value) group. The row's log-weights and
-total are appended to those lists as one tuple. Every _BLOCK rows, and
-before merge, to_jsonable or pickling, Welford's update runs per group and
-node over the held rows in row order: the same arithmetic in the same order
-as one update per row, so the moments are bit-identical. The fold then drops
-the plans and rows, so a real-valued site holds at most a block of them.
+TraceAccumulator holds records and reduces them per block. Every _BLOCK
+rows, and before merge, to_jsonable or pickling, one pass over the block's
+columns counts values and acceptances, groups rows by (site, used value
+cell) with np.unique, and takes each group's count, mean and M2 per node
+from np.bincount; Chan, Golub and LeVeque's pairwise update merges them
+across blocks and chains. Each group's column is first shifted by one of its
+own values, so a constant group reads exactly 0. The summary is
+byte-reproducible for a config; its variances match a per-row Welford loop
+to rounding, not bit for bit.
 
 CSV schema, versioned below: one column per scheduled site, in topological
 order, holding that site's current output value, named after the site's
@@ -49,7 +49,11 @@ import csv
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress
+
+import numpy as np
 
 from .mh import ChainRecord
 from .network import ModuleNetwork
@@ -58,7 +62,7 @@ CSV_SCHEMA_VERSION = 1
 
 _NEG_INF = -math.inf
 
-# rows a TraceWriter holds before writing them in one call
+# rows a sink holds before writing or folding them in one call
 _BLOCK = 1024
 
 
@@ -179,15 +183,7 @@ class _Moments:
     mean: float = 0.0
     m2: float = 0.0
 
-    def add(self, x: float) -> None:
-        self.count += 1
-        d = x - self.mean
-        self.mean += d / self.count
-        self.m2 += d * (x - self.mean)
-
     def merge(self, other: "_Moments") -> None:
-        if other.count == 0:
-            return
         if self.count == 0:
             self.count, self.mean, self.m2 = other.count, other.mean, other.m2
             return
@@ -202,11 +198,10 @@ class _Moments:
         return self.m2 / self.count if self.count else math.nan
 
 
-def _plain(v) -> bool:
-    """Whether equal values of v's kind always share one cell: a site holds
-    one kind, and only a float zero (0.0 == -0.0) or a tuple, which may hold
-    one, has an equal value of another cell."""
-    return type(v) is int or type(v) is float and v != 0.0
+def _cells(column) -> list[str]:
+    """format_cell of each value, through str where that is the same text."""
+    plain = set(map(type, column)) <= {int, float}
+    return list(map(str if plain else format_cell, column))
 
 
 @dataclass
@@ -216,155 +211,98 @@ class TraceAccumulator:
     site value each evaluation used, which is the proposed value at the
     updated site and the current value elsewhere (infinite log-weights are
     counted, not averaged). lw_moments maps (site, value cell) to that
-    group's moments per node. Accumulators merge, so chains summarize
-    independently and combine.
+    group's moments per column label (lw_<node name> or total).
+    Accumulators merge, so chains summarize independently and combine.
 
     node_names lists every node in net.node_ids() order, and site_ids every
     scheduled site, kept in node_names order whatever order it is given in:
-    the positions of a record's log_weights and site_values. frequencies and
-    lw_moments take in held rows at each fold (see the module docstring);
-    the other counts are current after every row."""
+    the positions of a record's log_weights and site_values. Calls only hold
+    the record; every count and moment takes in the held records at each
+    fold (see the module docstring), so they are current after a fold, and
+    merge, to_jsonable and pickling fold first."""
 
     node_names: dict[int, str]
     site_ids: tuple[int, ...]
     iterations: int = 0
     frequencies: dict = field(default_factory=dict)
-    proposals: dict = field(default_factory=dict)
-    accepts: dict = field(default_factory=dict)
+    proposals: Counter = field(default_factory=Counter)
+    accepts: Counter = field(default_factory=Counter)
     neg_inf_proposals: int = 0
     lw_moments: dict = field(default_factory=dict)
-    # this block's plans by (site, proposed, site values), plans not kept
-    # there, and held rows by (site, used value cell)
-    _plans: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-    _loose: list = field(default_factory=list, init=False, repr=False,
-                         compare=False)
-    _held: dict = field(default_factory=dict, init=False, repr=False,
+    # records held since the last fold
+    _rows: list = field(default_factory=list, init=False, repr=False,
                         compare=False)
 
     def __post_init__(self):
+        unknown = set(self.site_ids) - set(self.node_names)
+        if unknown:
+            raise ValueError(f"site ids {sorted(unknown)} are not in node_names")
         self.site_ids = tuple(i for i in self.node_names if i in self.site_ids)
 
     def __call__(self, rec: ChainRecord) -> None:
-        self.iterations += 1
-        site = rec.site
-        proposals = self.proposals
-        proposals[site] = proposals.get(site, 0) + 1
-        if rec.accepted:
-            self.accepts[site] = self.accepts.get(site, 0) + 1
-        if rec.neg_inf_proposal:
-            self.neg_inf_proposals += 1
-        key = (site, rec.proposed_value, rec.site_values)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plan(key)
-        plan[0] += 1
-        row = (*rec.log_weights, rec.total_log_weight)
-        for held in plan[2]:
-            held.append(row)
-        if self.iterations % _BLOCK == 0:
+        rows = self._rows
+        rows.append(rec)
+        if len(rows) == _BLOCK:
             self._fold()
 
-    def _plan(self, key) -> list:
-        """[row count, (site, value cell) pairs, held row list per site]
-        for the rows that share key; kept for the block when every value
-        in key is plain."""
-        site, proposed, values = key
-        cells = [str(v) if type(v) is int else format_cell(v) for v in values]
-        used = str(proposed) if type(proposed) is int else format_cell(proposed)
-        held = self._held
-        groups = []
-        for s, cell in zip(self.site_ids, cells):
-            group = (s, used if s == site else cell)
-            rows = held.get(group)
-            if rows is None:
-                rows = held[group] = []
-            groups.append(rows)
-        plan = [0, tuple(zip(self.site_ids, cells)), groups]
-        if _plain(proposed) and all(map(_plain, values)):
-            self._plans[key] = plan
-        else:
-            self._loose.append(plan)
-        return plan
-
     def _fold(self) -> None:
-        """Take the held rows into frequencies and lw_moments, then drop
-        them with this block's plans."""
-        frequencies = self.frequencies
-        for plan in (*self._plans.values(), *self._loose):
-            n = plan[0]
-            for s, cell in plan[1]:
-                counts = frequencies.get(s)
-                if counts is None:
-                    counts = frequencies[s] = {}
-                counts[cell] = counts.get(cell, 0) + n
-        lw_moments = self.lw_moments
-        labels = (*self.node_names, "total")
-        for group_key, rows in self._held.items():
-            group = lw_moments.get(group_key)
-            if group is None:
-                group = lw_moments[group_key] = {}
-            for node, xs in zip(labels, zip(*rows)):
-                m = group.get(node)
-                if m is None:
-                    count, mean, m2 = 0, 0.0, 0.0
-                else:
-                    count, mean, m2 = m.count, m.mean, m.m2
-                # Welford's update in row order: _Moments.add's arithmetic,
-                # on locals
-                for x in xs:
-                    if x != _NEG_INF:
-                        count += 1
-                        d = x - mean
-                        mean += d / count
-                        m2 += d * (x - mean)
-                if count:
-                    if m is None:
-                        m = group[node] = _Moments()
-                    m.count, m.mean, m.m2 = count, mean, m2
-        self._plans.clear()
-        self._loose.clear()
-        self._held.clear()
+        """Take the held records into the counts and moments in one pass
+        over their columns, then drop them."""
+        if not self._rows:
+            return
+        _, sites, proposed, accepted, neg_inf, values, lws, totals = zip(*self._rows)
+        self._rows.clear()
+        self.iterations += len(sites)
+        self.neg_inf_proposals += sum(neg_inf)
+        self.proposals.update(sites)
+        self.accepts.update(compress(sites, accepted))
+        # one column per node, then the total
+        labels = (*(f"lw_{n}" for n in self.node_names.values()), "total")
+        x = np.column_stack((np.fromiter(chain.from_iterable(lws), float)
+                             .reshape(len(sites), -1), totals))
+        proposed = _cells(proposed)
+        block = {}
+        for s, column in zip(self.site_ids, zip(*values)):
+            cells = _cells(column)
+            self.frequencies.setdefault(s, Counter()).update(cells)
+            used = [p if t == s else c for t, p, c in zip(sites, proposed, cells)]
+            keys, g = np.unique(used, return_inverse=True)
+            for key, *by_node in zip(keys.tolist(), *_group_moments(x, g, len(keys))):
+                block[s, key] = {node: _Moments(int(n), mean, m2)
+                                 for node, n, mean, m2 in zip(labels, *by_node) if n}
+        self._merge_moments(block)
+
+    def _merge_moments(self, lw_moments: dict) -> None:
+        for group_key, by_node in lw_moments.items():
+            mine = self.lw_moments.setdefault(group_key, {})
+            for node, mom in by_node.items():
+                mine.setdefault(node, _Moments()).merge(mom)
 
     def __getstate__(self) -> dict:
         self._fold()
-        state = dict(self.__dict__)
-        for name in ("_plans", "_loose", "_held"):
-            del state[name]
-        return state
+        return {k: v for k, v in self.__dict__.items() if k != "_rows"}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _plans={}, _loose=[], _held={})
+        self.__dict__.update(state, _rows=[])
 
     def merge(self, other: "TraceAccumulator") -> None:
         self._fold()
         other._fold()
         self.iterations += other.iterations
         self.neg_inf_proposals += other.neg_inf_proposals
-        for s, n in other.proposals.items():
-            self.proposals[s] = self.proposals.get(s, 0) + n
-        for s, n in other.accepts.items():
-            self.accepts[s] = self.accepts.get(s, 0) + n
+        self.proposals.update(other.proposals)
+        self.accepts.update(other.accepts)
         for s, per_site in other.frequencies.items():
-            mine = self.frequencies.setdefault(s, {})
-            for k, n in per_site.items():
-                mine[k] = mine.get(k, 0) + n
-        for group_key, by_node in other.lw_moments.items():
-            mine = self.lw_moments.setdefault(group_key, {})
-            for node, mom in by_node.items():
-                mine.setdefault(node, _Moments()).merge(mom)
+            self.frequencies.setdefault(s, Counter()).update(per_site)
+        self._merge_moments(other.lw_moments)
 
     def to_jsonable(self) -> dict:
-        def label(node) -> str:
-            return node if node == "total" else f"lw_{self.node_names[node]}"
-
         self._fold()
         name = self.node_names
         lw_variance: dict = {}
         for (s, k), by_node in sorted(self.lw_moments.items()):
             lw_variance.setdefault(name[s], {})[k] = {
-                label(node): by_node[node].variance
-                for node in sorted(by_node, key=str)}
+                label: m.variance for label, m in sorted(by_node.items())}
         return {
             "iterations": self.iterations,
             "neg_inf_proposals": self.neg_inf_proposals,
@@ -382,6 +320,28 @@ class TraceAccumulator:
             },
             "lw_variance_by_value": lw_variance,
         }
+
+
+def _group_moments(x, g, groups: int):
+    """Count, mean and M2 of x's live (not -inf) cells per group and column,
+    rows grouped by g, as lists of rows. Each group's column is shifted by
+    its largest live value before the two-pass sums, so a constant one reads
+    exactly 0."""
+    live = x != _NEG_INF
+    flat = (g[:, None] * x.shape[1] + np.arange(x.shape[1])).ravel()
+
+    def sums(w):
+        return np.bincount(flat, weights=w.ravel(),
+                           minlength=groups * x.shape[1]).reshape(groups, -1)
+
+    shift = np.full(groups * x.shape[1], _NEG_INF)
+    np.maximum.at(shift, flat, x.ravel())
+    shift = np.where(shift == _NEG_INF, 0.0, shift).reshape(groups, -1)
+    y = np.where(live, x - shift[g], 0.0)
+    count = sums(live)
+    mean = sums(y) / np.maximum(count, 1)
+    d = np.where(live, y - mean[g], 0.0)
+    return count.tolist(), (mean + shift).tolist(), sums(d * d).tolist()
 
 
 def summary_document(per_chain: list[TraceAccumulator]) -> dict:

@@ -362,10 +362,11 @@ def _constant_runs(values: list[str], totals: list[str]):
 
 
 @_criterion("6 trace variation", ">= 2 distinct total_lw per run; a visits 0 and 1")
-def trace_variation(out_dir):
-    paths = sorted(Path(out_dir).glob("trace_chain*.csv"))
-    if not paths:
-        return False, f"no trace files under {out_dir}"
+def trace_variation(out_dir, chains: int):
+    # this run's traces only: an earlier run with more chains leaves more
+    paths = [Path(out_dir) / f"trace_chain{i}.csv" for i in range(chains)]
+    if not all(map(Path.exists, paths)):
+        return False, f"no trace files of {chains} chains under {out_dir}"
     qualifying = 0
     worst_distinct = math.inf
     visits_ok = True
@@ -571,7 +572,7 @@ def run_all(fixtures: dict, out_dir=None, workers: int = 1,
                           iterations=iterations),
             sweep_convergence(),
             inverse_limit(),
-            trace_variation(out_dir),
+            trace_variation(out_dir, chains),
         ]
         if tmp is not None:
             tmp.cleanup()

@@ -58,7 +58,7 @@ def test_criterion_5_inverse_limit(capsys):
 
 def test_criterion_6_trace_variation(app_run, capsys):
     _res, out_dir = app_run
-    _report(validation.trace_variation(out_dir), capsys)
+    _report(validation.trace_variation(out_dir, validation.FULL_CHAINS), capsys)
 
 
 def test_criterion_7_reject_purity(capsys):

@@ -237,17 +237,17 @@ def test_other_builtin_networks_run_end_to_end(tmp_path):
 # and says so. They assume numpy's PCG64 streams and IEEE doubles.
 PINNED_DIGESTS = {
     "chain3": {
-        "summary.json": "adfb1ba0cc6daac4db569406cc35613cf139001d99962a41130c2ca3bb047b72",
+        "summary.json": "9b0be3fcda638c5bf1366b09a00b8f03bb789434b8c09fbc8265fc3046af055a",
         "trace_chain0.csv": "70e0269ad84cd043af4ebdcc0143a5cdb6cbe3beb4d13cf57b744938b4368123",
         "trace_chain1.csv": "56f575ac94c9e57fa15614c72ec31ebca49e372ad610c034683b7d0da82ccf81",
     },
     "outlier_regression": {
-        "summary.json": "130eee142f0cb7c8532bff4a0eff6779d336db0768f735e2776192b8b8e44197",
+        "summary.json": "a89cbdf6bd8e9416910e22959321d656f4dcec382614b2aa2bca018a9e968bc6",
         "trace_chain0.csv": "9ac14db7a35bd312d049fffc1d2ef12d28bc6be1791255c8b0a413dee8c83f6f",
         "trace_chain1.csv": "0ba2a3cbad7e655c92c4d2a1fa878a2bf4bda016e677a0ff7cc5eca7dda23772",
     },
     "switch_hmm": {
-        "summary.json": "75999f63d729210c60b54ca6141f47069936b83cd24e08f7606268657280b139",
+        "summary.json": "72d9bdc4500370ea0d300483607bf721234ad0586f6e2f38db9c83b9728d8339",
         "trace_chain0.csv": "d151e3deffaedc12b3ace1f1851061d226db722d695093b4bb7f860711ef3d15",
         "trace_chain1.csv": "156d3d6ca2a6aa408adc636270acbfdf3a7852a00a7040e507717b8c8e702180",
     },

@@ -46,9 +46,22 @@ def _loaded_names(tree) -> set:
     return names
 
 
+def _defined_names(body) -> list:
+    """The names a module or class body binds by def, class or assignment."""
+    defined = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    return defined
+
+
 def test_no_unused_import_or_orphaned_private_name():
     # a lint-free dead-code guard: each import is used by its module, and
-    # each module-level _name is read somewhere in the package
+    # each module-level _name, and each _name a class body defines (a
+    # method or a field), is read somewhere in the package
     src = Path(__file__).parent.parent / "src" / "modnet"
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
     used = {name: _loaded_names(tree) for name, tree in trees.items()}
@@ -63,15 +76,9 @@ def test_no_unused_import_or_orphaned_private_name():
                     bound = (alias.asname or alias.name).split(".")[0]
                     if bound not in used[name]:
                         stale.append(f"{name}: unused import {bound}")
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            for d in defined:
-                if d.startswith("_") and not d.startswith("__") and d not in everywhere:
-                    stale.append(f"{name}: private {d} is never read")
+        bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)]
+        for d in (d for body in bodies for d in _defined_names(body)):
+            if d.startswith("_") and not d.startswith("__") and d not in everywhere:
+                stale.append(f"{name}: private {d} is never read")
     assert not stale, stale

@@ -242,11 +242,20 @@ def test_writer_keeps_equal_weights_of_different_cells_apart_in_a_block(tmp_path
 
 # -- moments ---------------------------------------------------------------------------
 
+def _add(m: _Moments, x: float) -> None:
+    """Welford's update for one row: the per-row reference that the block
+    reduction is held to."""
+    m.count += 1
+    d = x - m.mean
+    m.mean += d / m.count
+    m.m2 += d * (x - m.mean)
+
+
 def test_moments_match_numpy():
     xs = [0.3, -1.2, 5.5, 0.3, 2.0, -0.7]
     m = _Moments()
     for x in xs:
-        m.add(x)
+        _add(m, x)
     assert m.count == len(xs)
     assert m.mean == pytest.approx(np.mean(xs), rel=1e-14)
     assert m.variance == pytest.approx(np.var(xs), rel=1e-14)
@@ -258,12 +267,12 @@ def test_moments_merge_equals_single_pass():
     xs = rng.normal(size=300).tolist()
     whole = _Moments()
     for x in xs:
-        whole.add(x)
+        _add(whole, x)
     left, right = _Moments(), _Moments()
     for x in xs[:117]:
-        left.add(x)
+        _add(left, x)
     for x in xs[117:]:
-        right.add(x)
+        _add(right, x)
     left.merge(right)
     assert left.count == whole.count
     assert left.mean == pytest.approx(whole.mean, rel=1e-12)
@@ -273,13 +282,18 @@ def test_moments_merge_equals_single_pass():
 # -- accumulator -------------------------------------------------------------------------
 
 def _rec(iteration, site, proposed, accepted, neg_inf, values, lws):
-    """A record with site values (sites 1, 2) and log-weights (nodes 1, 2,
-    3) given by position."""
+    """A record with site values and log-weights (nodes 1, 2, 3) given by
+    position."""
     total = -math.inf if -math.inf in lws else sum(lws)
     return ChainRecord(iteration=iteration, site=site, proposed_value=proposed,
                        accepted=accepted, neg_inf_proposal=neg_inf,
                        site_values=values, log_weights=lws,
                        total_log_weight=total)
+
+
+def test_accumulator_refuses_site_ids_outside_node_names():
+    with pytest.raises(ValueError, match=r"site ids \[7, 9\] are not in node_names"):
+        TraceAccumulator({1: "A", 2: "B"}, (9, 2, 7))
 
 
 def test_accumulator_counts_by_hand():
@@ -331,9 +345,9 @@ def test_merged_chains_equal_one_long_pass():
     _walk_close(left.to_jsonable(), whole.to_jsonable())
 
 
-def _reference_document(records, names, site_ids=(1, 2)):
+def _reference_document(records, names, site_ids=(1, 2, 3)):
     """The accumulator as first written: nested setdefault groups and one
-    _Moments.add per node, site and row, in record order. Records are
+    _add per node, site and row, in record order. Records are
     positional: site values in site_ids order, log-weights in names order."""
     freq, proposals, accepts, moments, neg_inf = {}, {}, {}, {}, 0
     for rec in records:
@@ -348,9 +362,9 @@ def _reference_document(records, names, site_ids=(1, 2)):
             by_val = moments.setdefault(s, {}).setdefault(format_cell(used), {})
             for node, lw in zip(names, rec.log_weights):
                 if lw != -math.inf:
-                    by_val.setdefault(node, _Moments()).add(lw)
+                    _add(by_val.setdefault(node, _Moments()), lw)
             if rec.total_log_weight != -math.inf:
-                by_val.setdefault("total", _Moments()).add(rec.total_log_weight)
+                _add(by_val.setdefault("total", _Moments()), rec.total_log_weight)
     n = len(records)
     label = {**{i: f"lw_{name}" for i, name in names.items()}, "total": "total"}
     return {
@@ -368,50 +382,54 @@ def _reference_document(records, names, site_ids=(1, 2)):
     }
 
 
+# equal tuples of different cells, as 0.0 == -0.0
+_TUPLES = ((0.0,), (-0.0,), (1, 2), (0.5, -1.25))
+
+
 def _random_records(seed, n, reals=(-0.5, 0.25, 1.0, 2.75)):
-    """A chain-shaped record stream over a discrete site and a real one:
-    rejected rows keep the old value and carry a different proposed one,
-    and about one node weight in ten is -inf."""
+    """A chain-shaped record stream over a discrete site, a real one and a
+    tuple-valued one: rejected rows keep the old value and carry a different
+    proposed one, and about one node weight in ten is -inf. Node 1 weighs
+    the used value of site 1 exactly, as a table module does, so its groups
+    there are constant."""
     rng = np.random.default_rng(seed)
-    cur = {1: 0, 2: reals[1]}
+    cur = {1: 0, 2: reals[1], 3: _TUPLES[0]}
     records = []
     for it in range(n):
-        site = int(rng.integers(1, 3))
-        proposed = (int(rng.integers(3)) if site == 1
-                    else reals[int(rng.integers(len(reals)))])
-        lws = tuple(-math.inf if rng.random() < 0.1
-                    else float(rng.normal(-3.0, 2.0)) for _ in (1, 2, 3))
+        site = int(rng.integers(1, 4))
+        choices = {1: (0, 1, 2), 2: reals, 3: _TUPLES}[site]
+        proposed = choices[int(rng.integers(len(choices)))]
+        lws = [-math.inf if rng.random() < 0.1
+               else float(rng.normal(-3.0, 2.0)) for _ in (1, 2, 3)]
+        if lws[0] != -math.inf:
+            lws[0] = -0.1 - 0.7 * (proposed if site == 1 else cur[1])
+        lws = tuple(lws)
         neg_inf = -math.inf in lws
         accepted = not neg_inf and bool(rng.random() < 0.5)
         if accepted:
             cur[site] = proposed
         records.append(_rec(it, site, proposed, accepted, neg_inf,
-                            (cur[1], cur[2]), lws))
+                            (cur[1], cur[2], cur[3]), lws))
     return records
 
 
-def test_accumulator_is_bit_identical_to_the_reference_loop():
-    names = {1: "A", 2: "B", 3: "C"}
-    for seed in (0, 1, 2):
-        records = _random_records(seed, 400)
-        assert any(not r.accepted
-                   and r.proposed_value != r.site_values[r.site - 1]
-                   for r in records)
-        assert any(r.neg_inf_proposal for r in records)
-        acc = TraceAccumulator(dict(names), (1, 2))
-        for rec in records:
-            acc(rec)
-        assert acc.to_jsonable() == _reference_document(records, names)
-
-        left = TraceAccumulator(dict(names), (1, 2))
-        right = TraceAccumulator(dict(names), (1, 2))
-        for rec in records[:157]:
-            left(rec)
-        for rec in records[157:]:
-            right(rec)
-        assert left.to_jsonable() == _reference_document(records[:157], names)
-        left.merge(right)
-        _walk_close(left.to_jsonable(), acc.to_jsonable())
+def _assert_matches_reference(got, want):
+    """Every count, rate and key set equals the reference's; each variance
+    is within relative 1e-12 of it, and exactly 0.0 where it reads 0.0."""
+    lw = "lw_variance_by_value"
+    assert {k: v for k, v in got.items() if k != lw} == {
+        k: v for k, v in want.items() if k != lw}
+    assert got[lw].keys() == want[lw].keys()
+    for site, by_value in want[lw].items():
+        assert got[lw][site].keys() == by_value.keys(), site
+        for cell, by_node in by_value.items():
+            assert got[lw][site][cell].keys() == by_node.keys(), (site, cell)
+            for node, var in by_node.items():
+                x = got[lw][site][cell][node]
+                if var == 0.0:
+                    assert x == 0.0, (site, cell, node, x)
+                else:
+                    assert abs(x - var) <= 1e-12 * abs(var), (site, cell, node, x, var)
 
 
 def _fed(acc, records):
@@ -420,54 +438,84 @@ def _fed(acc, records):
     return acc
 
 
+_NAMES = {1: "A", 2: "B", 3: "C"}
+
+
+def _acc():
+    return TraceAccumulator(dict(_NAMES), (1, 2, 3))
+
+
+def test_accumulator_matches_the_reference_loop_within_1e_12_and_exact_zeros():
+    for seed in (0, 1, 2):
+        records = _random_records(seed, 400)
+        assert any(not r.accepted
+                   and r.proposed_value != r.site_values[r.site - 1]
+                   for r in records)
+        assert any(r.neg_inf_proposal for r in records)
+        acc = _fed(_acc(), records)
+        want = _reference_document(records, _NAMES)
+        assert "-0.0" in want["value_counts"]["C"] and "0.0" in want["value_counts"]["C"]
+        assert want["lw_variance_by_value"]["A"]["2"]["lw_A"] == 0.0
+        _assert_matches_reference(acc.to_jsonable(), want)
+
+        left = _fed(_acc(), records[:157])
+        right = _fed(_acc(), records[157:])
+        _assert_matches_reference(left.to_jsonable(),
+                                  _reference_document(records[:157], _NAMES))
+        left.merge(right)
+        _walk_close(left.to_jsonable(), acc.to_jsonable())
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_block_folds_are_bit_identical_to_the_reference_loop(seed, monkeypatch):
+def test_block_folds_match_the_reference_loop_within_1e_12_and_exact_zeros(
+        seed, monkeypatch):
     # folds every 7 rows, and mid-block at each merge and pickle; the real
-    # site visits both zeros, whose cells differ though 0.0 == -0.0
+    # and tuple sites visit both zeros, whose cells differ though 0.0 == -0.0
     monkeypatch.setattr(traceio, "_BLOCK", 7)
-    names = {1: "A", 2: "B", 3: "C"}
     records = _random_records(seed, 300, reals=(-0.5, 0.0, -0.0, 0.25, 2.75))
     assert any(not r.accepted for r in records)
     assert any(r.neg_inf_proposal for r in records)
-    want = _reference_document(records, names)
-    assert "-0.0" in want["value_counts"]["B"] and "0.0" in want["value_counts"]["B"]
-    assert _fed(TraceAccumulator(dict(names), (1, 2)), records).to_jsonable() == want
+    want = _reference_document(records, _NAMES)
+    for site in ("B", "C"):
+        assert "-0.0" in want["value_counts"][site]
+        assert "0.0" in want["value_counts"][site]
+    assert want["lw_variance_by_value"]["A"]["2"]["lw_A"] == 0.0
+    _assert_matches_reference(_fed(_acc(), records).to_jsonable(), want)
 
     # an empty merge, and a pickle round trip, taken mid-block
     k = 7 * 20 + 3
-    acc = _fed(TraceAccumulator(dict(names), (1, 2)), records[:k])
-    acc.merge(TraceAccumulator(dict(names), (1, 2)))
-    assert _fed(acc, records[k:]).to_jsonable() == want
-    acc = _fed(TraceAccumulator(dict(names), (1, 2)), records[:k])
+    acc = _fed(_acc(), records[:k])
+    acc.merge(_acc())
+    _assert_matches_reference(_fed(acc, records[k:]).to_jsonable(), want)
+    acc = _fed(_acc(), records[:k])
     acc = pickle.loads(pickle.dumps(acc))
-    assert _fed(acc, records[k:]).to_jsonable() == want
+    _assert_matches_reference(_fed(acc, records[k:]).to_jsonable(), want)
 
-    # two halves split mid-block merge as before: Chan's update, so equal
-    # to one pass to rounding, and to a merge of the folded halves exactly
+    # two halves split mid-block merge by Chan's update, so equal to one
+    # pass to rounding, and to a merge of the folded halves exactly
     halves = []
     for fold_first in (False, True):
-        left = _fed(TraceAccumulator(dict(names), (1, 2)), records[:k])
-        right = _fed(TraceAccumulator(dict(names), (1, 2)), records[k:])
+        left = _fed(_acc(), records[:k])
+        right = _fed(_acc(), records[k:])
         if fold_first:
             left.to_jsonable()
             right.to_jsonable()
         left.merge(right)
         halves.append(left.to_jsonable())
     assert halves[0] == halves[1]
-    _walk_close(halves[0], want)
+    _assert_matches_reference(halves[0], want)
 
 
 def test_pickled_accumulator_holds_no_block_state():
-    names = {1: "A", 2: "B", 3: "C"}
     records = _random_records(3, 500)
-    held = _fed(TraceAccumulator(dict(names), (1, 2)), records)
-    folded = _fed(TraceAccumulator(dict(names), (1, 2)), records)
+    held = _fed(_acc(), records)
+    folded = _fed(_acc(), records)
     folded.to_jsonable()
     assert pickle.dumps(held) == pickle.dumps(folded)
-    assert not {"_plans", "_loose", "_held"} & set(held.__getstate__())
+    assert "_rows" not in held.__getstate__()
 
 
-def test_real_site_plans_stay_within_one_block(monkeypatch):
+def test_a_real_site_holds_fewer_than_a_block_of_records_between_folds(monkeypatch):
     monkeypatch.setattr(traceio, "_BLOCK", 16)
     rng = np.random.default_rng(8)
     acc = TraceAccumulator({1: "S", 2: "T"}, (1,))
@@ -479,14 +527,12 @@ def test_real_site_plans_stay_within_one_block(monkeypatch):
         if accepted:
             x = proposed
         acc(_rec(it, 1, proposed, accepted, False, (x,), (-1.5, -2.5)))
-        plans = len(acc._plans) + len(acc._loose)
-        rows = sum(len(r) for r in acc._held.values())
-        assert plans < 16 and rows < 16
-        most = max(most, plans)
-    # a plan per row until each 16th row folds them all away
+        assert len(acc._rows) < 16
+        most = max(most, len(acc._rows))
+    # a record per row until each 16th row folds them all away
     assert most == 15
     assert acc.to_jsonable()["iterations"] == 16 * 6 + 5
-    assert not acc._plans and not acc._held
+    assert not acc._rows
 
 
 # -- summary documents ----------------------------------------------------------------------

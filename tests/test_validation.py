@@ -43,7 +43,7 @@ def _write_trace(path, pairs):
 def test_trace_variation_verdicts(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
-    res = trace_variation(empty)
+    res = trace_variation(empty, 1)
     assert res.passed is False
     assert "no trace files" in res.measured
 
@@ -52,7 +52,7 @@ def test_trace_variation_verdicts(tmp_path):
     rows = [("0", f"-{1 + i % 3}.5") for i in range(12)]
     rows += [("1", f"-{2 + i % 2}.25") for i in range(11)]
     _write_trace(good / "trace_chain0.csv", rows)
-    res = trace_variation(good)
+    res = trace_variation(good, 1)
     assert res.passed is True
     assert "2 constant-a runs" in res.measured
 
@@ -60,15 +60,30 @@ def test_trace_variation_verdicts(tmp_path):
     frozen.mkdir()
     rows = [("0", "-4.0")] * 12 + [("1", "-3.0")] * 3
     _write_trace(frozen / "trace_chain0.csv", rows)
-    assert trace_variation(frozen).passed is False
+    assert trace_variation(frozen, 1).passed is False
 
     stuck = tmp_path / "stuck"
     stuck.mkdir()
     rows = [("0", f"-{i}.0") for i in range(15)]
     _write_trace(stuck / "trace_chain0.csv", rows)
-    res = trace_variation(stuck)
+    res = trace_variation(stuck, 1)
     assert res.passed is False
     assert "both values visited: False" in res.measured
+
+
+def test_trace_variation_reads_only_this_runs_chains(tmp_path):
+    # an earlier run with more chains, of another network, left its traces
+    rows = [("0", f"-{1 + i % 3}.5") for i in range(12)]
+    rows += [("1", f"-{2 + i % 2}.25") for i in range(11)]
+    for i in (0, 1):
+        _write_trace(tmp_path / f"trace_chain{i}.csv", rows)
+    with open(tmp_path / "trace_chain7.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["iteration", "z", "total_lw", "accepted"],
+                                  [0, 1, "-2.5", 1]])
+    res = trace_variation(tmp_path, 2)
+    assert res.passed is True
+    assert "4 constant-a runs" in res.measured
+    assert trace_variation(tmp_path, 3).passed is False
 
 
 def test_always_on_criteria_pass():
