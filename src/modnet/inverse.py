@@ -10,12 +10,14 @@ model allows, that is each value v with p(context, v) > 0, read from the
 zero pattern of the forward tables; one count of every full assignment
 serves all the tables) or enumerated exactly in rational arithmetic.
 
-Training holds one byte per sample per variable (domains of up to 256
-values) plus one fixed slice of temporaries: parent codes, uniforms,
-thresholds and assignment codes are built a slice at a time. Each variable's
-uniforms are drawn in slices, and consecutive rng.random calls give the same
-doubles as one call and leave the stream at the same place, so the tables and
-the generator's state do not depend on the slice length.
+Training never forward-samples. The tables read n forward samples only
+through their count of every full assignment, and for n iid samples that
+count vector is Multinomial(n, p) over the joint; the joint is small enough
+to enumerate, so training builds p and draws the counts once, in time and
+memory that grow with the joint's size and not with n. p takes each forward
+row as the walk realises it: a value's probability is the difference of the
+row's running float sums, clipped to [0, 1], so a row that sums to
+1 +/- PROB_ROW_TOL keeps the law the walk gives it.
 
 An inverse wrapped as a module reports lw = log p(u, z) - log q(u | z). With
 the exact inverse that ratio telescopes to p(z) identically, and evaluating
@@ -44,6 +46,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
@@ -52,10 +55,6 @@ from .interface import ProbModule, SchemaError
 from .values import Value, discrete
 
 PROB_ROW_TOL = 1e-9
-# samples per slice of the forward walk's temporaries: a slice's float64
-# and intp arrays take 64 KiB, under glibc's default 128 KiB mmap threshold,
-# so they come from the heap whatever the process allocated before
-_SLICE = 8_192
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,10 @@ def _check_variable(v: VariableSpec, earlier: Mapping[str, VariableSpec]) -> Non
     for key, probs in v.table.items():
         if len(probs) != len(v.domain):
             raise SchemaError(f"{v.name}: row {key} has {len(probs)} entries")
-        if any(p < 0.0 for p in probs):
-            raise SchemaError(f"{v.name}: negative probability in row {key}")
+        for p in probs:
+            if not 0.0 <= p <= 1.0:  # NaN fails both comparisons
+                raise SchemaError(f"{v.name}: row {key} has {p!r}, "
+                                  "not a probability in [0, 1]")
         if abs(sum(probs) - 1.0) > PROB_ROW_TOL:
             raise SchemaError(f"{v.name}: row {key} sums to {sum(probs)}")
     for key in product(*[earlier[p].domain for p in v.parents]):
@@ -170,52 +171,6 @@ def _row_probs(rows, assign: Mapping[str, int]) -> list:
             for var, domain, cond, table in rows]
 
 
-def _slices(n: int):
-    return (slice(s, min(s + _SLICE, n)) for s in range(0, n, _SLICE))
-
-
-def _encode(cols: Mapping[str, np.ndarray], variables, rows: slice) -> np.ndarray:
-    """Mixed-radix intp code of the given rows' values of `variables`, first
-    variable most significant, so codes count up in itertools.product order.
-    The one-byte columns are widened by adding them into the intp code, never
-    multiplied in their own dtype, where they would overflow."""
-    if not variables:
-        return np.zeros(rows.stop - rows.start, dtype=np.intp)
-    code = cols[variables[0].name][rows].astype(np.intp)
-    for v in variables[1:]:
-        code *= len(v.domain)
-        code += cols[v.name][rows]
-    return code
-
-
-def sample_batch(spec: DiscreteModelSpec, n: int, rng) -> dict[str, np.ndarray]:
-    """Forward-sample n assignments at once; columns hold domain indices in
-    the narrowest unsigned dtype, one byte per sample for up to 256 values.
-
-    Each variable's n uniforms are drawn as consecutive rng.random calls of
-    _SLICE doubles, which give the same values as one rng.random(n) and leave
-    the generator at the same position; parent codes and gathered thresholds
-    exist one slice at a time."""
-    cols: dict[str, np.ndarray] = {}
-    for v in spec.variables:
-        parents = [spec.variable(p) for p in v.parents]
-        cum = np.array([v.table[key] for key in product(*[p.domain for p in parents])],
-                       dtype=float).cumsum(axis=1)
-        # one row of thresholds per bound; the last bound would only clamp
-        bounds = np.ascontiguousarray(cum[:, :-1].T)
-        col = cols[v.name] = np.zeros(n, np.min_scalar_type(len(v.domain) - 1))
-        for rows in _slices(n):
-            u, out = rng.random(rows.stop - rows.start), col[rows]
-            if parents:
-                code = _encode(cols, parents, rows)
-                for b in bounds:
-                    out += u >= b[code]
-            else:
-                for b in bounds:
-                    out += u >= b[0]
-    return cols
-
-
 # -- inverse construction -----------------------------------------------------
 
 
@@ -229,48 +184,58 @@ def _sampling_plan(spec: DiscreteModelSpec) -> list[tuple[str, tuple[str, ...]]]
     return plan
 
 
-def _support(spec: DiscreteModelSpec, order) -> np.ndarray:
-    """Whether p > 0 at each full assignment, flat in _encode's code order
-    over order: the AND of every forward table's positive entries."""
+def _joint(spec: DiscreteModelSpec, order) -> tuple[np.ndarray, np.ndarray]:
+    """The forward law and its support at each full assignment, flat in
+    mixed-radix code order over order, first variable most significant, so
+    codes count up in itertools.product order.
+
+    The law takes each row as the forward walk realises it: value j gets
+    the difference of the running float sums on either side of it, each
+    clipped to [0, 1], and the last value everything from its start up to 1.
+    The support is the AND of every forward table's positive entries."""
     axis = {v.name: k for k, v in enumerate(order)}
     grid = np.indices([len(v.domain) for v in order], sparse=True)
-    possible = True
+    law, possible = 1.0, True
     for v in spec.variables:
         parents = [spec.variable(p) for p in v.parents]
-        positive = np.array([v.table[key] for key in product(*[p.domain for p in parents])]
-                            ).reshape(*[len(p.domain) for p in parents], len(v.domain)) > 0.0
+        rows = np.array([v.table[key] for key in product(*[p.domain for p in parents])],
+                        dtype=float).reshape(*[len(p.domain) for p in parents], -1)
+        edges = np.minimum(rows.cumsum(axis=-1)[..., :-1], 1.0)
+        walked = np.diff(edges, axis=-1, prepend=0.0, append=1.0)
         # indexed by the open grids, each entry reaches every full
         # assignment that agrees with it on the table's variables
-        possible = possible & positive[tuple(grid[axis[n]] for n in (*v.parents, v.name))]
-    return possible.reshape(-1)
+        at = tuple(grid[axis[n]] for n in (*v.parents, v.name))
+        law = law * walked[at]
+        possible = possible & (rows > 0.0)[at]
+    law = law.reshape(-1)
+    return law / law.sum(), possible.reshape(-1)
 
 
 def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng) -> InverseNetwork:
-    """Estimate inverse conditionals by counting forward samples.
+    """Estimate inverse conditionals from the counts of n_samples forward
+    samples, drawn as one Multinomial(n_samples, p) over the joint.
 
     Add-one smoothing covers the values v with p(context, v) > 0 and leaves
     the rest at 0, so a context never seen in training gets a uniform row
     over them; where every forward entry is positive that is every value, and
     a row is (joint + 1) / (counts + d). A context the forward model rules out
-    gets a uniform row over the whole domain. Memory is the one-byte sample
-    columns plus one slice of codes and integer counts summed over slices.
+    gets a uniform row over the whole domain. Time and memory grow with the
+    joint's size, not with n_samples, which must be an integer >= 1.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one training sample")
-    cols = sample_batch(spec, n_samples, rng)
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, Integral)
+            or n_samples < 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    n_samples = int(n_samples)
 
-    # One count of every full assignment, coded in sampling order: outputs,
-    # then latents last to first, summed over slices. Each factor's (context,
-    # variable) is a prefix of that order, so its joint counts are the full
-    # counts with the later variables summed out, exactly, in integers.
-    # The forward model's support is reduced the same way, with any() for
-    # the sum: a factor's row smooths only over the values v with
-    # p(context, v) > 0.
+    # The count of every full assignment, coded in sampling order: outputs,
+    # then latents last to first. Each factor's (context, variable) is a
+    # prefix of that order, so its joint counts are the full counts with the
+    # later variables summed out, exactly, in integers. The forward model's
+    # support is reduced the same way, with any() for the sum: a factor's
+    # row smooths only over the values v with p(context, v) > 0.
     order = (*spec.outputs, *reversed(spec.latents))
-    radix = math.prod(len(v.domain) for v in order)
-    prefix = sum(np.bincount(_encode(cols, order, rows), minlength=radix)
-                 for rows in _slices(n_samples))
-    possible = _support(spec, order)
+    law, possible = _joint(spec, order)
+    prefix = rng.multinomial(n_samples, law)
     factors = []
     for var, ctx in reversed(_sampling_plan(spec)):
         v = spec.variable(var)
@@ -289,7 +254,7 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng) -> InverseNetwor
                      / (counts + support.sum(axis=1, keepdims=True)))
         table = dict(zip(product(*[c.domain for c in ctx_vars]), map(tuple, table_arr)))
         factors.append(InverseFactor(var, v.domain, ctx, table))
-    return InverseNetwork(tuple(reversed(factors)), int(n_samples))
+    return InverseNetwork(tuple(reversed(factors)), n_samples)
 
 
 def exact_inverse(spec: DiscreteModelSpec) -> InverseNetwork:

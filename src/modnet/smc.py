@@ -25,7 +25,9 @@ Resampling and the final selection have only particle 0 to pick, so the loop
 keeps no ancestor rows and draws no uniform for either; a pinned one-particle
 sweep draws nothing at all. Each step's term is the same float the general
 step gives for a one-entry row, so log Z-hat has the same bits for the same
-latents whatever the weight, -0.0, +inf and NaN included.
+latents whatever the weight, -0.0, +inf and NaN included. That is also why a
+one-particle simulate sums its forward pass's step weights instead of
+running the pinned sweep over the same steps again.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class SequentialModel:
     its randomness in particle order, so a population call draws exactly
     what one call per particle would; given no states it draws nothing.
     obs_sample draws one particle's observation for the forward pass of
-    simulate. finalize_extra samples any non-sequential latents from their
+    simulate, and unpack_outputs(pack_outputs(obs)) must give those
+    observations back. finalize_extra samples any non-sequential latents from their
     exact conditional given the final state (return None when there are
     none).
     """
@@ -222,6 +225,12 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
     return v, log_z
 
 
+def _sis_term(w: float) -> float:
+    """_normalise's logsumexp of the one-entry row [w]. log K = 0 is not
+    subtracted, since x - 0.0 is x for every double."""
+    return -math.inf if w == -math.inf else w + math.log(math.exp(w - w))
+
+
 def _sis_run(model: SequentialModel, inputs: ModuleIO, obs: list, rng,
              pinned: Latents | None) -> tuple[Latents, float]:
     """smc_run with one particle. Pinned, there is no free particle:
@@ -238,9 +247,7 @@ def _sis_run(model: SequentialModel, inputs: ModuleIO, obs: list, rng,
         else:
             lat = steps[t]
         (w,), (state,) = step(t, [state], inputs, [lat], ob)
-        # _normalise's logsumexp of the row [w]; log K = 0 is not subtracted,
-        # since x - 0.0 is x for every double
-        log_z += -math.inf if w == -math.inf else w + math.log(math.exp(w - w))
+        log_z += _sis_term(w)
     if pinned is not None:
         return pinned, log_z
     return Latents(tuple(steps), model.finalize_extra(state, inputs, rng)), log_z
@@ -268,17 +275,22 @@ class SmcModule(ProbModule):
         m = self.model
         state = m.initial_state(inputs)
         steps, obs = [], []
+        log_z = 0.0
         for t in range(m.num_steps):
             lat = m.prior_sample(t, [state], inputs, rng)[0]
             ob = m.obs_sample(t, state, inputs, lat, rng)
-            _, (state,) = m.step(t, [state], inputs, [lat], ob)
+            (w,), (state,) = m.step(t, [state], inputs, [lat], ob)
+            log_z += _sis_term(w)
             steps.append(lat)
             obs.append(ob)
         extra = m.finalize_extra(state, inputs, rng)
         v = Latents(tuple(steps), extra)
         outputs = m.pack_outputs(obs)
         self.check_outputs(outputs)
-        _, log_z = smc_run(m, inputs, outputs, self.num_particles, rng, pinned=v)
+        # with one particle the pinned sweep would draw nothing and repeat
+        # the forward pass's steps, so their sum is already its log Z-hat
+        if self.num_particles > 1:
+            _, log_z = smc_run(m, inputs, outputs, self.num_particles, rng, pinned=v)
         if log_z == -math.inf:
             raise DegenerateTraceError("conditional sweep scored the forward sample at zero")
         return outputs, log_z, v

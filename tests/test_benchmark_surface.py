@@ -25,6 +25,10 @@ def test_traced_run_reaches_every_benchmarked_layer(tmp_path, monkeypatch):
                         "iterations": 40, "particles": 4, "train_samples": 200})
     with tracing.traced(tracing.Tracer(), modnet) as tracer:
         modnet.experiment.run_experiment(cfg, tmp_path)
-    names = np.array(tracer.names)[tracer.arrays()["name"]]
+    spans = tracer.arrays()
+    names = np.array(tracer.names)[spans["name"]]
     assert int((names == "mh.mh_update").sum()) == 40
     assert not set(SPANS) - set(names)
+    # the training span's work is the InverseNetwork's n_train, which the
+    # benchmark's samples-per-second reads
+    assert spans["work"][names == "inverse.train"].tolist() == [cfg.train_samples]

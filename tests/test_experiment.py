@@ -242,14 +242,14 @@ PINNED_DIGESTS = {
         "trace_chain1.csv": "56f575ac94c9e57fa15614c72ec31ebca49e372ad610c034683b7d0da82ccf81",
     },
     "outlier_regression": {
-        "summary.json": "a89cbdf6bd8e9416910e22959321d656f4dcec382614b2aa2bca018a9e968bc6",
-        "trace_chain0.csv": "9ac14db7a35bd312d049fffc1d2ef12d28bc6be1791255c8b0a413dee8c83f6f",
-        "trace_chain1.csv": "0ba2a3cbad7e655c92c4d2a1fa878a2bf4bda016e677a0ff7cc5eca7dda23772",
+        "summary.json": "ea5644b643521cef99a7105d03684f93abee84e1a7b3e412b6387e2a7aa5d338",
+        "trace_chain0.csv": "009e98679ee44e2e656ea96a8af61f7f953b18d998be526b7d010148c84ee4da",
+        "trace_chain1.csv": "00f6cfbc3e660f0c693abcc9f23c24127fec3ebdeb3300ca0b956e8c115fac1c",
     },
     "switch_hmm": {
-        "summary.json": "72d9bdc4500370ea0d300483607bf721234ad0586f6e2f38db9c83b9728d8339",
-        "trace_chain0.csv": "d151e3deffaedc12b3ace1f1851061d226db722d695093b4bb7f860711ef3d15",
-        "trace_chain1.csv": "156d3d6ca2a6aa408adc636270acbfdf3a7852a00a7040e507717b8c8e702180",
+        "summary.json": "f4f9511025ff5bea9745eb13c0f1cb5c4162e9ca64524392b6f59d913c30e8cc",
+        "trace_chain0.csv": "d80118c0698b1f8706b4583c38d2c95c917a1e6ddd4ca15bd396e0d37ae9f588",
+        "trace_chain1.csv": "b5807794d9944385b8c71aaf8e7c7592776424107ae21b8d9c8fc91fd2696915",
     },
 }
 

@@ -272,6 +272,52 @@ def test_one_particle_sweep_is_sequential_importance_sampling():
             assert got.bit_generator.state == before
 
 
+def _reference_simulate(model, inputs, K, rng):
+    """simulate as a forward pass that discards its step weights, then the
+    pinned sweep over the forward sample, at any particle count."""
+    state = model.initial_state(inputs)
+    steps, obs = [], []
+    for t in range(model.num_steps):
+        lat = model.prior_sample(t, [state], inputs, rng)[0]
+        ob = model.obs_sample(t, state, inputs, lat, rng)
+        _, (state,) = model.step(t, [state], inputs, [lat], ob)
+        steps.append(lat)
+        obs.append(ob)
+    v = Latents(tuple(steps), model.finalize_extra(state, inputs, rng))
+    outputs = model.pack_outputs(obs)
+    _, log_z = smc_run(model, inputs, outputs, K, rng, pinned=v)
+    return outputs, log_z, v
+
+
+def test_one_particle_simulate_scores_its_forward_pass_once():
+    # one particle: the forward pass's step weights, summed as the
+    # one-particle sweep sums them, are the pinned sweep's log Z-hat to the
+    # bit, so simulate calls step once per step; more particles still run
+    # the pinned sweep
+    hmm = BinaryHmm(4, 0.4, (0.15, 0.8),
+                    trans_by_input={0: (0.25, 0.7), 1: (0.6, 0.3)}, input_port="s")
+    reg = RegressionSequentialModel()
+    cases = [(reg, {"a": discrete(0)}), (reg, {"a": discrete(1)}),
+             (hmm, {"s": discrete(0)}), (hmm, {"s": discrete(1)})]
+    for K, seeds in ((1, 300), (3, 20)):
+        for seed in range(seeds):
+            for model, inputs in cases:
+                got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                out, lw, v = SmcModule(model, K).simulate(inputs, got)
+                want = _reference_simulate(model, inputs, K, ref)
+                assert (out, _bits(lw), v) == (want[0], _bits(want[1]), want[2])
+                assert got.bit_generator.state == ref.bit_generator.state
+    for K in (1, 3):
+        model = _model(4)
+        calls = _recording(model)
+        SmcModule(model, K).simulate({}, np.random.default_rng(K))
+        assert [len(states) for states, _, _ in calls] == [1] * 4 + [K] * 4 * (K > 1)
+    # a dead input weighs its steps -inf and still raises
+    for model, inputs in ((hmm, {"s": discrete(9)}), (reg, {"a": discrete(5)})):
+        with pytest.raises(DegenerateTraceError):
+            SmcModule(model, 1).simulate(inputs, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("K", [2, 3])
 def test_more_than_one_particle_runs_the_population_sweep(K):
     # only K = 1 takes the one-particle loop: from two particles on, every
