@@ -19,9 +19,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .interface import SchemaError
-from .mh import (SiteProposal, check_domain, check_sigma, discrete_uniform_proposal,
-                 flip_proposal, gaussian_walk_proposal, resolve_port, run_chain)
+from .interface import SchemaError, check_domain
+from .mh import (SiteProposal, check_sigma, discrete_uniform_proposal, flip_proposal,
+                 gaussian_walk_proposal, resolve_port, run_chain)
 from .network import ModuleNetwork
 from .outlier_regression import build_outlier_network
 from .reference_models import chain3_network, switch_hmm_network

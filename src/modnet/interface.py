@@ -187,6 +187,17 @@ def normal_module(mu: float, sigma: float, port: str = "z") -> ProbModule:
     return ExactModule(sample, log_density, (), (port,))
 
 
+def check_domain(domain) -> tuple[int, ...]:
+    """A finite discrete domain, a table_module's or a discrete_uniform
+    proposal's: a non-empty list or tuple of distinct ints. Nothing is
+    coerced, so a bool, a float or a string is refused."""
+    if (not isinstance(domain, (list, tuple)) or not domain
+            or any(not isinstance(d, int) or isinstance(d, bool) for d in domain)
+            or len(set(domain)) != len(domain)):
+        raise ValueError("'domain' must be a non-empty list of distinct integers")
+    return tuple(domain)
+
+
 def table_module(
     input_ports: tuple[str, ...],
     rows: Mapping[tuple, tuple[float, ...]],
@@ -198,7 +209,7 @@ def table_module(
     An input combination with no row has no support: log_density scores it
     -inf, so a proposal that leads there is rejected rather than raising.
     """
-    domain = tuple(domain)
+    domain = check_domain(domain)
     rows = {tuple(k): tuple(float(p) for p in v) for k, v in rows.items()}
     for key, probs in rows.items():
         if (len(probs) != len(domain) or not all(p >= 0.0 for p in probs)

@@ -4,11 +4,12 @@ A DiscreteModelSpec lists latent variables in forward sampling order, then
 output variables, each with a conditional probability table over its parents.
 The inverse runs the other way: conditioned on the outputs, latents are
 sampled last-to-first, each from a conditional table over the outputs plus
-the latents already drawn. Tables are either estimated from forward samples
-(with add-one smoothing: a pseudo-count of 1 on every entry the forward
-model allows, that is each value v with p(context, v) > 0, read from the
-zero pattern of the forward tables; one count of every full assignment
-serves all the tables) or enumerated exactly in rational arithmetic.
+the latents already drawn. Both kinds of table are read off one enumeration
+of the joint by one reduction: learned tables off the counts of forward
+samples, with a pseudo-count of 1 on every entry the forward model allows
+(each value v with p(context, v) > 0, read from the zero pattern of the
+forward tables), exact ones off the joint itself in rational arithmetic,
+with a pseudo-count of 0, the learned tables' infinite-data limit.
 
 Training never forward-samples. The tables read n forward samples only
 through their count of every full assignment, and for n iid samples that
@@ -174,41 +175,69 @@ def _row_probs(rows, assign: Mapping[str, int]) -> list:
 # -- inverse construction -----------------------------------------------------
 
 
-def _sampling_plan(spec: DiscreteModelSpec) -> list[tuple[str, tuple[str, ...]]]:
-    """(latent, context) pairs in sampling order; contexts grow as we go."""
-    ctx = [o.name for o in spec.outputs]
-    plan = []
-    for v in reversed(spec.latents):
-        plan.append((v.name, tuple(ctx)))
-        ctx.append(v.name)
-    return plan
-
-
-def _joint(spec: DiscreteModelSpec, order) -> tuple[np.ndarray, np.ndarray]:
+def _joint(spec: DiscreteModelSpec, exact: bool) -> tuple[np.ndarray, np.ndarray]:
     """The forward law and its support at each full assignment, flat in
-    mixed-radix code order over order, first variable most significant, so
-    codes count up in itertools.product order.
+    mixed-radix code order: outputs, then latents last to first, first
+    variable most significant, so codes count up in itertools.product order.
 
-    The law takes each row as the forward walk realises it: value j gets
-    the difference of the running float sums on either side of it, each
-    clipped to [0, 1], and the last value everything from its start up to 1.
-    The support is the AND of every forward table's positive entries."""
+    The float law takes each row as the forward walk realises it: value j
+    gets the difference of the running float sums on either side of it,
+    each clipped to [0, 1], and the last value everything from its start up
+    to 1; it is normalised. The exact law is the product of the table
+    entries as Fractions, in an object array, not normalised: every table
+    read off it is a ratio of its cells. The support is the AND of every
+    forward table's positive entries."""
+    order = (*spec.outputs, *reversed(spec.latents))
     axis = {v.name: k for k, v in enumerate(order)}
     grid = np.indices([len(v.domain) for v in order], sparse=True)
-    law, possible = 1.0, True
+    law, possible = 1, True
     for v in spec.variables:
         parents = [spec.variable(p) for p in v.parents]
         rows = np.array([v.table[key] for key in product(*[p.domain for p in parents])],
                         dtype=float).reshape(*[len(p.domain) for p in parents], -1)
-        edges = np.minimum(rows.cumsum(axis=-1)[..., :-1], 1.0)
-        walked = np.diff(edges, axis=-1, prepend=0.0, append=1.0)
+        if exact:
+            probs = np.frompyfunc(Fraction, 1, 1)(rows)
+        else:
+            edges = np.minimum(rows.cumsum(axis=-1)[..., :-1], 1.0)
+            probs = np.diff(edges, axis=-1, prepend=0.0, append=1.0)
         # indexed by the open grids, each entry reaches every full
         # assignment that agrees with it on the table's variables
         at = tuple(grid[axis[n]] for n in (*v.parents, v.name))
-        law = law * walked[at]
+        law = law * probs[at]
         possible = possible & (rows > 0.0)[at]
     law = law.reshape(-1)
-    return law / law.sum(), possible.reshape(-1)
+    return (law if exact else law / law.sum()), possible.reshape(-1)
+
+
+def _factors(spec: DiscreteModelSpec, cells: np.ndarray, possible: np.ndarray,
+             pseudo) -> tuple[InverseFactor, ...]:
+    """Each latent's factor, read off the joint's cells (counts or exact
+    probabilities) and support, both flat in _joint's code order.
+
+    A latent's context is the code order's prefix before it, so its joint
+    cells are the full cells with the later variables summed out, and the
+    support is reduced the same way, with any() for the sum. A row is each
+    cell plus pseudo on the values v with p(context, v) > 0, over the
+    context's total plus pseudo per such value. A context the model rules
+    out is reached only from an impossible output, which weighs -inf
+    whatever is drawn: it takes a pseudo-count of 1 on every value, a
+    uniform row."""
+    order = [*spec.outputs, *reversed(spec.latents)]
+    factors = []
+    for v in spec.latents:
+        order.pop()
+        d = len(v.domain)
+        joint = cells.reshape(-1, d)
+        cells = joint.sum(axis=1)
+        support = possible.reshape(-1, d)
+        possible = support.any(axis=1)
+        support = support | ~possible[:, None]
+        smooth = np.where(possible, pseudo, 1)[:, None]
+        rows = (np.where(support, joint + smooth, 0)
+                / (cells[:, None] + smooth * support.sum(axis=1, keepdims=True)))
+        table = dict(zip(product(*[c.domain for c in order]), map(tuple, rows)))
+        factors.append(InverseFactor(v.name, v.domain, tuple(c.name for c in order), table))
+    return tuple(reversed(factors))
 
 
 def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng) -> InverseNetwork:
@@ -226,73 +255,19 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng) -> InverseNetwor
             or n_samples < 1):
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     n_samples = int(n_samples)
-
-    # The count of every full assignment, coded in sampling order: outputs,
-    # then latents last to first. Each factor's (context, variable) is a
-    # prefix of that order, so its joint counts are the full counts with the
-    # later variables summed out, exactly, in integers. The forward model's
-    # support is reduced the same way, with any() for the sum: a factor's
-    # row smooths only over the values v with p(context, v) > 0.
-    order = (*spec.outputs, *reversed(spec.latents))
-    law, possible = _joint(spec, order)
-    prefix = rng.multinomial(n_samples, law)
-    factors = []
-    for var, ctx in reversed(_sampling_plan(spec)):
-        v = spec.variable(var)
-        d = len(v.domain)
-        ctx_vars = [spec.variable(c) for c in ctx]
-        joint = prefix.reshape(-1, d)
-        prefix = joint.sum(axis=1)
-        joint = joint.astype(np.float64)
-        counts = joint.sum(axis=1, keepdims=True)
-        support = possible.reshape(-1, d)
-        possible = support.any(axis=1)
-        # a context the model rules out is reached only from an impossible
-        # output, which weighs -inf whatever is drawn: its row is uniform
-        support = support | ~possible[:, None]
-        table_arr = (np.where(support, joint + 1.0, 0.0)
-                     / (counts + support.sum(axis=1, keepdims=True)))
-        table = dict(zip(product(*[c.domain for c in ctx_vars]), map(tuple, table_arr)))
-        factors.append(InverseFactor(var, v.domain, ctx, table))
-    return InverseNetwork(tuple(reversed(factors)), n_samples)
+    law, possible = _joint(spec, False)
+    return InverseNetwork(_factors(spec, rng.multinomial(n_samples, law), possible, 1),
+                          n_samples)
 
 
 def exact_inverse(spec: DiscreteModelSpec) -> InverseNetwork:
-    """Enumerate the joint in rational arithmetic and read off each
-    conditional. Every float in the forward tables converts to a Fraction
-    exactly, so these tables carry no rounding at all."""
-    names = [v.name for v in spec.variables]
-    rows = _forward_rows(spec)
-    joint: dict[tuple, Fraction] = {}
-    for combo in product(*[v.domain for v in spec.variables]):
-        pr = math.prod(map(Fraction, _row_probs(rows, dict(zip(names, combo)))))
-        if pr:
-            joint[combo] = pr
-
-    idx = {n: i for i, n in enumerate(names)}
-    factors = []
-    for var, ctx in _sampling_plan(spec):
-        v = spec.variable(var)
-        ctx_vars = [spec.variable(c) for c in ctx]
-        marg: dict[tuple, Fraction] = {}
-        cond: dict[tuple, dict[int, Fraction]] = {}
-        for combo, pr in joint.items():
-            key = tuple(combo[idx[c.name]] for c in ctx_vars)
-            marg[key] = marg.get(key, Fraction(0)) + pr
-            row = cond.setdefault(key, {})
-            val = combo[idx[var]]
-            row[val] = row.get(val, Fraction(0)) + pr
-        table = {}
-        for key in product(*[c.domain for c in ctx_vars]):
-            if key in marg:
-                table[key] = tuple(cond[key].get(d, Fraction(0)) / marg[key]
-                                   for d in v.domain)
-            else:
-                # context has zero probability: only an impossible output
-                # reaches it, and that output weighs -inf
-                table[key] = (Fraction(1, len(v.domain)),) * len(v.domain)
-        factors.append(InverseFactor(var, v.domain, ctx, table))
-    return InverseNetwork(tuple(factors), 0, exact=True)
+    """The training rule applied to the exact joint: the same reduction as
+    train_inverse, with the product of the table entries as Fractions in
+    place of the counts and a pseudo-count of 0. Every float in the forward
+    tables converts to a Fraction exactly, so these tables carry no rounding
+    at all."""
+    law, possible = _joint(spec, True)
+    return InverseNetwork(_factors(spec, law, possible, 0), 0, exact=True)
 
 
 # -- module wrapper -----------------------------------------------------------

@@ -67,7 +67,7 @@ from numbers import Integral
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import values
-from .interface import SchemaError, check_log_weight
+from .interface import SchemaError, check_domain, check_log_weight
 from .network import ModuleNetwork, UninitializedNodeError
 from .values import Value
 
@@ -296,16 +296,6 @@ def flip_proposal(target: int, port: str | None = None) -> SiteProposal:
         return 0.0 if candidate.data == 1 - current.data else -math.inf
 
     return SiteProposal(target, sample, log_density, port)
-
-
-def check_domain(domain) -> tuple[int, ...]:
-    """A discrete_uniform domain: a non-empty list or tuple of distinct ints.
-    Nothing is coerced, so a bool, a float or a string is refused."""
-    if (not isinstance(domain, (list, tuple)) or not domain
-            or any(not isinstance(d, int) or isinstance(d, bool) for d in domain)
-            or len(set(domain)) != len(domain)):
-        raise ValueError("'domain' must be a non-empty list of distinct integers")
-    return tuple(domain)
 
 
 def check_sigma(sigma) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Any
 
 DISCRETE = "discrete"
@@ -49,18 +50,36 @@ class Value:
                 raise ValueError("real_vector payload must be finite")
 
 
+def _int(v) -> int:
+    """v as an int: any integer but a bool, numpy ints included. Nothing
+    else is coerced, so a float or a string is refused."""
+    if type(v) is int:
+        return v
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
+def _float(v) -> float:
+    """v as a float: any real number but a bool, numpy ones included."""
+    if type(v) is float:
+        return v
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise ValueError(f"{v!r} is not a real number")
+    return float(v)
+
+
 def discrete(v: int) -> Value:
-    return Value(DISCRETE, int(v))
+    return Value(DISCRETE, _int(v))
 
 
 def real(v: float) -> Value:
-    return Value(REAL, float(v))
+    return Value(REAL, _float(v))
 
 
 def discrete_vector(vs) -> Value:
-    return Value(DISCRETE_VECTOR, tuple(int(v) for v in vs))
+    return Value(DISCRETE_VECTOR, tuple(map(_int, vs)))
 
 
 def real_vector(vs) -> Value:
-    return Value(REAL_VECTOR, tuple(float(v) for v in vs))
-
+    return Value(REAL_VECTOR, tuple(map(_float, vs)))

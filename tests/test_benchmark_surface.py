@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import modnet
+import modnet.outlier_oracle
 from modnet.experiment import parse_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -32,3 +33,21 @@ def test_traced_run_reaches_every_benchmarked_layer(tmp_path, monkeypatch):
     # the training span's work is the InverseNetwork's n_train, which the
     # benchmark's samples-per-second reads
     assert spans["work"][names == "inverse.train"].tolist() == [cfg.train_samples]
+
+
+def test_estimator_batch_sets_up_and_runs_a_unit(monkeypatch):
+    # estimator_batch's set-up reads the exact inverse's factors and tables
+    # and runs every estimator group; a break there shows here, not only as
+    # a failed benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    work = workloads.EstimatorWorkload(modnet)
+    groups, _spec, targets = work.setup(7)
+    assert targets and all(len(row) >= 2 for _var, _key, row, _p in targets)
+    result = work.unit(7, 0)
+    assert result.iterations == work.calls_per_batch
+    assert [g.error for g in groups] == [None] * len(groups)
+    assert all(len(g.lws) == g.calls for g in groups)
+    assert work.train_error is None and len(work.train_tables) == 1
+    assert work.determinism(7) == (True, "ok")

@@ -98,6 +98,22 @@ def test_table_module_rows_and_missing_key():
         table_module(("x",), {(0,): (1.5, -0.5), (1,): (0.5, 0.5)})
 
 
+@pytest.mark.parametrize("domain", [(), (0, 0), (0.5, 1.5), (True, 2), ("0", "1"), [0, 0.0]])
+def test_table_module_refuses_a_domain_that_is_not_distinct_ints(domain):
+    # (0, 0) used to build a module that always drew 0 yet scored z = 0 at
+    # log 0.5; (0.5, 1.5) failed only at simulate; (True, 2) read as (1, 2)
+    rows = {(): (0.5, 0.5)} if len(domain) == 2 else {(): ()}
+    with pytest.raises(ValueError, match="'domain' must be"):
+        table_module((), rows, domain=domain)
+
+
+def test_table_module_takes_a_domain_that_does_not_start_at_zero():
+    m = table_module((), {(): (0.25, 0.75)}, domain=[3, -1])
+    lw, _ = m.regenerate({}, {"z": values.discrete(-1)}, _NoRng())
+    assert lw == math.log(0.75)
+    assert m.simulate({}, default_rng(0))[0]["z"].data in (3, -1)
+
+
 def test_port_schema_enforced_on_both_paths():
     m = bernoulli_module(0.5)
     with pytest.raises(SchemaError):

@@ -181,7 +181,7 @@ def test_training_law_is_the_walks_law(high):
                 if p > 0.0:
                     for u in (lo, float(np.nextafter(lo + p, 0.0))):
                         assert _walk(v.domain, row, u) == v.domain[j]
-    law, possible = inverse._joint(spec, _order(spec))
+    law, possible = inverse._joint(spec, False)
     assert law.tolist() == _reference_law(spec).tolist()
     assert law[possible].sum() > 0.0 and not law[~possible].any()
     # u's last value takes 1 - 0.7 whatever its own entry: a short row's
@@ -520,6 +520,61 @@ def test_inverse_weights_on_random_specs(spec, seed):
     for module in (exact, learned):
         got = check_module_contract(module, {}, outputs, truth, 2000, rng)
         assert got["z"] < 4.5 and got["harmonic"]["z"] < 4.5
+
+
+def _reference_exact(spec):
+    """exact_inverse's factors by a loop over the enumerated assignments:
+    each assignment's probability a product of the table entries as
+    Fractions, summed per context and per (context, value) in dicts, and
+    each conditional their ratio; a context no assignment of nonzero
+    probability reaches gets a uniform row."""
+    names = [v.name for v in spec.variables]
+    joint = {}
+    for combo in product(*[v.domain for v in spec.variables]):
+        assign = dict(zip(names, combo))
+        pr = math.prod(Fraction(v.table[tuple(assign[q] for q in v.parents)][
+            v.domain.index(assign[v.name])]) for v in spec.variables)
+        if pr:
+            joint[combo] = pr
+    factors = []
+    ctx = [v.name for v in spec.outputs]
+    for v in reversed(spec.latents):
+        marg, cond = {}, {}
+        for combo, pr in joint.items():
+            assign = dict(zip(names, combo))
+            key = tuple(assign[c] for c in ctx)
+            marg[key] = marg.get(key, 0) + pr
+            cond[key, assign[v.name]] = cond.get((key, assign[v.name]), 0) + pr
+        table = {}
+        for key in product(*[spec.variable(c).domain for c in ctx]):
+            if key in marg:
+                table[key] = tuple(Fraction(cond.get((key, x), 0)) / marg[key]
+                                   for x in v.domain)
+            else:
+                table[key] = (Fraction(1, len(v.domain)),) * len(v.domain)
+        factors.append((v.name, v.domain, tuple(ctx), table))
+        ctx.append(v.name)
+    return factors
+
+
+def _check_exact_against_the_reference(spec):
+    inv = exact_inverse(spec)
+    assert inv.exact and inv.n_train == 0
+    got = [(f.var, f.domain, f.context, f.table) for f in inv.factors]
+    assert got == _reference_exact(spec)
+    for f in inv.factors:
+        assert all(isinstance(p, Fraction) for row in f.table.values() for p in row)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(spec=small_specs())
+def test_exact_tables_match_the_enumerated_reference(spec):
+    _check_exact_against_the_reference(spec)
+
+
+@pytest.mark.parametrize("make", [switch_prior_spec, switch_spec])
+def test_exact_tables_of_the_shipped_specs_match_the_enumerated_reference(make):
+    _check_exact_against_the_reference(make())
 
 
 def _possible_assignments(spec):
