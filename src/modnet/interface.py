@@ -126,13 +126,15 @@ class ExactModule(ProbModule):
 
 
 def _walk(domain, probs, u: float):
-    """The domain value where the cumulative sum of probs first passes u."""
+    """The domain value where the cumulative sum of probs first passes u; a
+    u past the whole float sum, which may fall short of 1 by rounding, takes
+    the last value of positive probability."""
     acc = 0.0
     for val, p in zip(domain, probs):
         acc += float(p)
         if u < acc:
             return val
-    return domain[-1]
+    return next(val for val, p in zip(reversed(domain), reversed(probs)) if p > 0)
 
 
 # The exact modules test the well-formed case, `type(v) is Value and

@@ -31,7 +31,7 @@ all its uniforms with one rng.random(n), n the number of rows it samples,
 and picks each value by bisecting its row's sums. That is the value the walk
 over the row (interface._walk) picks with one rng.random() per row, which
 gives the same doubles and leaves the generator at the same place; a u past
-a row's whole float sum takes the last value, as the walk does.
+a row's whole float sum takes the last positive entry, as the walk does.
 
 regenerate is unbiased for p(z) with either kind of table. simulate meets the
 harmonic identity E[exp(-lw) 1{z = z*}] = 1 when the inverse puts no mass on
@@ -139,16 +139,31 @@ class InverseNetwork:
 # -- table rows and sampling --------------------------------------------------
 
 
+def _bounds(row) -> list[float]:
+    """The row's running float sums, the totals _walk compares u with, up
+    to the start of its last positive entry. bisect_right over them picks
+    the value _walk picks, and a u past them lands on that last positive
+    entry, where _walk's fallback puts a u past the whole sum."""
+    probs = list(map(float, row))
+    last = max(j for j, p in enumerate(probs) if p > 0.0)
+    return list(accumulate(probs[:last], initial=0.0))[1:]
+
+
+def _walk_probs(row) -> list[float]:
+    """The probability _walk gives each value of row: the length of the
+    interval of uniforms in [0, 1) it sends there, between the row's _bounds
+    on either side, each clipped to 1; the last positive entry takes
+    everything from its start up to 1, the entries after it nothing."""
+    ends = [min(b, 1.0) for b in _bounds(row)]
+    ends += [1.0] * (len(row) - len(ends))
+    return [b - a for a, b in zip([0.0, *ends], ends)]
+
+
 def _bound_rows(rows) -> tuple:
     """(variable, domain, conditioning, bounds) rows, where bounds maps each
-    table key to the row's running float sums, the totals _walk compares u
-    with, without the last. bisect_right over them picks the value _walk
-    picks, and a u past the whole sum lands on the last value, as _walk's
-    fallback does."""
+    table key to its row's _bounds."""
     return tuple(
-        (var, domain, cond,
-         {key: list(accumulate(map(float, row), initial=0.0))[1:-1]
-          for key, row in table.items()})
+        (var, domain, cond, {key: _bounds(row) for key, row in table.items()})
         for var, domain, cond, table in rows)
 
 
@@ -180,26 +195,24 @@ def _joint(spec: DiscreteModelSpec, exact: bool) -> tuple[np.ndarray, np.ndarray
     mixed-radix code order: outputs, then latents last to first, first
     variable most significant, so codes count up in itertools.product order.
 
-    The float law takes each row as the forward walk realises it: value j
-    gets the difference of the running float sums on either side of it,
-    each clipped to [0, 1], and the last value everything from its start up
-    to 1; it is normalised. The exact law is the product of the table
-    entries as Fractions, in an object array, not normalised: every table
-    read off it is a ratio of its cells. The support is the AND of every
-    forward table's positive entries."""
+    The float law takes each row as the forward walk realises it, its
+    _walk_probs; it is normalised. The exact law is the product of the
+    table entries as Fractions, in an object array, not normalised: every
+    table read off it is a ratio of its cells. The support is the AND of
+    every forward table's positive entries."""
     order = (*spec.outputs, *reversed(spec.latents))
     axis = {v.name: k for k, v in enumerate(order)}
     grid = np.indices([len(v.domain) for v in order], sparse=True)
     law, possible = 1, True
     for v in spec.variables:
         parents = [spec.variable(p) for p in v.parents]
-        rows = np.array([v.table[key] for key in product(*[p.domain for p in parents])],
+        keys = list(product(*[p.domain for p in parents]))
+        rows = np.array([v.table[key] for key in keys],
                         dtype=float).reshape(*[len(p.domain) for p in parents], -1)
         if exact:
             probs = np.frompyfunc(Fraction, 1, 1)(rows)
         else:
-            edges = np.minimum(rows.cumsum(axis=-1)[..., :-1], 1.0)
-            probs = np.diff(edges, axis=-1, prepend=0.0, append=1.0)
+            probs = np.array([_walk_probs(v.table[key]) for key in keys]).reshape(rows.shape)
         # indexed by the open grids, each entry reaches every full
         # assignment that agrees with it on the table's variables
         at = tuple(grid[axis[n]] for n in (*v.parents, v.name))

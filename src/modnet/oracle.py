@@ -1,26 +1,32 @@
 """Brute-force enumeration oracle for small discrete models.
 
-This is the verification path the test suite trusts: plain dictionaries,
-explicit sums over every configuration, nothing shared with the inference
-engine. Models are factored as CPTs in topological order, optionally with one
-continuous leaf whose marginal density given a full discrete configuration is
-available in closed form.
+This is the verification path the test suite trusts: explicit sums over
+every configuration, nothing shared with the inference engine. Models are
+factored as CPTs in topological order, optionally with one continuous leaf
+that reads some of the variables and whose log marginal density given them
+is available in closed form.
 
-One generator walks the configurations consistent with an observation, in
-enumeration order, and yields each one's log joint; log_evidence, posterior
-and evidence_and_posterior are sums over that one stream, so a caller that
-needs several of them pays for one pass. The walk is depth first and keeps a
-prefix product per depth, so each configuration's probability is the
-left-to-right product of its table entries in factor order, while shared
-prefixes are multiplied once and a zero prefix drops its subtree. Every
-configuration of positive probability is still summed.
+Every answer reads one grid, an array with one axis per factor over the
+values the observation leaves open. Each factor's table is indexed by the
+open index grids of its variables' axes and multiplied in, in factor order,
+so an entry is the left-to-right product of its configuration's table
+entries; numpy rounds a multiply as Python does, so these are the doubles of
+a walk one configuration at a time. A C-order flatten gives
+itertools.product order, a mask drops probability zero, and the leaf is
+called once per assignment of the variables it reads. Past the grid the
+bits are kept too: log and exp go through math on .tolist() values, as
+numpy's kernels may differ from libm in the last bit, and every sum is a
+left-to-right fold, as np.sum is pairwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Callable, Mapping
+
+import numpy as np
 
 MAX_CONFIGS = 1 << 20
 _ROW_TOL = 1e-9
@@ -45,10 +51,12 @@ class ContinuousLeaf:
     """One continuous observation hanging off the discrete skeleton.
 
     log_density(config, obs) must return the closed-form log marginal density
-    of obs given the full discrete configuration.
+    of obs given config, a dict of the parents' values; the oracle calls it
+    once per assignment of the parents.
     """
 
     name: str
+    parents: tuple[str, ...]
     log_density: Callable[[dict, Any], float]
 
 
@@ -73,9 +81,7 @@ class FactoredDiscreteModel:
             if len(set(f.domain)) != len(f.domain):
                 raise ValueError(f"factor {f.var!r} has duplicate domain values")
             parent_domains = [self._domain(v) for v in f.parents]
-            expected_rows = 1
-            for d in parent_domains:
-                expected_rows *= len(d)
+            expected_rows = math.prod(map(len, parent_domains))
             if len(f.table) != expected_rows:
                 raise ValueError(
                     f"factor {f.var!r}: expected {expected_rows} rows, got {len(f.table)}"
@@ -94,13 +100,15 @@ class FactoredDiscreteModel:
                 if abs(sum(probs) - 1.0) > _ROW_TOL:
                     raise ValueError(f"factor {f.var!r}: row {key!r} does not sum to 1")
             seen.append(f.var)
-        if self.leaf is not None and self.leaf.name in seen:
-            raise ValueError(f"leaf name {self.leaf.name!r} clashes with a variable")
-        n = 1
-        for f in self.factors:
-            n *= len(f.domain)
-            if n > MAX_CONFIGS:
-                raise ValueError("model too large to enumerate")
+        leaf = self.leaf
+        if leaf is not None and leaf.name in seen:
+            raise ValueError(f"leaf name {leaf.name!r} clashes with a variable")
+        if leaf is not None and (len(set(leaf.parents)) != len(leaf.parents)
+                                 or not set(leaf.parents) <= set(seen)):
+            raise ValueError(f"leaf {leaf.name!r} reads {leaf.parents!r}, "
+                             "not distinct variables of the model")
+        if math.prod(len(f.domain) for f in self.factors) > MAX_CONFIGS:
+            raise ValueError("model too large to enumerate")
 
     def _domain(self, var: str) -> tuple:
         for f in self.factors:
@@ -121,60 +129,45 @@ def _fold(xs) -> float:
     return total
 
 
-def _logsumexp(vals):
-    m = max(vals)
+def _logsumexp(vals: np.ndarray) -> float:
+    m = float(vals.max())  # exact, and numpy subtracts as Python does
     if m == -math.inf:
         return -math.inf
-    return m + math.log(_fold(math.exp(v - m) for v in vals))
+    return m + math.log(_fold(map(math.exp, (vals - m).tolist())))
 
 
-def _configs(model: FactoredDiscreteModel, fixed: Mapping[str, Any],
-             keep_zero: bool = False):
-    """Yield (config, probability) for every full configuration consistent
-    with the fixed assignments, in itertools.product order, skipping those of
-    probability zero unless keep_zero. Depth first, with one running product
-    per depth taken in factor order, so a subtree whose prefix is 0.0 is
-    dropped at once and memory stays O(factors)."""
-    names = model.variables()
-    choices = []  # per factor: (index in its domain, value) pairs
+def _grid(model: FactoredDiscreteModel, fixed: Mapping[str, Any]):
+    """(law, index): law holds the probability of every configuration
+    consistent with the fixed values, with one axis per factor over the
+    domain indices in index (one where the value is fixed); None when a
+    fixed value is outside its domain."""
+    index = []
     for f in model.factors:
-        if f.var in fixed:
-            if fixed[f.var] not in f.domain:
-                return
-            choices.append(((f.domain.index(fixed[f.var]), fixed[f.var]),))
+        if f.var not in fixed:
+            index.append(range(len(f.domain)))
+        elif fixed[f.var] in f.domain:
+            index.append([f.domain.index(fixed[f.var])])
         else:
-            choices.append(tuple(enumerate(f.domain)))
-    if math.prod(map(len, choices)) > MAX_CONFIGS:
-        raise ValueError("enumeration space exceeds the configuration cap")
-    if not names:
-        yield {}, 1.0
-        return
-    pos = {v: i for i, v in enumerate(names)}
-    parents = [[pos[p] for p in f.parents] for f in model.factors]
-    vals: list = [None] * len(names)
-    prefix = [1.0] * len(names)
+            return None
+    grids = dict(zip(model.variables(), np.ix_(*index)))
+    law = np.ones(())
+    for f in model.factors:
+        domains = [model._domain(p) for p in f.parents]
+        table = np.array([f.table[key] for key in product(*domains)], dtype=float)
+        table = table.reshape(*map(len, domains), len(f.domain))
+        law = law * table[tuple(grids[v] for v in (*f.parents, f.var))]
+    return law, index
 
-    def level(i):
-        row = model.factors[i].table[tuple([vals[q] for q in parents[i]])]
-        return iter(choices[i]), row
 
-    stack = [level(0)]
-    while stack:
-        i = len(stack) - 1
-        values, row = stack[-1]
-        for j, v in values:
-            p = prefix[i] * row[j]
-            if p == 0.0 and not keep_zero:
-                continue
-            vals[i] = v
-            if i + 1 == len(names):
-                yield dict(zip(names, vals)), p
-            else:
-                prefix[i + 1] = p
-                stack.append(level(i + 1))
-                break
-        else:
-            stack.pop()
+def _leaf_grid(model: FactoredDiscreteModel, index, obs) -> np.ndarray:
+    """The leaf's log density of obs, one call per assignment of its parents
+    in the grid, shaped to broadcast over the grid's other axes."""
+    reads = [k for k, f in enumerate(model.factors) if f.var in model.leaf.parents]
+    names = [model.factors[k].var for k in reads]
+    dens = [model.leaf.log_density(dict(zip(names, combo)), obs) for combo in
+            product(*[[model.factors[k].domain[i] for i in index[k]] for k in reads])]
+    shape = [len(ix) if k in reads else 1 for k, ix in enumerate(index)]
+    return np.array(dens, dtype=float).reshape(shape)
 
 
 def enumerate_joint(model: FactoredDiscreteModel) -> dict[tuple, float]:
@@ -185,10 +178,9 @@ def enumerate_joint(model: FactoredDiscreteModel) -> dict[tuple, float]:
     """
     if model.leaf is not None:
         raise ValueError("enumerate_joint requires a fully discrete model")
-    names = model.variables()
-    joint = {}
-    for config, p in _configs(model, {}, keep_zero=True):
-        joint[tuple(config[v] for v in names)] = p
+    law, _ = _grid(model, {})
+    joint = dict(zip(product(*[f.domain for f in model.factors]),
+                     law.reshape(-1).tolist()))
     total = _fold(joint.values())
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"joint sums to {total}, expected 1")
@@ -196,9 +188,11 @@ def enumerate_joint(model: FactoredDiscreteModel) -> dict[tuple, float]:
 
 
 def _log_joint(model: FactoredDiscreteModel, observation: Mapping[str, Any]):
-    """Yield (config, log p(config, observation)) for every configuration
-    consistent with the observation, in enumeration order, skipping those of
-    probability zero; the leaf's density is added when the leaf is observed."""
+    """(terms, keep, shape): an array of log p(config, observation) for
+    every configuration consistent with the observation that has positive
+    probability, in enumeration order, with the leaf's density added when
+    the leaf is observed; their positions in the flat grid; the grid's
+    shape."""
     observation = dict(observation)
     leaf_obs = None
     if model.leaf is not None and model.leaf.name in observation:
@@ -206,17 +200,23 @@ def _log_joint(model: FactoredDiscreteModel, observation: Mapping[str, Any]):
     unknown = set(observation) - set(model.variables())
     if unknown:
         raise ValueError(f"observation names unknown variables: {sorted(unknown)}")
-    for config, p in _configs(model, observation):
-        lp = math.log(p)
-        if leaf_obs is not None:
-            lp += model.leaf.log_density(config, leaf_obs)
-        yield config, lp
+    grid = _grid(model, observation)
+    if grid is None:
+        return np.empty(0), None, None
+    law, index = grid
+    flat = law.reshape(-1)
+    keep = np.flatnonzero(flat)
+    terms = np.fromiter(map(math.log, flat[keep].tolist()), float, len(keep))
+    if leaf_obs is not None:
+        dens = np.broadcast_to(_leaf_grid(model, index, leaf_obs), law.shape)
+        terms += dens.reshape(-1)[keep]
+    return terms, keep, law.shape
 
 
 def log_evidence(model: FactoredDiscreteModel, observation: Mapping[str, Any]) -> float:
     """log p(observation), summing the joint over unobserved configurations."""
-    terms = [lp for _, lp in _log_joint(model, observation)]
-    if not terms:
+    terms = _log_joint(model, observation)[0]
+    if not terms.size:
         return -math.inf
     return _logsumexp(terms)
 
@@ -234,15 +234,23 @@ def evidence_and_posterior(
         model._domain(q)  # raises KeyError for unknown names
         if q in observation:
             raise ValueError(f"query variable {q!r} is observed")
-    terms: list[float] = []
-    log_terms: dict[tuple, list[float]] = {}
-    for config, lp in _log_joint(model, observation):
-        terms.append(lp)
-        log_terms.setdefault(tuple(config[q] for q in query), []).append(lp)
-    if not terms:
+    terms, keep, shape = _log_joint(model, observation)
+    if not terms.size:
         raise UndefinedConditionalError("observation has probability zero")
-    log_probs = {k: _logsumexp(v) for k, v in log_terms.items()}
-    log_total = _logsumexp(list(log_probs.values()))
+    # group the terms by a code of their query coordinates: a stable sort keeps
+    # each group in enumeration order, taken in the order the keys first appear
+    axes = [model.variables().index(q) for q in query]
+    coords = {k: keep // math.prod(shape[k + 1:]) % shape[k] for k in axes}
+    code = np.zeros(len(terms), dtype=np.int64)
+    for k in axes:
+        code = code * shape[k] + coords[k]
+    order = np.argsort(code, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(code[order])) + 1)
+    log_probs = {}
+    for g in sorted(groups, key=lambda g: g[0]):
+        key = tuple(model.factors[k].domain[coords[k][g[0]]] for k in axes)
+        log_probs[key] = _logsumexp(terms[g])
+    log_total = _logsumexp(np.array(list(log_probs.values())))
     post = {k: math.exp(lp - log_total) for k, lp in log_probs.items()}
     return _logsumexp(terms), log_probs, post
 

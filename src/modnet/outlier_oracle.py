@@ -11,10 +11,10 @@ regression whose per-point noise scale is chosen by latent outlier indicators,
 with the regression line integrated out analytically.
 
 compute_fixtures takes every constant from one pass over all 2^13
-configurations with the responses observed. The closed-form leaf depends on a
-configuration only through its 2^9 outlier-indicator patterns, so each model
-evaluates it once per pattern and reuses the value; every configuration is
-still enumerated and summed, and nothing is cached across models or calls.
+configurations with the responses observed. The closed-form leaf names the
+nine outlier indicators as the variables it reads, so the oracle evaluates it
+once per indicator pattern, 2^9 times, and broadcasts the value over the
+switch variables; nothing is cached here, across models or calls.
 """
 
 from __future__ import annotations
@@ -56,17 +56,18 @@ def _bern_factor(var: str, parents: tuple[str, ...], p_one_by_parent) -> Factor:
     return Factor(var, (0, 1), parents, rows)
 
 
+def _switch_factors(cpts) -> list[Factor]:
+    return [
+        _bern_factor("u1", (), cpts["u1"]),
+        _bern_factor("u2", ("u1",), cpts["u2"]),
+        _bern_factor("u3", ("u2",), cpts["u3"]),
+        _bern_factor("a", ("u3",), cpts["a"]),
+    ]
+
+
 def switch_prior_model() -> FactoredDiscreteModel:
     """The binary switch prior as a four-variable chain u1 -> u2 -> u3 -> a."""
-    cpts = load_constants()["switch_prior"]
-    return FactoredDiscreteModel(
-        [
-            _bern_factor("u1", (), cpts["u1"]),
-            _bern_factor("u2", ("u1",), cpts["u2"]),
-            _bern_factor("u3", ("u2",), cpts["u3"]),
-            _bern_factor("a", ("u3",), cpts["a"]),
-        ]
-    )
+    return FactoredDiscreteModel(_switch_factors(load_constants()["switch_prior"]))
 
 
 def switch_marginal() -> dict[int, float]:
@@ -129,34 +130,22 @@ def full_model() -> FactoredDiscreteModel:
     """Complete discrete skeleton (u1, u2, u3, a, o1..o9) with the response
     vector as a continuous leaf. 2^13 configurations, enumerable directly."""
     constants = load_constants()
-    cpts = constants["switch_prior"]
     reg = constants["regression"]
     xs = tuple(constants["dataset"]["covariates"])
-    rate = {0: float(reg["outlier_rate"]["0"]), 1: float(reg["outlier_rate"]["1"])}
-    factors = [
-        _bern_factor("u1", (), cpts["u1"]),
-        _bern_factor("u2", ("u1",), cpts["u2"]),
-        _bern_factor("u3", ("u2",), cpts["u3"]),
-        _bern_factor("a", ("u3",), cpts["a"]),
-    ]
-    for i in range(len(xs)):
-        factors.append(_bern_factor(f"o{i + 1}", ("a",), (rate[0], rate[1])))
+    rate = (float(reg["outlier_rate"]["0"]), float(reg["outlier_rate"]["1"]))
+    indicators = tuple(f"o{i + 1}" for i in range(len(xs)))
+    factors = _switch_factors(constants["switch_prior"])
+    factors += [_bern_factor(o, ("a",), rate) for o in indicators]
     sigma = (float(reg["sigma_inlier"]), float(reg["sigma_outlier"]))
     prior_mean = tuple(reg["prior_mean"])
     prior_var = tuple(reg["prior_var"])
-    indicators = tuple(f"o{i + 1}" for i in range(len(xs)))
-    memo: dict[tuple, float] = {}
 
     def leaf_log_density(config: dict, obs) -> float:
-        # The density sees the configuration only through its indicators.
-        key = (tuple([config[o] for o in indicators]), tuple(obs))
-        lp = memo.get(key)
-        if lp is None:
-            sigmas = [sigma[v] for v in key[0]]
-            lp = memo[key] = conjugate_log_marginal(xs, obs, sigmas, prior_mean, prior_var)
-        return lp
+        sigmas = [sigma[config[o]] for o in indicators]
+        return conjugate_log_marginal(xs, obs, sigmas, prior_mean, prior_var)
 
-    return FactoredDiscreteModel(factors, leaf=ContinuousLeaf("b", leaf_log_density))
+    return FactoredDiscreteModel(
+        factors, leaf=ContinuousLeaf("b", indicators, leaf_log_density))
 
 
 def compute_fixtures() -> dict:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modnet import inverse
-from modnet.interface import SchemaError, _walk
+from modnet.interface import SchemaError, _walk, table_module
 from modnet.inverse import (
     DiscreteModelSpec,
     InverseModule,
@@ -121,10 +121,13 @@ def _order(spec):
 def _walk_law(row):
     """The probability _walk gives each value of a row: the measure of the
     uniforms in [0, 1) it sends there, between the running float sums on
-    either side of the value, each clipped to 1; the last value takes
-    everything from its start up to 1."""
-    starts = [min(x, 1.0) for x in accumulate(map(float, row[:-1]), initial=0.0)]
-    return [b - a for a, b in zip(starts, starts[1:] + [1.0])]
+    either side of the value, each clipped to 1; the last positive entry
+    takes everything from its start up to 1, and the entries after it
+    nothing."""
+    last = max(j for j, p in enumerate(row) if p > 0.0)
+    starts = [min(x, 1.0) for x in accumulate(map(float, row[:last]), initial=0.0)]
+    return ([b - a for a, b in zip(starts, starts[1:] + [1.0])]
+            + [0.0] * (len(row) - 1 - last))
 
 
 def _reference_law(spec):
@@ -769,3 +772,45 @@ def test_inverse_draws_match_the_one_uniform_per_row_walk():
     assert got[2] == {"u": 2} and got[0] == {"z": discrete(1)}
     ref = _reference_simulate(spec, module.inv, _MaxUniform())
     assert (got[0], repr(got[1]), got[2]) == (ref[0], repr(ref[1]), ref[2])
+
+
+def _short_tail_spec():
+    """u's row (0.5, 0.5 - 5e-10, 0.0) ends in a zero entry and its float
+    sum falls 5e-10 short of 1."""
+    return DiscreteModelSpec(
+        latents=(VariableSpec("u", (0, 1, 2), (), {(): (0.5, 0.5 - 5e-10, 0.0)}),),
+        outputs=(VariableSpec("z", (0, 1), ("u",), {
+            (0,): (0.3, 0.7), (1,): (0.6, 0.4), (2,): (0.5, 0.5)}),))
+
+
+def test_a_uniform_past_a_short_row_takes_its_last_positive_value():
+    # a u past the row's float sum must not draw u = 2, which the row's zero
+    # entry rules out: the walk, the forward and inverse bisections and a
+    # table module all give it the last value of positive probability
+    spec = _short_tail_spec()
+    row = spec.latents[0].table[()]
+    assert _walk((0, 1, 2), row, _MaxUniform.U) == 1
+    assert _walk_law(row) == [0.5, 0.5, 0.0]
+    for inv in (exact_inverse(spec), train_inverse(spec, 1000, np.random.default_rng(0))):
+        module = InverseModule(spec, inv)
+        _, lw, aux = module.simulate({}, _MaxUniform())
+        assert aux == {"u": 1} and lw > -math.inf
+        for z in (0, 1):
+            lw, aux = module.regenerate({}, {"z": discrete(z)}, _MaxUniform())
+            assert aux == {"u": 1} and lw > -math.inf
+    out, lw, _ = table_module((), {(): row}, domain=(0, 1, 2)).simulate({}, _MaxUniform())
+    assert out == {"z": discrete(1)} and lw == math.log(row[1])
+
+
+def test_learned_rows_of_a_short_row_sum_to_one():
+    # the training law gives the zero entry nothing, so no count lands on a
+    # cell the support rules out and every row's denominator is its cells'
+    # sum; a law with 2.5e-10 on each u = 2 cell leaves rows summing to
+    # 0.9999999994 at 1e11 samples
+    spec = _short_tail_spec()
+    law, possible = inverse._joint(spec, False)
+    assert not law[~possible].any()
+    inv = train_inverse(spec, 10**11, np.random.default_rng(25))
+    for f in inv.factors:
+        for probs in f.table.values():
+            assert abs(sum(probs) - 1.0) <= 1e-15 and probs[2] == 0.0

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -60,7 +62,8 @@ def test_observation_and_query_names_are_checked():
         posterior(m, {"x": 1}, ("x",))
     with pytest.raises(KeyError):
         posterior(m, {}, ("b",))
-    with_leaf = FactoredDiscreteModel(m.factors, ContinuousLeaf("b", _leaf_log_density))
+    with_leaf = FactoredDiscreteModel(m.factors,
+                                      ContinuousLeaf("b", ("x", "y"), _leaf_log_density))
     assert log_evidence(with_leaf, {"b": 0.5}) == pytest.approx(
         math.log(sum(p * math.exp(_leaf_log_density({"x": x, "y": y}, 0.5))
                      for (x, y), p in enumerate_joint(m).items())), rel=1e-14)
@@ -101,6 +104,28 @@ def test_malformed_factor_is_refused_at_construction(factors):
         FactoredDiscreteModel(factors)
 
 
+@pytest.mark.parametrize("parents", [("ghost",), ("x", "x"), ("b",)],
+                         ids=["unknown_variable", "repeated_variable", "itself"])
+def test_leaf_reading_anything_but_distinct_variables_is_refused(parents):
+    with pytest.raises(ValueError, match="leaf 'b'"):
+        FactoredDiscreteModel(_two_coin_model().factors,
+                              ContinuousLeaf("b", parents, _leaf_log_density))
+
+
+def test_a_model_past_the_configuration_cap_is_refused_before_any_allocation():
+    coins = [Factor(f"c{i}", (0, 1), (), {(): (0.5, 0.5)}) for i in range(21)]
+    assert len(coins) == oracle.MAX_CONFIGS.bit_length()
+    FactoredDiscreteModel(coins[:-1])  # exactly at the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            FactoredDiscreteModel(coins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _leaf_log_density(config, obs):
     return -0.5 * (obs - sum(config.values()) / 3.0) ** 2 - 0.9189385332046727
 
@@ -109,8 +134,9 @@ def _leaf_log_density(config, obs):
 def small_models(draw):
     """1-4 variables over 2-3 consecutive values that need not start at zero,
     random parents among earlier variables, rows from integer weights 0-3 so
-    some entries are zero, an optional leaf, and an observation that fixes
-    some variables; returns (model, observation, query)."""
+    some entries are zero, an optional leaf that reads a random subset of the
+    variables, and an observation that fixes some variables; returns (model,
+    observation, query)."""
     factors: list[Factor] = []
     for i in range(draw(st.integers(1, 4))):
         start = draw(st.integers(-2, 5))
@@ -122,7 +148,10 @@ def small_models(draw):
                                     max_size=len(domain)).filter(any))
             table[key] = tuple(w / sum(weights) for w in weights)
         factors.append(Factor(f"v{i}", domain, tuple(f.var for f in parents), table))
-    leaf = ContinuousLeaf("y", _leaf_log_density) if draw(st.booleans()) else None
+    leaf = None
+    if draw(st.booleans()):
+        reads = tuple(f.var for f in factors if draw(st.booleans()))
+        leaf = ContinuousLeaf("y", reads, _leaf_log_density)
     observation = {f.var: draw(st.sampled_from(f.domain))
                    for f in factors if draw(st.booleans())}
     if leaf is not None and draw(st.booleans()):
@@ -164,7 +193,8 @@ def _ref_log_terms(model, observation):
             continue
         lp = math.log(p)
         if leaf_obs is not None:
-            lp += model.leaf.log_density(config, leaf_obs)
+            lp += model.leaf.log_density(
+                {q: config[q] for q in model.leaf.parents}, leaf_obs)
         yield config, lp
 
 
@@ -311,6 +341,42 @@ def test_leaf_is_evaluated_once_per_indicator_pattern(monkeypatch):
     # a second call builds a fresh model and enumerates again from scratch
     assert oo.compute_fixtures() == first
     assert len(calls) == 2 * patterns
+
+
+def test_pinned_floats_do_not_depend_on_numpy_kernels(monkeypatch, oracle_fixtures):
+    # numpy's exp and log may round differently from libm by build, and its
+    # sum adds pairwise; the fixture bits come from math and a fold alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called a numpy kernel its bits must not depend on")
+
+    guarded = {name: refuse for name in ("exp", "log", "sum")}
+    monkeypatch.setattr(oracle, "np", types.SimpleNamespace(**{**vars(np), **guarded}))
+    with pytest.raises(AssertionError):
+        oracle.np.exp(0.0)
+    assert oo.compute_fixtures() == oracle_fixtures
+
+
+def test_leaf_is_called_once_per_assignment_of_its_parents():
+    calls = []
+
+    def counted(config, obs):
+        calls.append(config)
+        return _leaf_log_density(config, obs)
+
+    m = FactoredDiscreteModel([
+        Factor("x", (0, 1), (), {(): (0.4, 0.6)}),
+        Factor("y", (0, 1, 2), ("x",), {(0,): (0.2, 0.3, 0.5), (1,): (0.5, 0.0, 0.5)}),
+        Factor("z", (0, 1), ("y",), {(y,): (0.5, 0.5) for y in (0, 1, 2)}),
+    ], ContinuousLeaf("w", ("z", "x"), counted))
+    post = posterior(m, {"w": 0.5}, ("y",))
+    assert sorted((c["x"], c["z"]) for c in calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(c.keys() == {"x", "z"} for c in calls)
+    assert post == _ref_posterior(m, {"w": 0.5}, ("y",))
+    # an observed parent leaves one assignment of it
+    calls.clear()
+    log_ev = log_evidence(m, {"w": 0.5, "x": 1})
+    assert sorted((c["x"], c["z"]) for c in calls) == [(1, 0), (1, 1)]
+    assert log_ev == _ref_log_evidence(m, {"w": 0.5, "x": 1})
 
 
 def test_fixture_internal_consistency(oracle_fixtures):
