@@ -12,9 +12,11 @@ with the regression line integrated out analytically.
 
 compute_fixtures takes every constant from one pass over all 2^13
 configurations with the responses observed. The closed-form leaf names the
-nine outlier indicators as the variables it reads, so the oracle evaluates it
-once per indicator pattern, 2^9 times, and broadcasts the value over the
-switch variables; nothing is cached here, across models or calls.
+nine outlier indicators as the variables it reads, so the oracle hands it
+all 2^9 indicator patterns at once; it stacks their noise scales into one
+(512, 9) matrix, runs the conjugate recursion once over its rows, and the
+oracle broadcasts each pattern's value over the switch variables. Nothing
+is cached here, across models or calls.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import math
 import os
 from importlib import resources
 from typing import Sequence
+
+import numpy as np
 
 from .oracle import (
     ContinuousLeaf,
@@ -82,19 +86,29 @@ def switch_marginal() -> dict[int, float]:
 def conjugate_log_marginal(
     xs: Sequence[float],
     bs: Sequence[float],
-    sigmas: Sequence[float],
+    sigmas,
     prior_mean: Sequence[float],
     prior_var: Sequence[float],
-) -> float:
+):
     """log p(bs) for b_i = c + m*x_i + eps_i with (c, m) integrated out.
 
     Prior (c, m) ~ N(prior_mean, diag(prior_var)), eps_i ~ N(0, sigmas[i]^2).
     Computed in precision form with explicit 2x2 determinant and Cramer solve;
     no matrix library involved.
+
+    sigmas is shaped (n,), giving a float, or (P, n), giving one value per
+    row as an array of P. The rows run through the recursion together: each
+    is the same IEEE operations in the same order as a one-row call, so every
+    row's double is that call's. log is taken by math, once per distinct
+    sigma and once per row's determinant.
     """
     n = len(xs)
-    if not (len(bs) == len(sigmas) == n):
+    s = np.asarray(sigmas, dtype=float)
+    if s.ndim not in (1, 2) or not (len(bs) == s.shape[-1] == n):
         raise ValueError("xs, bs, sigmas must have equal length")
+    rows = s.reshape(-1, n)
+    scales, which = np.unique(rows, return_inverse=True)
+    log_s = np.array(list(map(math.log, scales.tolist())))[which.reshape(rows.shape)]
     l0_c = 1.0 / prior_var[0]
     l0_m = 1.0 / prior_var[1]
     # Posterior precision [[acc, abm], [abm, amm]] and shift eta.
@@ -105,25 +119,27 @@ def conjugate_log_marginal(
     eta_m = l0_m * prior_mean[1]
     quad_obs = 0.0
     log_sigma_sum = 0.0
-    for x, b, s in zip(xs, bs, sigmas):
-        w = 1.0 / (s * s)
-        acc += w
-        abm += w * x
-        amm += w * x * x
-        eta_c += w * b
-        eta_m += w * b * x
-        quad_obs += w * b * b
-        log_sigma_sum += math.log(s)
+    for i, (x, b) in enumerate(zip(xs, bs)):
+        w = 1.0 / (rows[:, i] * rows[:, i])
+        acc = acc + w
+        abm = abm + w * x
+        amm = amm + w * x * x
+        eta_c = eta_c + w * b
+        eta_m = eta_m + w * b * x
+        quad_obs = quad_obs + w * b * b
+        log_sigma_sum = log_sigma_sum + log_s[:, i]
     det0 = l0_c * l0_m
     detn = acc * amm - abm * abm
     quad_post = (amm * eta_c * eta_c - 2.0 * abm * eta_c * eta_m + acc * eta_m * eta_m) / detn
     quad_prior = l0_c * prior_mean[0] * prior_mean[0] + l0_m * prior_mean[1] * prior_mean[1]
-    return (
+    log_detn = np.array(list(map(math.log, detn.tolist())))
+    out = (
         -0.5 * n * math.log(2.0 * math.pi)
         - log_sigma_sum
-        + 0.5 * (math.log(det0) - math.log(detn))
+        + 0.5 * (math.log(det0) - log_detn)
         + 0.5 * (quad_post - quad_prior - quad_obs)
     )
+    return float(out[0]) if s.ndim == 1 else out
 
 
 def full_model() -> FactoredDiscreteModel:
@@ -136,12 +152,12 @@ def full_model() -> FactoredDiscreteModel:
     indicators = tuple(f"o{i + 1}" for i in range(len(xs)))
     factors = _switch_factors(constants["switch_prior"])
     factors += [_bern_factor(o, ("a",), rate) for o in indicators]
-    sigma = (float(reg["sigma_inlier"]), float(reg["sigma_outlier"]))
+    sigma = np.array([float(reg["sigma_inlier"]), float(reg["sigma_outlier"])])
     prior_mean = tuple(reg["prior_mean"])
     prior_var = tuple(reg["prior_var"])
 
-    def leaf_log_density(config: dict, obs) -> float:
-        sigmas = [sigma[config[o]] for o in indicators]
+    def leaf_log_density(columns: dict, obs) -> np.ndarray:
+        sigmas = np.stack([sigma[columns[o]] for o in indicators], axis=1)
         return conjugate_log_marginal(xs, obs, sigmas, prior_mean, prior_var)
 
     return FactoredDiscreteModel(

@@ -144,12 +144,17 @@ def _log_weights(module, inputs, outputs, n: int, rng) -> np.ndarray:
         dtype=float, count=n)
 
 
-def _z_score(draws: np.ndarray, truth: float) -> dict:
-    """|mean - truth| in standard errors. The SE is floored at 1e-12 * truth,
-    so draws that are constant up to rounding are held to rounding."""
+def _z_score(draws: np.ndarray, truth: float, truth_se: float = 0.0) -> dict:
+    """|mean - truth| in standard errors. truth_se is the SE of a truth that
+    is itself a sample mean, independent of the draws; the SE of the
+    difference is then used. The SE is floored at 1e-12 * truth, so draws
+    that are constant up to rounding are held to rounding."""
     mean = float(draws.mean())
-    se = max(float(draws.std(ddof=1) / math.sqrt(len(draws))), 1e-12 * truth)
-    z = abs(mean - truth) / se
+    se = float(draws.std(ddof=1) / math.sqrt(len(draws)))
+    if truth_se:
+        se = math.sqrt(se * se + truth_se * truth_se)
+    se = max(se, 1e-12 * truth)
+    z = abs(mean - truth) / se if se else (0.0 if mean == truth else math.inf)
     return {"mean": mean, "truth": truth, "se": se, "z": z, "n": len(draws)}
 
 
@@ -159,21 +164,27 @@ def check_module_contract(module, inputs, outputs, truth: float, n: int, rng) ->
     n regenerate calls at (inputs, outputs): the mean of exp(lw) is scored
     against truth = p(outputs | inputs) > 0 ("z"), next to sd(lw) ("lw_sd").
     When every output value is discrete, n simulate calls follow, and the
-    mean of exp(-lw) 1{simulated outputs == outputs} is scored against 1,
-    the harmonic identity ("harmonic", with its own mean, se and z). A real
-    output is never hit exactly, so it has no harmonic half.
+    mean of exp(-lw) 1{simulated outputs == outputs} is scored against the
+    fraction of the n regenerate draws with lw > -inf, with the SE of the
+    difference of the two means ("harmonic", with its own mean, truth, se
+    and z). The harmonic identity gives P(regenerate's weight > 0), which is
+    1, with SE 0, where no draw is -inf. A real output is never hit exactly,
+    so it has no harmonic half.
     """
     lws = _log_weights(module, inputs, outputs, n, rng)
     # math.exp per draw: np.exp may round some draws differently
     result = _z_score(np.fromiter(map(math.exp, lws), dtype=float, count=n), truth)
     # a weight of zero (lw = -inf) makes sd(lw) infinite, not NaN
-    result["lw_sd"] = float(lws.std(ddof=1)) if np.isfinite(lws).all() else math.inf
+    alive = lws > -math.inf
+    result["lw_sd"] = float(lws.std(ddof=1)) if alive.all() else math.inf
     if all(v.kind in (DISCRETE, DISCRETE_VECTOR) for v in outputs.values()):
         def hit() -> float:
             sim, lw, _ = module.simulate(inputs, rng)
             return math.exp(-check_log_weight(lw)) if sim == outputs else 0.0
+        survival = alive.astype(float)
         result["harmonic"] = _z_score(
-            np.fromiter((hit() for _ in range(n)), dtype=float, count=n), 1.0)
+            np.fromiter((hit() for _ in range(n)), dtype=float, count=n),
+            float(survival.mean()), float(survival.std(ddof=1) / math.sqrt(n)))
     return result
 
 
@@ -504,12 +515,13 @@ def conjugate_correctness(fixtures: dict | None):
             total += lp
         return total
 
+    # row r is indicator pattern r: point i takes s_out where bit i of r is set
+    noise = np.where(np.arange(1 << n)[:, None] >> np.arange(n) & 1, s_out, s_in)
+    batch = oo.conjugate_log_marginal(xs, bs, noise,
+                                      reg["prior_mean"], reg["prior_var"])
     worst = 0.0
-    for mask in range(1 << n):
-        sigmas = [s_out if (mask >> i) & 1 else s_in for i in range(n)]
-        batch = oo.conjugate_log_marginal(xs, bs, sigmas,
-                                          reg["prior_mean"], reg["prior_var"])
-        worst = max(worst, abs(sequential(sigmas) - batch))
+    for sigmas, closed in zip(noise.tolist(), batch.tolist()):
+        worst = max(worst, abs(sequential(sigmas) - closed))
 
     # equal noise levels: the indicator-prior-weighted mixture over all 2^n
     # configurations must collapse to the one Gaussian marginal, for both

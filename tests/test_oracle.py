@@ -193,8 +193,10 @@ def _ref_log_terms(model, observation):
             continue
         lp = math.log(p)
         if leaf_obs is not None:
-            lp += model.leaf.log_density(
-                {q: config[q] for q in model.leaf.parents}, leaf_obs)
+            # the leaf at this one assignment: one-entry columns
+            dens = model.leaf.log_density(
+                {q: np.array([config[q]]) for q in model.leaf.parents}, leaf_obs)
+            lp += float(np.broadcast_to(dens, (1,))[0])
         yield config, lp
 
 
@@ -335,12 +337,31 @@ def test_leaf_is_evaluated_once_per_indicator_pattern(monkeypatch):
         return closed_form(*args)
 
     monkeypatch.setattr(oo, "conjugate_log_marginal", counted)
-    patterns = 2 ** len(oo.load_constants()["dataset"]["covariates"])
+    n = len(oo.load_constants()["dataset"]["covariates"])
     first = oo.compute_fixtures()
-    assert len(calls) == patterns == 512
+    assert len(calls) == 1
+    sigmas = calls[0][2]
+    assert sigmas.shape == (2 ** n, n) == (512, 9)
+    assert len(np.unique(sigmas, axis=0)) == 512  # every pattern, once
     # a second call builds a fresh model and enumerates again from scratch
     assert oo.compute_fixtures() == first
-    assert len(calls) == 2 * patterns
+    assert len(calls) == 2
+
+
+def test_batched_rows_equal_the_one_row_call(monkeypatch):
+    calls = []
+    closed_form = oo.conjugate_log_marginal
+    monkeypatch.setattr(oo, "conjugate_log_marginal",
+                        lambda *args: calls.append(args) or closed_form(*args))
+    oo.compute_fixtures()
+    (xs, bs, sigmas, prior_mean, prior_var), = calls
+    batch = closed_form(xs, bs, sigmas, prior_mean, prior_var)
+    for row, got in zip(sigmas.tolist(), batch.tolist()):
+        one = closed_form(xs, bs, row, prior_mean, prior_var)
+        assert type(one) is float
+        assert repr(got) == repr(one)
+    with pytest.raises(ValueError, match="equal length"):
+        closed_form(xs, bs, sigmas[:, 1:], prior_mean, prior_var)
 
 
 def test_pinned_floats_do_not_depend_on_numpy_kernels(monkeypatch, oracle_fixtures):
@@ -350,33 +371,78 @@ def test_pinned_floats_do_not_depend_on_numpy_kernels(monkeypatch, oracle_fixtur
         raise AssertionError("the oracle called a numpy kernel its bits must not depend on")
 
     guarded = {name: refuse for name in ("exp", "log", "sum")}
-    monkeypatch.setattr(oracle, "np", types.SimpleNamespace(**{**vars(np), **guarded}))
-    with pytest.raises(AssertionError):
-        oracle.np.exp(0.0)
+    for module in (oracle, oo):
+        monkeypatch.setattr(module, "np",
+                            types.SimpleNamespace(**{**vars(np), **guarded}))
+        with pytest.raises(AssertionError):
+            module.np.log(1.0)
     assert oo.compute_fixtures() == oracle_fixtures
+
+
+def _fold_reference(xs):
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(xs=st.lists(st.floats(-1e300, 1e300).filter(
+    lambda x: x != 0.0 or math.copysign(1.0, x) > 0), min_size=1, max_size=60))
+def test_the_fold_adds_left_to_right_bit_for_bit(xs):
+    # np.add.accumulate adds each entry to the running total, so it rounds
+    # as a Python loop does, unlike np.sum's pairwise tree
+    assert repr(oracle._fold(np.array(xs))) == repr(_fold_reference(xs))
+
+
+def test_the_fold_is_not_a_pairwise_sum():
+    xs = np.array([1.0] + [2.0 ** -53] * 16)
+    assert oracle._fold(xs) == 1.0 == _fold_reference(xs.tolist())
+    assert float(np.sum(xs)) != 1.0
+
+
+def _counting_leaf(calls):
+    def leaf(columns, obs):
+        calls.append({k: v.tolist() for k, v in columns.items()})
+        return _leaf_log_density(columns, obs)
+    return leaf
 
 
 def test_leaf_is_called_once_per_assignment_of_its_parents():
     calls = []
-
-    def counted(config, obs):
-        calls.append(config)
-        return _leaf_log_density(config, obs)
-
     m = FactoredDiscreteModel([
         Factor("x", (0, 1), (), {(): (0.4, 0.6)}),
         Factor("y", (0, 1, 2), ("x",), {(0,): (0.2, 0.3, 0.5), (1,): (0.5, 0.0, 0.5)}),
         Factor("z", (0, 1), ("y",), {(y,): (0.5, 0.5) for y in (0, 1, 2)}),
-    ], ContinuousLeaf("w", ("z", "x"), counted))
+    ], ContinuousLeaf("w", ("z", "x"), _counting_leaf(calls)))
     post = posterior(m, {"w": 0.5}, ("y",))
-    assert sorted((c["x"], c["z"]) for c in calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert all(c.keys() == {"x", "z"} for c in calls)
+    # one call; columns in product order over (x, z), the factor order
+    assert calls == [{"x": [0, 0, 1, 1], "z": [0, 1, 0, 1]}]
     assert post == _ref_posterior(m, {"w": 0.5}, ("y",))
-    # an observed parent leaves one assignment of it
+    # an observed parent's column repeats its value
     calls.clear()
     log_ev = log_evidence(m, {"w": 0.5, "x": 1})
-    assert sorted((c["x"], c["z"]) for c in calls) == [(1, 0), (1, 1)]
+    assert calls == [{"x": [1, 1], "z": [0, 1]}]
     assert log_ev == _ref_log_evidence(m, {"w": 0.5, "x": 1})
+
+
+@pytest.mark.parametrize("parents, observation", [
+    ((), {"w": 0.5}),
+    (("x", "z"), {"w": 0.5, "x": 1, "z": 0}),
+], ids=["reads_no_variable", "all_parents_observed"])
+def test_leaf_with_no_open_parent(parents, observation):
+    calls = []
+    m = FactoredDiscreteModel([
+        Factor("x", (0, 1), (), {(): (0.4, 0.6)}),
+        Factor("y", (0, 1, 2), ("x",), {(0,): (0.2, 0.3, 0.5), (1,): (0.5, 0.0, 0.5)}),
+        Factor("z", (0, 1), ("y",), {(y,): (0.3, 0.7) for y in (0, 1, 2)}),
+    ], ContinuousLeaf("w", parents, _counting_leaf(calls)))
+    log_ev, log_joint, post = evidence_and_posterior(m, observation, ("y",))
+    assert calls == [{p: [observation[p]] for p in parents}]
+    assert log_ev == _ref_log_evidence(m, observation)
+    assert post == _ref_posterior(m, observation, ("y",))
+    assert log_joint == {k: _ref_log_evidence(m, {**observation, "y": k[0]})
+                         for k in post}
 
 
 def test_fixture_internal_consistency(oracle_fixtures):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import math
 import re
 import struct
@@ -7,6 +8,8 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from modnet.interface import DegenerateTraceError, SchemaError
@@ -568,3 +571,37 @@ def test_numpy_particle_count_runs_as_the_plain_int():
     runs = [smc_run(_model(), {}, hmm_observation(YS), k, np.random.default_rng(4))
             for k in (3, np.int64(3))]
     assert runs[0] == runs[1]
+
+
+_prob = st.one_of(st.sampled_from([0.0, 1.0]),
+                  st.floats(0.05, 0.95).map(lambda p: round(p, 2)))
+
+
+@st.composite
+def random_hmms(draw):
+    """(model, inputs, ys, p(ys | inputs)): a BinaryHmm of 1-4 steps whose
+    probabilities may be exactly 0 or 1, half of them taking their
+    transition pair from an input value, and an observation it can emit."""
+    T = draw(st.integers(1, 4))
+    init, emit = draw(_prob), (draw(_prob), draw(_prob))
+    trans = (draw(_prob), draw(_prob))
+    oracle_model = hmm_oracle_model(T, init, trans, emit)
+    evidence = {ys: math.exp(log_evidence(oracle_model, {f"y{t}": y for t, y in enumerate(ys)}))
+                for ys in itertools.product((0, 1), repeat=T)}
+    ys = draw(st.sampled_from([ys for ys, p in evidence.items() if p > 0.0]))
+    if draw(st.booleans()):
+        return BinaryHmm(T, init, emit, trans=trans), {}, list(ys), evidence[ys]
+    model = BinaryHmm(T, init, emit, trans_by_input={3: trans, 4: (0.5, 0.5)},
+                      input_port="x")
+    return model, {"x": discrete(3)}, list(ys), evidence[ys]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=random_hmms(), k=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1))
+def test_random_sweeps_hold_both_halves_of_the_contract(case, k, seed):
+    # a step weight of 0 on the prior's support leaves some regenerate draws
+    # at -inf; the harmonic mean then estimates their survival fraction, not 1
+    model, inputs, ys, evidence = case
+    res = check_module_contract(SmcModule(model, k), inputs, hmm_observation(ys),
+                                evidence, 1000, np.random.default_rng(seed))
+    assert res["z"] < 4.5 and res["harmonic"]["z"] < 4.5
