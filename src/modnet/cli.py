@@ -1,9 +1,8 @@
-"""Command-line front door: run inference chains, emit exact reference
-constants, or run the validation battery.
+"""Command-line front door: run inference chains, or run the validation
+battery against exact answers the oracle enumerates on the spot.
 
     modnet infer --out runs/demo
     modnet infer --config my_experiment.json --chains 4 --seed 7
-    modnet oracle --out tests/fixtures
     modnet validate --iters 100
 
 Every output is a deterministic function of the config. Seeds are required
@@ -22,13 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from importlib import resources
 from pathlib import Path
 
-from . import outlier_oracle, validation
+from . import validation
 from .experiment import (
     ConfigError,
     load_config,
@@ -41,7 +39,6 @@ from .interface import ModnetError
 
 log = logging.getLogger("modnet.cli")
 
-DEFAULT_FIXTURES = "tests/fixtures/oracle_fixtures.json"
 LOG_LEVELS = ("CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG")
 
 
@@ -54,12 +51,6 @@ def _setup_logging() -> None:
     logging.basicConfig(
         level=level, format="%(levelname)s %(name)s: %(message)s"
     )
-
-
-def _require_object(doc, path) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config root must be a JSON object")
-    return doc
 
 
 def _count(name: str, v) -> int:
@@ -116,58 +107,23 @@ def cmd_infer(args) -> int:
     return 0
 
 
-# -- oracle -------------------------------------------------------------------
-
-
-def cmd_oracle(args) -> int:
-    path = make_out_dir(args.out or ".") / "oracle_fixtures.json"
-    fixtures = outlier_oracle.compute_fixtures()
-    outlier_oracle.write_fixtures(path, fixtures)
-    print(f"wrote {path} ({len(fixtures)} top-level keys)")
-    return 0
-
-
 # -- validate -----------------------------------------------------------------
-
-
-def _finite_number(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
-def _check_fixtures(fixtures: dict, path) -> None:
-    """The three constants the battery reads, present and of the right type:
-    by-switch maps with entries "0" and "1", and a posterior number, all
-    finite."""
-    missing = {"switch_marginal", "log_evidence_by_switch",
-               "posterior_switch_one"} - set(fixtures)
-    if missing:
-        raise ConfigError(f"fixtures file {path} lacks {sorted(missing)}")
-    for key in ("switch_marginal", "log_evidence_by_switch"):
-        by_switch = fixtures[key]
-        if not (isinstance(by_switch, dict) and all(
-                _finite_number(by_switch.get(k)) for k in ("0", "1"))):
-            raise ConfigError(f"fixtures file {path}: {key!r} must map "
-                              f'"0" and "1" to finite numbers, got {by_switch!r}')
-    if not _finite_number(fixtures["posterior_switch_one"]):
-        raise ConfigError(f"fixtures file {path}: 'posterior_switch_one' must be "
-                          f"a finite number, got {fixtures['posterior_switch_one']!r}")
 
 
 def cmd_validate(args) -> int:
     doc: dict = {}
     if args.config is not None:
-        doc = _require_object(read_config_document(args.config), args.config)
-        unknown = set(doc) - {"fixtures", "iterations", "chains", "workers", "out"}
+        doc = read_config_document(args.config)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{args.config}: config root must be a JSON object")
+        unknown = set(doc) - {"iterations", "chains", "workers", "out"}
         if unknown:
             raise ConfigError(
                 f"unknown validate config fields: {', '.join(sorted(unknown))}"
             )
-        for key in ("fixtures", "out"):
-            if key in doc and not isinstance(doc[key], str):
-                raise ConfigError(f"{key} must be a path string, got {doc[key]!r}")
+        if "out" in doc and not isinstance(doc["out"], str):
+            raise ConfigError(f"out must be a path string, got {doc['out']!r}")
 
-    fixtures_path = Path(doc.get("fixtures", DEFAULT_FIXTURES))
     iterations = args.iters if args.iters is not None else doc.get("iterations")
     chains = args.chains if args.chains is not None else doc.get("chains")
     workers = args.workers if args.workers is not None else doc.get("workers", 1)
@@ -178,21 +134,10 @@ def cmd_validate(args) -> int:
         chains = _count("chains", chains)
     workers = _count("workers", workers)
 
-    if not fixtures_path.is_file():
-        raise ConfigError(
-            f"fixtures file {fixtures_path} not found; "
-            f"run `modnet oracle --out {fixtures_path.parent}` first"
-        )
-    fixtures = _require_object(
-        read_config_document(fixtures_path), fixtures_path
-    )
-    _check_fixtures(fixtures, fixtures_path)
     if out is not None:
         make_out_dir(out)
 
-    log.info("validating against %s", fixtures_path)
     results = validation.run_all(
-        fixtures=fixtures,
         out_dir=out,
         workers=workers,
         iterations=iterations,
@@ -213,7 +158,7 @@ def cmd_validate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="modnet",
-        description="Inference over module networks: chains, oracles, checks.",
+        description="Inference over module networks: chains and checks.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -237,19 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser(
-        "oracle",
-        help="enumerate exact reference constants and write "
-        "oracle_fixtures.json (idempotent)",
-    )
-    p.add_argument("--out", help="output directory (default .)")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser(
         "validate",
-        help="run the acceptance battery against an oracle fixtures file",
+        help="run the acceptance battery against exact answers enumerated "
+        "at start-up",
     )
-    p.add_argument("--config", help="JSON with optional fixtures/iterations/"
-                   "chains/workers/out fields")
+    p.add_argument("--config", help="JSON with optional iterations/chains/"
+                   "workers/out fields")
     p.add_argument("--out", help="directory to keep the chain artifacts of "
                    "a full-budget run (default: temporary); a reduced run "
                    "writes none there")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from importlib import resources
 from typing import Sequence
 
@@ -165,7 +164,8 @@ def full_model() -> FactoredDiscreteModel:
 
 
 def compute_fixtures() -> dict:
-    """All oracle constants the test suite pins against, as one JSON document."""
+    """All oracle constants, as one JSON-ready document: the targets the
+    validation battery scores against, and what tests/fixtures pins."""
     ds = load_constants()["dataset"]
     bs = tuple(ds["responses"])
     prior_a = switch_marginal()
@@ -188,21 +188,3 @@ def compute_fixtures() -> dict:
         "log_evidence_dataset": log_ev_b,
     }
 
-
-def write_fixtures(path, doc: dict) -> None:
-    """Serialize a fixture document the one pinned way (sorted keys, indent 2,
-    trailing newline) so repeated runs are byte-identical.
-
-    The document goes to <path>.partial, which replaces path only once it is
-    complete and is deleted on any error, so a failed write leaves the old
-    file as it was. traceio writes the same way; its helper is not imported,
-    so the oracle loads none of the engine."""
-    partial = f"{path}.partial"
-    try:
-        with open(partial, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except BaseException:
-        os.remove(partial)
-        raise
-    os.replace(partial, path)

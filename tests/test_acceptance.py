@@ -65,5 +65,5 @@ def test_criterion_7_reject_purity(capsys):
     _report(validation.reject_purity(), capsys)
 
 
-def test_criterion_8_conjugate_recursion(oracle_fixtures, capsys):
-    _report(validation.conjugate_correctness(oracle_fixtures), capsys)
+def test_criterion_8_conjugate_recursion(capsys):
+    _report(validation.conjugate_correctness(), capsys)

@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -9,37 +8,13 @@ from modnet import cli
 from modnet.cli import main
 from modnet.interface import SchemaError
 
-FIXTURES = Path(__file__).parent / "fixtures" / "oracle_fixtures.json"
-
 
 def _validate_config(tmp_path, **fields):
-    doc = {"fixtures": str(FIXTURES), "iterations": 50, "chains": 1}
+    doc = {"iterations": 50, "chains": 1}
     doc.update(fields)
     path = tmp_path / "validate.json"
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-# -- oracle ---------------------------------------------------------------------
-
-def test_oracle_reproduces_the_checked_in_fixtures(tmp_path, capsys):
-    assert main(["oracle", "--out", str(tmp_path)]) == 0
-    out = tmp_path / "oracle_fixtures.json"
-    assert out.read_bytes() == FIXTURES.read_bytes()
-    assert "wrote" in capsys.readouterr().out
-    first = out.read_bytes()
-    assert main(["oracle", "--out", str(tmp_path)]) == 0
-    assert out.read_bytes() == first
-
-
-def test_oracle_takes_no_config(tmp_path, capsys):
-    cfg = tmp_path / "oracle.json"
-    cfg.write_text(json.dumps({"models": ["switch_prior"]}))
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--config", str(cfg), "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --config" in capsys.readouterr().err
-    assert not (tmp_path / "oracle_fixtures.json").exists()
 
 
 # -- infer ----------------------------------------------------------------------
@@ -171,83 +146,49 @@ def test_validate_flags_override_config(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().out
 
 
-def test_validate_uses_the_default_fixtures_path(tmp_path, capsys,
-                                                 monkeypatch):
-    monkeypatch.chdir(Path(__file__).parent.parent)
+def test_validate_runs_outside_the_repository(tmp_path, capsys, monkeypatch):
+    # the oracle targets are enumerated at start-up, not read from a path
+    # relative to the working directory
+    monkeypatch.chdir(tmp_path)
     assert main(["validate", "--iters", "50", "--chains", "1"]) == 0
-    capsys.readouterr()
-
-
-def test_tampered_fixtures_fail_validation(tmp_path, capsys):
-    doc = json.loads(FIXTURES.read_text())
-    doc["posterior_switch_one"] += 1e-3
-    tampered = tmp_path / "oracle_fixtures.json"
-    tampered.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    cfg = _validate_config(tmp_path, fixtures=str(tampered))
-    assert main(["validate", "--config", cfg]) == 1
-    text = capsys.readouterr().out
-    assert "FAIL" in text
-    assert "drift" in text
-    assert ", 1 failed," in text
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "3 passed, 0 failed, 6 skipped"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_config_errors_exit_two(tmp_path, capsys):
-    missing = _validate_config(tmp_path, fixtures=str(tmp_path / "nope.json"))
-    assert main(["validate", "--config", missing]) == 2
-    err = capsys.readouterr().err
-    assert "not found" in err and "modnet oracle" in err
-
     unknown = tmp_path / "v.json"
-    unknown.write_text(json.dumps({"fixtures": str(FIXTURES), "extra": 1}))
+    unknown.write_text(json.dumps({"iterations": 50, "extra": 1}))
     assert main(["validate", "--config", str(unknown)]) == 2
     assert "unknown validate config" in capsys.readouterr().err
+
+    # a config written for the fixtures file the battery once read is
+    # refused, not silently run against live targets
+    assert main(["validate", "--config",
+                 _validate_config(tmp_path, fixtures="x.json")]) == 2
+    assert "unknown validate config fields: fixtures" in capsys.readouterr().err
 
     assert main(["validate", "--config", _validate_config(tmp_path),
                  "--iters", "0"]) == 2
     assert "iterations" in capsys.readouterr().err
 
-    for key, bad in (("fixtures", 5), ("out", 7)):
-        assert main(["validate", "--config",
-                     _validate_config(tmp_path, **{key: bad})]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {key} must be a path string")
+    assert main(["validate", "--config", _validate_config(tmp_path, out=7)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: out must be a path string")
 
-    empty = tmp_path / "empty_fixtures.json"
-    empty.write_text("{}")
-    assert main(["validate", "--config",
-                 _validate_config(tmp_path, fixtures=str(empty))]) == 2
-    err = capsys.readouterr().err
-    for key in ("switch_marginal", "log_evidence_by_switch", "posterior_switch_one"):
-        assert key in err
-
-    # the three keys present, each with a wrong type or value
-    good = json.loads(FIXTURES.read_text())
-    for key, bad in (("switch_marginal", 1), ("switch_marginal", {"0": 0.5}),
-                     ("log_evidence_by_switch", {"0": -1.0, "1": "x"}),
-                     ("log_evidence_by_switch", [1, 2]),
-                     ("posterior_switch_one", "0.97"),
-                     ("posterior_switch_one", None),
-                     ("posterior_switch_one", float("nan"))):
-        typed = tmp_path / "typed_fixtures.json"
-        typed.write_text(json.dumps({**good, key: bad}))
-        assert main(["validate", "--config",
-                     _validate_config(tmp_path, fixtures=str(typed))]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and repr(key) in err
-    typed.write_text(json.dumps({"switch_marginal": 1, "log_evidence_by_switch": 1,
-                                 "posterior_switch_one": 1}))
-    assert main(["validate", "--config",
-                 _validate_config(tmp_path, fixtures=str(typed))]) == 2
-    assert "'switch_marginal'" in capsys.readouterr().err
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["validate", "--config", str(listed)]) == 2
+    assert "config root must be a JSON object" in capsys.readouterr().err
 
 
 # -- output directories --------------------------------------------------------------
 
 @pytest.mark.parametrize("command,out", [
-    ("oracle", "F"), ("infer", "F/x"), ("validate", "F/x"),
+    ("infer", "F/x"), ("validate", "F/x"),
 ])
 def test_unusable_out_is_a_config_error(tmp_path, capsys, command, out):
-    flags = {"oracle": [], "infer": INFER_FLAGS,
+    flags = {"infer": INFER_FLAGS,
              "validate": ["--config", _validate_config(tmp_path)]}[command]
     (tmp_path / "F").write_text("a file, not a directory\n")
     before = sorted(tmp_path.rglob("*"))
@@ -272,11 +213,12 @@ def test_package_errors_exit_three_with_one_line(tmp_path, capsys, monkeypatch):
 
 
 def test_bad_log_level_is_a_config_error(tmp_path, capsys, monkeypatch):
+    reduced = ["validate", "--iters", "50", "--chains", "1"]
     monkeypatch.setenv("MODNET_LOG", "banana")
-    assert main(["oracle", "--out", str(tmp_path)]) == 2
+    assert main(reduced) == 2
     assert "MODNET_LOG" in capsys.readouterr().err
     monkeypatch.setenv("MODNET_LOG", "debug")
-    assert main(["oracle", "--out", str(tmp_path)]) == 0
+    assert main(reduced) == 0
     capsys.readouterr()
 
 
@@ -286,8 +228,9 @@ def test_module_entry_point_help():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    for word in ("infer", "oracle", "validate"):
+    for word in ("infer", "validate"):
         assert word in proc.stdout
+    assert "oracle" not in proc.stdout
 
 
 def test_subcommand_is_required():

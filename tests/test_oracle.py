@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +301,18 @@ def test_fixture_file_matches_live_enumeration(oracle_fixtures):
     assert oo.compute_fixtures() == oracle_fixtures
 
 
+def test_fixture_file_holds_the_pinned_serialization():
+    r"""The checked-in file is the live document serialized the one pinned
+    way: sorted keys, indent 2, trailing newline. After a deliberate change
+    to the oracle, rewrite it from the repository root with
+
+    PYTHONPATH=src python -c "import json; from modnet.outlier_oracle import compute_fixtures as f; open('tests/fixtures/oracle_fixtures.json', 'w').write(json.dumps(f(), indent=2, sort_keys=True) + '\n')"
+    """
+    text = json.dumps(oo.compute_fixtures(), indent=2, sort_keys=True) + "\n"
+    pinned = Path(__file__).parent / "fixtures" / "oracle_fixtures.json"
+    assert text.encode() == pinned.read_bytes()
+
+
 def _neumaier_sum(xs, start=0):
     """sum() of floats as Python 3.12 computes it: Neumaier's compensated
     summation, the compensation added once at the end when finite."""
@@ -458,28 +471,3 @@ def test_fixture_internal_consistency(oracle_fixtures):
         cond = oracle_fixtures["log_evidence_by_switch"][a]
         prior = oracle_fixtures["switch_marginal"][a]
         assert joint == pytest.approx(cond + math.log(prior), rel=1e-13)
-
-
-def test_write_fixtures_is_idempotent(tmp_path, oracle_fixtures):
-    p = tmp_path / "fx.json"
-    oo.write_fixtures(p, oo.compute_fixtures())
-    first = p.read_bytes()
-    oo.write_fixtures(p, oo.compute_fixtures())
-    assert p.read_bytes() == first
-    assert json.loads(first) == oracle_fixtures
-
-
-def test_failed_fixture_write_keeps_the_old_file(tmp_path, monkeypatch, oracle_fixtures):
-    p = tmp_path / "oracle_fixtures.json"
-    oo.write_fixtures(p, oracle_fixtures)
-    before = p.read_bytes()
-
-    def dump_halfway(doc, fh, **kwargs):
-        fh.write('{\n  "dataset": ')
-        raise OSError("device full")
-
-    monkeypatch.setattr(oo.json, "dump", dump_halfway)
-    with pytest.raises(OSError, match="device full"):
-        oo.write_fixtures(p, {"schema": 1})
-    assert p.read_bytes() == before
-    assert sorted(tmp_path.iterdir()) == [p]

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import shlex
 from pathlib import Path
@@ -16,16 +17,22 @@ def test_public_names_are_sorted_unique_and_resolve():
 
 
 def test_readme_documents_the_command_line_and_config_fields():
-    # every documented command parses, and every config field is documented,
-    # so a removed or undocumented surface shows up here
+    # every documented command parses, every subcommand is documented, and
+    # every config field is documented, so a removed or undocumented surface
+    # shows up here
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
     block = section.split("```sh\n")[1].split("```")[0]
     parser = build_parser()
+    documented = set()
     for line in block.splitlines():
         argv = shlex.split(line.split("#")[0])
         assert argv[0] == "modnet", line
         parser.parse_args(argv[1:])
+        documented.add(argv[1])
+    subparsers, = (a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == documented
     config_text = section.split("An experiment config")[1]
     for name in ExperimentConfig.__dataclass_fields__:
         assert f"`{name}`" in config_text or f'"{name}"' in config_text, name
