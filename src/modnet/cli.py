@@ -29,6 +29,7 @@ from pathlib import Path
 from . import validation
 from .experiment import (
     ConfigError,
+    check_count,
     load_config,
     make_out_dir,
     parse_config,
@@ -51,12 +52,6 @@ def _setup_logging() -> None:
     logging.basicConfig(
         level=level, format="%(levelname)s %(name)s: %(message)s"
     )
-
-
-def _count(name: str, v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
-    return v
 
 
 # -- infer --------------------------------------------------------------------
@@ -129,10 +124,10 @@ def cmd_validate(args) -> int:
     workers = args.workers if args.workers is not None else doc.get("workers", 1)
     out = args.out if args.out is not None else doc.get("out")
     if iterations is not None:
-        iterations = _count("iterations", iterations)
+        iterations = check_count("iterations", iterations)
     if chains is not None:
-        chains = _count("chains", chains)
-    workers = _count("workers", workers)
+        chains = check_count("chains", chains)
+    workers = check_count("workers", workers)
 
     if out is not None:
         make_out_dir(out)

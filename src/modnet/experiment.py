@@ -80,6 +80,13 @@ class ExperimentConfig:
         return parse_config(d)
 
 
+def check_count(name: str, v) -> int:
+    """A count setting: an integer >= 1, not a bool."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise ConfigError(f"field {name!r}: must be an integer >= 1, got {v!r}")
+    return v
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -98,12 +105,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     seed = doc["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ConfigError("field 'seed': must be an integer in [0, 2^64)")
-
-    def count(name: str, default: int) -> int:
-        v = doc.get(name, default)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ConfigError(f"field {name!r}: must be an integer >= 1")
-        return v
 
     train_samples = doc.get("train_samples", 100_000)
     if (not isinstance(train_samples, int) or isinstance(train_samples, bool)
@@ -149,11 +150,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(
         network=network,
         seed=seed,
-        chains=count("chains", 1),
-        iterations=count("iterations", 1000),
-        particles=count("particles", 30),
+        chains=check_count("chains", doc.get("chains", 1)),
+        iterations=check_count("iterations", doc.get("iterations", 1000)),
+        particles=check_count("particles", doc.get("particles", 30)),
         train_samples=train_samples,
-        workers=count("workers", 1),
+        workers=check_count("workers", doc.get("workers", 1)),
         proposals=tuple(frozen),
         out=out,
     )
@@ -187,13 +188,16 @@ def build_configured_network(cfg: ExperimentConfig, rng) -> ModuleNetwork:
 
 def build_proposal(net: ModuleNetwork, spec: tuple) -> SiteProposal:
     """The proposal a config entry describes, checked against the initialized
-    network: the site must exist, have the port, and hold the value kind the
-    proposal acts on. The returned proposal names its resolved port."""
+    network: the site must exist, be unobserved, have the port, and hold the
+    value kind the proposal acts on. The returned proposal names its
+    resolved port."""
     p = dict(spec)
     try:
         site = net.id_of(p["site"])
     except KeyError:
         raise ConfigError(f"proposal site {p['site']!r} is not a node name")
+    if net.is_observed(site):
+        raise ConfigError(f"proposal site {p['site']!r} is observed")
     make, value_kind, settings = PROPOSAL_KINDS[p["kind"]]
     kw = {k: p.get(k, default) for k, (default, _) in settings.items()}
     proposal = make(site, port=p.get("port"), **kw)
@@ -239,9 +243,9 @@ def run_one_chain(cfg: ExperimentConfig, index: int,
     (out_dir / "summary.json").unlink(missing_ok=True)
     path = out_dir / f"trace_chain{index}.csv"
     with TraceWriter(path, net, site_ports) as writer:
-        def sink(rec):
-            writer(rec)
-            acc(rec)
+        def sink(block):
+            writer(block)
+            acc(block)
         run_chain(net, schedule, cfg.iterations, rng, sink=sink)
     return acc
 

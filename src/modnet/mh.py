@@ -7,13 +7,16 @@ regenerate draws fresh auxiliary randomness, the chain is valid as long as
 each module's exp(lw) is an unbiased estimate of its output probability; no
 module ever needs an exact density.
 
-run_chain picks the site of each update by random scan: one uniform choice
-of schedule entry per iteration. The choices are drawn a block at a time:
-at iterations 0, 1024, 2048, ... one rng.integers(len(schedule), size=1024)
-call draws the next 1,024, before that iteration's update. A block is always
-full, even when fewer iterations are left, so a chain of N iterations is
-exactly the first N iterations of a longer chain from the same state and
-generator. A one-entry schedule takes no draw at all.
+run_chain runs in blocks of _BLOCK = 1024 iterations. It picks the site of
+each update by random scan: one uniform choice of schedule entry per
+iteration, drawn a block at a time by one rng.integers(len(schedule),
+size=1024) call at iterations 0, 1024, 2048, ..., before that iteration's
+update. The draw is always full, even when fewer iterations are left, so a
+chain of N iterations is exactly the first N iterations of a longer chain
+from the same state and generator. A one-entry schedule takes no draw at
+all. At the end of each block, a last partial one included, the sink gets
+that block's ChainRecords as one list, so a sink does its work once per
+block and holds nothing between calls.
 
 RNG consumption per update, in order: the proposal's own draws, then the
 regenerating modules' draws (target node first, then children by ascending
@@ -87,8 +90,8 @@ class SiteProposal:
     port: str | None = None
 
 
-# how many schedule indices run_chain draws per rng call
-_SCAN_BLOCK = 1024
+# iterations per run_chain block: one scan draw and one sink call each
+_BLOCK = 1024
 
 # makes UpdateInfo and ChainRecord values without the generated __new__'s frame
 _new = tuple.__new__
@@ -206,32 +209,27 @@ def mh_update(net: ModuleNetwork, proposal: SiteProposal, rng) -> UpdateInfo:
     return _new(UpdateInfo, (i, new_value.data, accepted, neg_inf, log_alpha, regen))
 
 
-def _scan(rng, n: int):
-    """Schedule indices for run_chain, uniform on range(n), drawn in full
-    blocks of _SCAN_BLOCK as they are needed."""
-    while True:
-        yield from rng.integers(n, size=_SCAN_BLOCK).tolist()
-
-
 def run_chain(
     net: ModuleNetwork,
     schedule: Sequence[SiteProposal],
     iterations: int,
     rng,
-    sink: Callable[[ChainRecord], None] | None = None,
+    sink: Callable[[list[ChainRecord]], None] | None = None,
 ) -> None:
-    """Run a random-scan site-mixture chain, streaming one ChainRecord per
-    iteration.
+    """Run a random-scan site-mixture chain, handing sink the ChainRecords of
+    each block of _BLOCK iterations as one list.
 
     Each iteration picks a schedule entry uniformly. The picks are drawn
     1,024 at a time, with one rng.integers(len(schedule), size=1024) call at
     iterations 0, 1024, 2048, ..., before that iteration's update. The last
-    block is full too, so the records of a chain of N iterations are the
+    draw is full too, so the records of a chain of N iterations are the
     first N records of any longer chain run from the same network state and
     generator. A one-entry schedule takes no draw: rng.integers(1) returns
     zeros without advancing the generator, so skipping it leaves the stream
-    as it was. iterations must be an integer >= 0; anything else, a bool or
-    a float included, raises ValueError.
+    as it was. sink is called once per block, after its last update: with
+    1,024 records, or fewer for a last partial block, and not at all for
+    zero iterations. iterations must be an integer >= 0; anything else, a
+    bool or a float included, raises ValueError.
     """
     if (isinstance(iterations, bool) or not isinstance(iterations, Integral)
             or iterations < 0):
@@ -251,32 +249,37 @@ def run_chain(
     # order of its target's family, which is the order of regen_log_weights
     family_at = [tuple(position[n.id] for n in net.node(p.target).family)
                  for p in schedule]
-    # zip takes from range first, so no block is drawn past the last iteration
-    picks = _scan(rng, len(schedule)) if len(schedule) > 1 else repeat(0)
 
     # Stored weights and site values change only on an accept, so a record
     # shares their tuples with the records before it until the next one.
     row = stored = None
-    for it, k in zip(range(iterations), picks):
-        info = mh_update(net, schedule[k], rng)
-        if sink is None:
-            continue
-        accepted = info.accepted
-        if accepted or row is None:
-            row = tuple([n.outputs[p].data for n, p in sites])
-            stored = tuple([n.state[0] for n in nodes])
-        if accepted:
-            lws = stored
-        else:
-            lws = list(stored)
-            for pos, lw in zip(family_at[k], info.regen_log_weights.values()):
-                lws[pos] = lw
-            lws = tuple(lws)
-        total = 0.0
-        for lw in lws:
-            total += lw
-        sink(_new(ChainRecord, (it, info.site, info.proposed_value, accepted,
-                                info.neg_inf_proposal, row, lws, total)))
+    for start in range(0, iterations, _BLOCK):
+        picks = (rng.integers(len(schedule), size=_BLOCK).tolist()
+                 if len(schedule) > 1 else repeat(0))
+        block = []
+        for it, k in zip(range(start, min(start + _BLOCK, iterations)), picks):
+            info = mh_update(net, schedule[k], rng)
+            if sink is None:
+                continue
+            accepted = info.accepted
+            if accepted or row is None:
+                row = tuple([n.outputs[p].data for n, p in sites])
+                stored = tuple([n.state[0] for n in nodes])
+            if accepted:
+                lws = stored
+            else:
+                lws = list(stored)
+                for pos, lw in zip(family_at[k], info.regen_log_weights.values()):
+                    lws[pos] = lw
+                lws = tuple(lws)
+            total = 0.0
+            for lw in lws:
+                total += lw
+            block.append(_new(ChainRecord, (it, info.site, info.proposed_value,
+                                            accepted, info.neg_inf_proposal,
+                                            row, lws, total)))
+        if sink is not None:
+            sink(block)
 
 
 # -- proposal library -------------------------------------------------------

@@ -6,20 +6,20 @@ through repr (shortest round-trip form), vectors join entries with ';', and
 JSON is dumped with sorted keys. Files are written as <name>.partial and
 renamed only when complete, so no half-written file carries a final name.
 
-TraceWriter joins each row's cells with ',' itself and writes rows in blocks
-of _BLOCK. The bytes are those csv.writer's excel dialect would write: it
-quotes only a cell holding ',', '"', '\r' or '\n', or an empty cell alone on
-its row, and no trace cell is any of these (ints, float reprs, ';'-joined
-tuples and 0/1, at least three cells a row). Records are positional tuples
-in node order (see ChainRecord), so a row is read in column order. Within a
-block, a row's joined tail (its log-weight cells, total and accepted flag)
-is formatted once per distinct tail and then reused, keyed by those values;
-single cells are not cached. A tail holding a zero or another integral value
-skips the cache: 0.0 == -0.0 and 1 == 1.0, and equal keys would share one
-text.
+Both sinks take one block of ChainRecords per call, as run_chain hands them
+over, and hold nothing between calls. TraceWriter joins each row's cells
+with ',' itself and writes a block's rows in one write. The bytes are those
+csv.writer's excel dialect would write: it quotes only a cell holding ',',
+'"', '\r' or '\n', or an empty cell alone on its row, and no trace cell is
+any of these (ints, float reprs, ';'-joined tuples and 0/1, at least three
+cells a row). Records are positional tuples in node order (see
+ChainRecord), so a row is read in column order. Within a block, a row's
+joined tail (its log-weight cells, total and accepted flag) is formatted
+once per distinct tail and then reused, keyed by those values; single cells
+are not cached. A tail holding a zero or another integral value skips the
+cache: 0.0 == -0.0 and 1 == 1.0, and equal keys would share one text.
 
-TraceAccumulator holds records and reduces them per block. Every _BLOCK
-rows, and before merge, to_jsonable or pickling, one pass over the block's
+TraceAccumulator reduces each block as it comes: one pass over the block's
 columns counts values and acceptances, groups rows by (site, used value
 cell) with np.unique, and takes each group's count, mean and M2 per node
 from np.bincount; Chan, Golub and LeVeque's pairwise update merges them
@@ -62,9 +62,6 @@ CSV_SCHEMA_VERSION = 1
 
 _NEG_INF = -math.inf
 
-# rows a sink holds before writing or folding them in one call
-_BLOCK = 1024
-
 
 def format_cell(v) -> str:
     if isinstance(v, bool):
@@ -101,9 +98,9 @@ def _atomic_open(path, newline=None):
 
 
 class TraceWriter:
-    """Streams ChainRecords to one CSV file, as the sink for run_chain. close (or
-    a clean exit from a with block) writes the last block and moves the file to
-    path; an exception deletes it, rows still held included."""
+    """Streams blocks of ChainRecords to one CSV file, as the sink for
+    run_chain: each call writes its block's rows at once. close (or a clean
+    exit from a with block) moves the file to path; an exception deletes it."""
 
     def __init__(self, path, net: ModuleNetwork, site_ports: dict[int, str]):
         # the column order of a record's site values: node order
@@ -116,65 +113,50 @@ class TraceWriter:
         header += [f"lw_{net.name_of(i)}" for i in net.node_ids()]
         header += ["total_lw", "accepted"]
         csv.writer(self._fh).writerow(header)
-        self._rows: list[str] = []
-        # joined row tails by (log_weights, total, accepted), per block:
+
+    def __call__(self, block: list[ChainRecord]) -> None:
+        # joined row tails by (log_weights, total, accepted), for this block:
         # exact modules give a few table entries, so tails repeat
-        self._tails: dict[tuple, str] = {}
-
-    def __call__(self, rec: ChainRecord) -> None:
-        cells = [str(rec.iteration)]
-        for v in rec.site_values:
-            # type, not isinstance: str(True) is "True", a bool's cell is "1"
-            cells.append(str(v) if type(v) is int else format_cell(v))
-        key = (rec.log_weights, rec.total_log_weight, rec.accepted)
-        tail = self._tails.get(key)
-        if tail is None:
-            tail = self._tail(key)
-        cells.append(tail)
-        rows = self._rows
-        rows.append(",".join(cells))
-        if len(rows) == _BLOCK:
-            self._write_block()
-
-    def _tail(self, key) -> str:
-        """A row's log-weight, total and accepted cells, joined; kept for
-        the block unless a weight is integral (zeros and ints included)."""
-        lws, total, accepted = key
-        xs = (*lws, total)
-        # log-weights are floats by the range contract, so repr is their cell
-        tail = ",".join([*map(repr, xs), "1" if accepted else "0"])
-        # zeros (0.0 == -0.0) and integral values (1 == 1.0) skip the cache:
-        # equal keys with different reprs would share a tail
-        if all(type(x) is float and x and not x.is_integer() for x in xs):
-            self._tails[key] = tail
-        return tail
-
-    def _write_block(self) -> None:
-        rows = self._rows
-        if rows:
-            rows.append("")  # the last row's line terminator
-            self._fh.write("\r\n".join(rows))
-            rows.clear()
-            self._tails.clear()
+        tails: dict[tuple, str] = {}
+        rows = []
+        for rec in block:
+            cells = [str(rec.iteration)]
+            for v in rec.site_values:
+                # type, not isinstance: str(True) is "True", a bool's cell is "1"
+                cells.append(str(v) if type(v) is int else format_cell(v))
+            key = (rec.log_weights, rec.total_log_weight, rec.accepted)
+            tail = tails.get(key)
+            if tail is None:
+                tail = _tail(key, tails)
+            cells.append(tail)
+            rows.append(",".join(cells))
+        rows.append("")  # the last row's line terminator
+        self._fh.write("\r\n".join(rows))
 
     def close(self) -> None:
-        """Write the held rows and move the finished trace to path."""
+        """Move the finished trace to path."""
         self.__exit__(None, None, None)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        # a failed last write deletes the file like any other error
-        try:
-            if exc[0] is None:
-                self._write_block()
-        except BaseException as err:
-            exc = (type(err), err, err.__traceback__)
-            raise
-        finally:
-            self._file.__exit__(*exc)
+        self._file.__exit__(*exc)
         return False
+
+
+def _tail(key, tails: dict) -> str:
+    """A row's log-weight, total and accepted cells, joined; kept in tails
+    unless a weight is integral (zeros and ints included)."""
+    lws, total, accepted = key
+    xs = (*lws, total)
+    # log-weights are floats by the range contract, so repr is their cell
+    tail = ",".join([*map(repr, xs), "1" if accepted else "0"])
+    # zeros (0.0 == -0.0) and integral values (1 == 1.0) skip the cache:
+    # equal keys with different reprs would share a tail
+    if all(type(x) is float and x and not x.is_integer() for x in xs):
+        tails[key] = tail
+    return tail
 
 
 @dataclass(slots=True)
@@ -216,10 +198,9 @@ class TraceAccumulator:
 
     node_names lists every node in net.node_ids() order, and site_ids every
     scheduled site, kept in node_names order whatever order it is given in:
-    the positions of a record's log_weights and site_values. Calls only hold
-    the record; every count and moment takes in the held records at each
-    fold (see the module docstring), so they are current after a fold, and
-    merge, to_jsonable and pickling fold first."""
+    the positions of a record's log_weights and site_values. Each call folds
+    one block of records into the counts and moments (see the module
+    docstring), so they are current after every call."""
 
     node_names: dict[int, str]
     site_ids: tuple[int, ...]
@@ -229,9 +210,6 @@ class TraceAccumulator:
     accepts: Counter = field(default_factory=Counter)
     neg_inf_proposals: int = 0
     lw_moments: dict = field(default_factory=dict)
-    # records held since the last fold
-    _rows: list = field(default_factory=list, init=False, repr=False,
-                        compare=False)
 
     def __post_init__(self):
         unknown = set(self.site_ids) - set(self.node_names)
@@ -239,19 +217,10 @@ class TraceAccumulator:
             raise ValueError(f"site ids {sorted(unknown)} are not in node_names")
         self.site_ids = tuple(i for i in self.node_names if i in self.site_ids)
 
-    def __call__(self, rec: ChainRecord) -> None:
-        rows = self._rows
-        rows.append(rec)
-        if len(rows) == _BLOCK:
-            self._fold()
-
-    def _fold(self) -> None:
-        """Take the held records into the counts and moments in one pass
-        over their columns, then drop them."""
-        if not self._rows:
-            return
-        _, sites, proposed, accepted, neg_inf, values, lws, totals = zip(*self._rows)
-        self._rows.clear()
+    def __call__(self, block: list[ChainRecord]) -> None:
+        """Take a block of records into the counts and moments in one pass
+        over their columns."""
+        _, sites, proposed, accepted, neg_inf, values, lws, totals = zip(*block)
         self.iterations += len(sites)
         self.neg_inf_proposals += sum(neg_inf)
         self.proposals.update(sites)
@@ -278,16 +247,7 @@ class TraceAccumulator:
             for node, mom in by_node.items():
                 mine.setdefault(node, _Moments()).merge(mom)
 
-    def __getstate__(self) -> dict:
-        self._fold()
-        return {k: v for k, v in self.__dict__.items() if k != "_rows"}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _rows=[])
-
     def merge(self, other: "TraceAccumulator") -> None:
-        self._fold()
-        other._fold()
         self.iterations += other.iterations
         self.neg_inf_proposals += other.neg_inf_proposals
         self.proposals.update(other.proposals)
@@ -297,7 +257,6 @@ class TraceAccumulator:
         self._merge_moments(other.lw_moments)
 
     def to_jsonable(self) -> dict:
-        self._fold()
         name = self.node_names
         lw_variance: dict = {}
         for (s, k), by_node in sorted(self.lw_moments.items()):

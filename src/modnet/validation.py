@@ -22,6 +22,7 @@ import multiprocessing
 import struct
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -254,15 +255,11 @@ def chain3_posterior():
     rng = np.random.default_rng(PINNED["c3a"])
     net = chain3_network()
     net.initialize(rng)
-    counts: dict[tuple, int] = {}
-
-    def sink(rec):
-        # site values in node order: (x1, x2)
-        key = rec.site_values
-        counts[key] = counts.get(key, 0) + 1
-
+    # site values in node order: (x1, x2)
+    counts = Counter()
     run_chain(net, [flip_proposal(1, port="z"), flip_proposal(2, port="z")],
-              iterations, rng, sink=sink)
+              iterations, rng,
+              sink=lambda block: counts.update(r.site_values for r in block))
     tv = 0.5 * sum(abs(counts.get(k, 0) / iterations - p) for k, p in oracle.items())
     return (tv < 0.01, f"TV distance {tv:.4f} at {iterations} iterations",
             {"empirical": {str(k): c / iterations for k, c in sorted(counts.items())},
@@ -525,28 +522,8 @@ def conjugate_correctness():
     for sigmas, closed in zip(noise.tolist(), batch.tolist()):
         worst = max(worst, abs(sequential(sigmas) - closed))
 
-    # equal noise levels: the indicator-prior-weighted mixture over all 2^n
-    # configurations must collapse to the one Gaussian marginal, for both
-    # outlier rates
-    single = oo.conjugate_log_marginal(xs, bs, [s_in] * n,
-                                       reg["prior_mean"], reg["prior_var"])
-    collapse_err = 0.0
-    for rate in (float(v) for v in reg["outlier_rate"].values()):
-        terms = []
-        for mask in range(1 << n):
-            log_prior = 0.0
-            for i in range(n):
-                log_prior += math.log(rate if (mask >> i) & 1 else 1.0 - rate)
-            terms.append(log_prior + single)
-        m = max(terms)
-        mixed = m + math.log(sum(math.exp(t - m) for t in terms))
-        collapse_err = max(collapse_err, abs(mixed - single))
-
-    ok = worst <= 1e-10 and collapse_err <= 1e-10
-    return (ok,
-            f"max |sequential - batch| {worst:.2e} over {1 << n} configs; "
-            f"collapse err {collapse_err:.2e}",
-            {"collapse_err": collapse_err})
+    return (worst <= 1e-10,
+            f"max |sequential - batch| {worst:.2e} over {1 << n} configs")
 
 
 # -- driver -------------------------------------------------------------------

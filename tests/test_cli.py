@@ -96,6 +96,24 @@ def test_infer_bad_proposal_exits_two(tmp_path, capsys, network, proposal, why):
     assert not out.exists()  # refused before any chain ran
 
 
+def test_infer_proposal_at_an_observed_site_exits_two_and_leaves_the_run(
+        tmp_path, capsys):
+    # refused before the directory is touched, so the finished run already
+    # in --out keeps its summary.json
+    out = tmp_path / "runs"
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"network": "chain3", "seed": 1, "iterations": 50}))
+    assert main(["infer", "--config", str(cfg), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert "summary.json" in before
+    cfg.write_text(json.dumps({"network": "chain3", "seed": 1, "iterations": 50,
+                               "proposals": [{"site": "X3", "kind": "flip"}]}))
+    capsys.readouterr()
+    assert main(["infer", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: proposal site 'X3' is observed" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == before
+
+
 def test_infer_off_support_proposal_is_a_rejection(tmp_path, capsys):
     # X1 = 2 has no row in X2's table: every such move scores -inf and is
     # rejected, and the run completes

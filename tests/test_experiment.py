@@ -15,10 +15,10 @@ from modnet.experiment import (
     run_experiment,
     run_one_chain,
 )
+from modnet import mh
 from modnet.mh import discrete_uniform_proposal, gaussian_walk_proposal
 from modnet.oracle import posterior
 from modnet.reference_models import chain3_oracle
-from modnet.traceio import TraceAccumulator
 
 
 def _chain3_doc(**kw):
@@ -170,16 +170,16 @@ def test_interrupted_rerun_leaves_no_finished_looking_run(tmp_path, monkeypatch)
         pass
 
     calls = []
-    record = TraceAccumulator.__call__
+    update = mh.mh_update
 
-    def interrupted(self, rec):
+    def interrupted(net, proposal, rng):
         # chain 0 runs whole, chain 1 stops halfway
-        calls.append(rec.iteration)
+        calls.append(proposal.target)
         if len(calls) > cfg.iterations + cfg.iterations // 2:
             raise Interrupted
-        record(self, rec)
+        return update(net, proposal, rng)
 
-    monkeypatch.setattr(TraceAccumulator, "__call__", interrupted)
+    monkeypatch.setattr(mh, "mh_update", interrupted)
     with pytest.raises(Interrupted):
         run_experiment(cfg.replace(seed=cfg.seed + 1), out_dir=tmp_path)
     assert not (tmp_path / "summary.json").exists()

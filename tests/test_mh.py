@@ -161,7 +161,7 @@ def test_one_entry_schedule_takes_no_scan_draw():
     rng = np.random.default_rng(12)
     net.initialize(rng)
     records = []
-    run_chain(net, [flip_proposal(1)], 200, rng, sink=records.append)
+    run_chain(net, [flip_proposal(1)], 200, rng, sink=records.extend)
     chained = ([(r.site, r.proposed_value, r.accepted, r.site_values)
                 for r in records], rng.random())
 
@@ -222,7 +222,7 @@ def _chain3_sites(seed, iterations):
     got = []
     run_chain(
         net, [flip_proposal(1), flip_proposal(2)], iterations, rng,
-        sink=lambda r: got.append(r.site_values),
+        sink=lambda block: got.extend(r.site_values for r in block),
     )
     return got
 
@@ -262,7 +262,7 @@ def test_chain_is_a_prefix_of_any_longer_chain(schedule):
         rng = np.random.default_rng(21)
         net.initialize(rng)
         got = []
-        run_chain(net, schedule, iterations, rng, sink=got.append)
+        run_chain(net, schedule, iterations, rng, sink=got.extend)
         return got
 
     longest = records(4000)
@@ -284,34 +284,40 @@ def test_run_chain_takes_zero_and_numpy_iteration_counts():
     net = chain3_network()
     net.initialize(np.random.default_rng(0))
     run_chain(net, [flip_proposal(1), flip_proposal(2)], 0,
-              np.random.default_rng(1), sink=got.append)
+              np.random.default_rng(1), sink=got.extend)
     assert got == []
     run_chain(net, [flip_proposal(1), flip_proposal(2)], np.int64(3),
-              np.random.default_rng(1), sink=got.append)
+              np.random.default_rng(1), sink=got.extend)
     assert [r.iteration for r in got] == [0, 1, 2]
 
 
 # -- record semantics -------------------------------------------------------------
 
-def test_records_report_the_evaluated_configuration():
+def test_records_report_the_evaluated_configuration(monkeypatch):
     p1, t2, t3 = CHAIN3["x1_p1"], CHAIN3["x2_p1"], CHAIN3["x3_p1"]
     net = chain3_network()
     rng = np.random.default_rng(31)
     net.initialize(rng)
     cur = {1: net.outputs_of(1)["z"].data, 2: net.outputs_of(2)["z"].data}
-    records = []
+    records, checked_updates = [], []
+    update = mh.mh_update
 
-    def sink(rec):
-        # the stored slot must be what the module gives for the inputs the
-        # wiring derives now; exact modules draw nothing from rng
-        records.append(rec)
+    def checked(net, proposal, rng):
+        # after every update, the stored slot must be what the module gives
+        # for the inputs the wiring derives now; exact modules draw nothing
+        # from rng
+        info = update(net, proposal, rng)
         for j in net.node_ids():
             lw, _ = net.module_of(j).regenerate(net.node(j).inputs({}),
                                                 net.outputs_of(j), rng)
             assert lw.hex() == net.lookup_log_weight(j).hex()
+        checked_updates.append(info.site)
+        return info
 
+    monkeypatch.setattr(mh, "mh_update", checked)
     run_chain(net, [flip_proposal(1), flip_proposal(2)], 400, rng,
-              sink=sink)
+              sink=records.extend)
+    assert checked_updates == [r.site for r in records]
     for r in records:
         v = r.proposed_value
         if r.site == 1:
@@ -339,7 +345,7 @@ def test_rejected_rows_keep_the_log_weight_series_moving():
     net.initialize(rng)
     records = []
     run_chain(net, [flip_proposal(1), flip_proposal(2)], 200, rng,
-              sink=records.append)
+              sink=records.extend)
     rejected = [r for r in records if not r.accepted]
     assert rejected, "expected some rejections in 200 iterations"
     for r in rejected:
@@ -393,7 +399,7 @@ def test_chain_recovers_enumerated_posterior():
     net.initialize(rng)
     records = []
     run_chain(net, [flip_proposal(1), flip_proposal(2)], 30_000, rng,
-              sink=records.append)
+              sink=records.extend)
     burn = 500
     xs1 = [r.site_values[0] for r in records[burn:]]
     xs2 = [r.site_values[1] for r in records[burn:]]
@@ -414,7 +420,7 @@ def test_empirical_acceptance_matches_analytic_ratio():
     wins = {}
     records = []
     run_chain(net, [flip_proposal(1), flip_proposal(2)], 20_000, rng,
-              sink=records.append)
+              sink=records.extend)
     for r in records:
         if r.site == 1:
             key = (cur[1], cur[2])
@@ -439,13 +445,12 @@ def test_summary_and_stats_agree_with_records():
     records = []
     acc = TraceAccumulator({i: net.name_of(i) for i in net.node_ids()}, (1, 2))
 
-    def sink(rec):
-        records.append(rec)
-        acc(rec)
+    def sink(block):
+        records.extend(block)
+        acc(block)
 
     assert run_chain(net, [flip_proposal(1), flip_proposal(2)], 500, rng,
                      sink=sink) is None
-    # the counts are current after a fold, which to_jsonable runs first
     rates = acc.to_jsonable()["acceptance_rates"]
     assert acc.iterations == len(records) == 500
     assert sum(acc.proposals.values()) == 500
@@ -630,7 +635,7 @@ def test_chain_records_match_the_per_update_reference(spec, seed):
     net, ref = _build(made, edges, observed), _build(made, edges, observed)
     for n in (net, ref):
         n.initialize(np.random.default_rng(seed))
-    # every module counts its regenerate calls, reset after each record
+    # every module counts its regenerate calls, reset after each update
     calls = {}
     for i in net.node_ids():
         module = net.module_of(i)
@@ -641,16 +646,48 @@ def test_chain_records_match_the_per_update_reference(spec, seed):
         module.regenerate = counted
     children = {i: {k for j, k, _ in edges if j == i} for i in net.node_ids()}
     records = []
+    update = mh.mh_update
 
-    def sink(rec):
+    def counted_update(net, proposal, rng):
         # one regenerate per member of the site's family, none elsewhere
-        assert calls == dict.fromkeys({rec.site, *children[rec.site]}, 1)
+        info = update(net, proposal, rng)
+        assert calls == dict.fromkeys({info.site, *children[info.site]}, 1)
         calls.clear()
-        records.append(rec)
+        return info
 
-    run_chain(net, _schedule(sites), 200, np.random.default_rng(seed + 1), sink)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mh, "mh_update", counted_update)
+        run_chain(net, _schedule(sites), 200, np.random.default_rng(seed + 1),
+                  records.extend)
+    assert calls == {}
     want = _reference_chain(ref, edges, _schedule(sites), 200,
                             np.random.default_rng(seed + 1))
     assert records == want
     assert [n.state for n in map(net.node, net.node_ids())] == \
         [n.state for n in map(ref.node, ref.node_ids())]
+
+
+def test_chain_hands_its_sink_one_list_per_block_of_1024():
+    # a two-site chain on a fixed exact network, with some -inf proposals
+    made = [(1, [], (0, 1), {(): (0.25, 0.75)}, False),
+            (2, [1], (0, 1, 2), {(0,): (0.5, 0.25, 0.25), (1,): (0.0, 0.5, 0.5)},
+             False),
+            (3, [2], (0, 1), {(0,): (0.5, 0.5), (1,): (0.75, 0.25),
+                              (2,): (0.125, 0.875)}, False)]
+    edges = [(1, 2, "x0"), (2, 3, "x0")]
+    sites = [(1, "flip", (0, 1)), (2, "uniform", (0, 1, 2))]
+    net, ref = _build(made, edges, {3: 1}), _build(made, edges, {3: 1})
+    for n in (net, ref):
+        n.initialize(np.random.default_rng(5))
+    blocks = []
+    run_chain(net, _schedule(sites), 3000, np.random.default_rng(6), blocks.append)
+    assert [len(b) for b in blocks] == [1024, 1024, 952]
+    assert all(type(b) is list for b in blocks)
+    want = _reference_chain(ref, edges, _schedule(sites), 3000,
+                            np.random.default_rng(6))
+    assert [r for b in blocks for r in b] == want
+    assert any(r[4] for r in want) and not all(r[3] for r in want)
+
+    blocks = []
+    run_chain(net, _schedule(sites), 0, np.random.default_rng(6), blocks.append)
+    assert blocks == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modnet import traceio
+from modnet import mh
 from modnet.mh import ChainRecord, flip_proposal, run_chain
 from modnet.reference_models import chain3_network
 from modnet.traceio import (
@@ -32,8 +32,16 @@ def _chain3_records(seed, iterations=120):
     net.initialize(rng)
     records = []
     run_chain(net, [flip_proposal(1), flip_proposal(2)], iterations, rng,
-              sink=records.append)
+              sink=records.extend)
     return net, records
+
+
+def _fed(sink, records, size=mh._BLOCK):
+    """sink, fed records in blocks of size counted from the first record, as
+    run_chain hands them over."""
+    for k in range(0, len(records), size):
+        sink(records[k:k + size])
+    return sink
 
 
 # -- cell formatting --------------------------------------------------------------
@@ -64,8 +72,7 @@ def test_writer_emits_the_pinned_header_and_faithful_rows(tmp_path):
     net, records = _chain3_records(1)
     path = tmp_path / "trace.csv"
     with TraceWriter(path, net, {1: "z", 2: "z"}) as sink:
-        for rec in records:
-            sink(rec)
+        _fed(sink, records)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iteration", "z_X1", "z_X2", "lw_X1", "lw_X2", "lw_X3",
@@ -82,7 +89,8 @@ def test_writer_emits_the_pinned_header_and_faithful_rows(tmp_path):
 
 
 @pytest.mark.parametrize("listed", [{1: "z", 2: "z"}, {2: "z", 1: "z"}])
-def test_sinks_label_sites_in_node_order_whatever_the_order_given(tmp_path, listed):
+def test_sinks_label_sites_in_node_order_whatever_the_order_given(
+        tmp_path, listed, monkeypatch):
     # the schedule lists X2 before X1, and the sinks get the sites in either
     # order; every column and rate must still belong to its own site
     net = chain3_network()
@@ -90,12 +98,20 @@ def test_sinks_label_sites_in_node_order_whatever_the_order_given(tmp_path, list
     net.initialize(rng)
     acc = TraceAccumulator({i: net.name_of(i) for i in net.node_ids()}, tuple(listed))
     states = []
+    update = mh.mh_update
+
+    def update_and_read(net, proposal, rng):
+        # the network's state after every update, read off the nodes
+        info = update(net, proposal, rng)
+        states.append((net.outputs_of(1)["z"].data, net.outputs_of(2)["z"].data))
+        return info
+
+    monkeypatch.setattr(mh, "mh_update", update_and_read)
     path = tmp_path / "trace.csv"
     with TraceWriter(path, net, listed) as writer:
-        def sink(rec):
-            writer(rec)
-            acc(rec)
-            states.append((net.outputs_of(1)["z"].data, net.outputs_of(2)["z"].data))
+        def sink(block):
+            writer(block)
+            acc(block)
         run_chain(net, [flip_proposal(2), flip_proposal(1)], 2000, rng, sink=sink)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -113,8 +129,7 @@ def test_identical_runs_write_identical_bytes(tmp_path):
         net, records = _chain3_records(33)
         path = tmp_path / name
         with TraceWriter(path, net, {1: "z", 2: "z"}) as sink:
-            for rec in records:
-                sink(rec)
+            _fed(sink, records)
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
 
@@ -172,24 +187,20 @@ def test_writer_bytes_equal_csv_writer_rows(records, block):
     # rows are joined and written in blocks; the bytes are csv.writer's
     # whatever the cells and wherever the block boundaries fall
     net = chain3_network()
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(traceio, "_BLOCK", block)
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         with TraceWriter(path, net, {1: "z", 2: "z"}) as sink:
-            for rec in records:
-                sink(rec)
+            _fed(sink, records, block)
         got = path.read_bytes()
     assert got == _csv_writer_bytes(records)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_rows_around_one_block_are_all_written(tmp_path, extra):
-    n = traceio._BLOCK + extra
+    n = mh._BLOCK + extra
     net, records = _chain3_records(5, iterations=n)
     path = tmp_path / "trace.csv"
-    sink = TraceWriter(path, net, {1: "z", 2: "z"})
-    for rec in records:
-        sink(rec)
+    sink = _fed(TraceWriter(path, net, {1: "z", 2: "z"}), records)
     sink.close()
     got = path.read_bytes()
     assert got == _csv_writer_bytes(records)
@@ -198,25 +209,23 @@ def test_rows_around_one_block_are_all_written(tmp_path, extra):
 
 
 def test_an_error_mid_block_leaves_no_trace_and_no_partial(tmp_path):
-    net, records = _chain3_records(6, iterations=traceio._BLOCK + 7)
+    net, records = _chain3_records(6, iterations=mh._BLOCK + 7)
     path = tmp_path / "trace.csv"
     with pytest.raises(RuntimeError, match="mid-block"):
         with TraceWriter(path, net, {1: "z", 2: "z"}) as sink:
-            for rec in records:
-                sink(rec)
+            _fed(sink, records)
             raise RuntimeError("mid-block")
     assert list(tmp_path.iterdir()) == []
 
-    # a last block that fails to write deletes the file the same way
-    def fail(self):
+    # a block that fails to write deletes the file the same way
+    def fail(text):
         raise OSError("disk full")
 
-    sink = TraceWriter(path, net, {1: "z", 2: "z"})
-    sink(records[0])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TraceWriter, "_write_block", fail)
-        with pytest.raises(OSError, match="disk full"):
-            sink.close()
+    with pytest.raises(OSError, match="disk full"):
+        with TraceWriter(path, net, {1: "z", 2: "z"}) as sink:
+            sink(records[:mh._BLOCK])
+            sink._fh.write = fail
+            sink(records[mh._BLOCK:])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -232,8 +241,7 @@ def test_writer_keeps_equal_weights_of_different_cells_apart_in_a_block(tmp_path
                                    lws, z if it % 7 else sum(lws)))
     path = tmp_path / "trace.csv"
     with TraceWriter(path, net, {1: "z", 2: "z"}) as sink:
-        for rec in records:
-            sink(rec)
+        _fed(sink, records)
     got = path.read_bytes()
     assert got == _csv_writer_bytes(records)
     for cell in (b",-0.0,", b",0.0,", b",1,", b",1.0,"):
@@ -298,8 +306,8 @@ def test_accumulator_refuses_site_ids_outside_node_names():
 
 def test_accumulator_counts_by_hand():
     acc = TraceAccumulator({1: "A", 2: "B", 3: "C"}, (1, 2))
-    acc(_rec(0, 1, 1, True, False, (1, 0), (-0.5, -1.0, -2.0)))
-    acc(_rec(1, 1, 0, False, True, (1, 0), (-0.7, -math.inf, -2.0)))
+    acc([_rec(0, 1, 1, True, False, (1, 0), (-0.5, -1.0, -2.0)),
+         _rec(1, 1, 0, False, True, (1, 0), (-0.7, -math.inf, -2.0))])
     doc = acc.to_jsonable()
     assert doc["iterations"] == 2
     assert doc["neg_inf_proposals"] == 1
@@ -332,15 +340,9 @@ def _walk_close(a, b, path=""):
 def test_merged_chains_equal_one_long_pass():
     _, records = _chain3_records(17, iterations=200)
     names = {1: "X1", 2: "X2", 3: "X3"}
-    whole = TraceAccumulator(dict(names), (1, 2))
-    for rec in records:
-        whole(rec)
-    left = TraceAccumulator(dict(names), (1, 2))
-    right = TraceAccumulator(dict(names), (1, 2))
-    for rec in records[:90]:
-        left(rec)
-    for rec in records[90:]:
-        right(rec)
+    whole = _fed(TraceAccumulator(dict(names), (1, 2)), records)
+    left = _fed(TraceAccumulator(dict(names), (1, 2)), records[:90])
+    right = _fed(TraceAccumulator(dict(names), (1, 2)), records[90:])
     left.merge(right)
     _walk_close(left.to_jsonable(), whole.to_jsonable())
 
@@ -432,12 +434,6 @@ def _assert_matches_reference(got, want):
                     assert abs(x - var) <= 1e-12 * abs(var), (site, cell, node, x, var)
 
 
-def _fed(acc, records):
-    for rec in records:
-        acc(rec)
-    return acc
-
-
 _NAMES = {1: "A", 2: "B", 3: "C"}
 
 
@@ -468,10 +464,10 @@ def test_accumulator_matches_the_reference_loop_within_1e_12_and_exact_zeros():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_block_folds_match_the_reference_loop_within_1e_12_and_exact_zeros(
-        seed, monkeypatch):
-    # folds every 7 rows, and mid-block at each merge and pickle; the real
-    # and tuple sites visit both zeros, whose cells differ though 0.0 == -0.0
-    monkeypatch.setattr(traceio, "_BLOCK", 7)
+        seed):
+    # folds blocks of 7 rows, and a short block before each merge and
+    # pickle; the real and tuple sites visit both zeros, whose cells differ
+    # though 0.0 == -0.0
     records = _random_records(seed, 300, reals=(-0.5, 0.0, -0.0, 0.25, 2.75))
     assert any(not r.accepted for r in records)
     assert any(r.neg_inf_proposal for r in records)
@@ -480,59 +476,30 @@ def test_block_folds_match_the_reference_loop_within_1e_12_and_exact_zeros(
         assert "-0.0" in want["value_counts"][site]
         assert "0.0" in want["value_counts"][site]
     assert want["lw_variance_by_value"]["A"]["2"]["lw_A"] == 0.0
-    _assert_matches_reference(_fed(_acc(), records).to_jsonable(), want)
+    _assert_matches_reference(_fed(_acc(), records, 7).to_jsonable(), want)
 
-    # an empty merge, and a pickle round trip, taken mid-block
+    # an empty merge, and a pickle round trip, taken after a short block
     k = 7 * 20 + 3
-    acc = _fed(_acc(), records[:k])
+    acc = _fed(_acc(), records[:k], 7)
     acc.merge(_acc())
-    _assert_matches_reference(_fed(acc, records[k:]).to_jsonable(), want)
-    acc = _fed(_acc(), records[:k])
+    _assert_matches_reference(_fed(acc, records[k:], 7).to_jsonable(), want)
+    acc = _fed(_acc(), records[:k], 7)
     acc = pickle.loads(pickle.dumps(acc))
-    _assert_matches_reference(_fed(acc, records[k:]).to_jsonable(), want)
+    _assert_matches_reference(_fed(acc, records[k:], 7).to_jsonable(), want)
 
-    # two halves split mid-block merge by Chan's update, so equal to one
-    # pass to rounding, and to a merge of the folded halves exactly
-    halves = []
-    for fold_first in (False, True):
-        left = _fed(_acc(), records[:k])
-        right = _fed(_acc(), records[k:])
-        if fold_first:
-            left.to_jsonable()
-            right.to_jsonable()
-        left.merge(right)
-        halves.append(left.to_jsonable())
-    assert halves[0] == halves[1]
-    _assert_matches_reference(halves[0], want)
+    # two halves split after a short block merge by Chan's update, so equal
+    # to one pass to rounding
+    left = _fed(_acc(), records[:k], 7)
+    left.merge(_fed(_acc(), records[k:], 7))
+    _assert_matches_reference(left.to_jsonable(), want)
 
 
-def test_pickled_accumulator_holds_no_block_state():
-    records = _random_records(3, 500)
-    held = _fed(_acc(), records)
-    folded = _fed(_acc(), records)
-    folded.to_jsonable()
-    assert pickle.dumps(held) == pickle.dumps(folded)
-    assert "_rows" not in held.__getstate__()
-
-
-def test_a_real_site_holds_fewer_than_a_block_of_records_between_folds(monkeypatch):
-    monkeypatch.setattr(traceio, "_BLOCK", 16)
-    rng = np.random.default_rng(8)
-    acc = TraceAccumulator({1: "S", 2: "T"}, (1,))
-    x = 0.5
-    most = 0
-    for it in range(16 * 6 + 5):
-        proposed = x + float(rng.normal())  # a fresh value every row
-        accepted = bool(rng.random() < 0.5)
-        if accepted:
-            x = proposed
-        acc(_rec(it, 1, proposed, accepted, False, (x,), (-1.5, -2.5)))
-        assert len(acc._rows) < 16
-        most = max(most, len(acc._rows))
-    # a record per row until each 16th row folds them all away
-    assert most == 15
-    assert acc.to_jsonable()["iterations"] == 16 * 6 + 5
-    assert not acc._rows
+def test_pickled_accumulator_equals_the_original():
+    acc = _fed(_acc(), _random_records(3, 500), 64)
+    back = pickle.loads(pickle.dumps(acc))
+    assert back == acc
+    assert back.to_jsonable() == acc.to_jsonable()
+    assert not hasattr(back, "_rows")
 
 
 # -- summary documents ----------------------------------------------------------------------
@@ -542,10 +509,7 @@ def test_summary_document_shape_and_combination():
     accs = []
     for seed in (3, 4):
         _, records = _chain3_records(seed, iterations=80)
-        acc = TraceAccumulator(dict(names), (1, 2))
-        for rec in records:
-            acc(rec)
-        accs.append(acc)
+        accs.append(_fed(TraceAccumulator(dict(names), (1, 2)), records))
     doc = summary_document(accs)
     assert doc["csv_schema_version"] == CSV_SCHEMA_VERSION == 1
     assert len(doc["chains"]) == 2
