@@ -19,6 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import values
 from .interface import SchemaError, check_domain
 from .mh import (SiteProposal, check_sigma, discrete_uniform_proposal, flip_proposal,
                  gaussian_walk_proposal, resolve_port, run_chain)
@@ -80,11 +81,12 @@ class ExperimentConfig:
         return parse_config(d)
 
 
-def check_count(name: str, v) -> int:
-    """A count setting: an integer >= 1, not a bool."""
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ConfigError(f"field {name!r}: must be an integer >= 1, got {v!r}")
-    return v
+def check_count(name: str, v, least: int = 1) -> int:
+    """A count field by values.check_count, refused as a ConfigError."""
+    try:
+        return values.check_count(name, v, least)
+    except ValueError as e:
+        raise ConfigError(f"field {name!r}: {e}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -105,12 +107,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     seed = doc["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ConfigError("field 'seed': must be an integer in [0, 2^64)")
-
-    train_samples = doc.get("train_samples", 100_000)
-    if (not isinstance(train_samples, int) or isinstance(train_samples, bool)
-            or train_samples < 0):
-        raise ConfigError(
-            "field 'train_samples': must be an integer >= 0 (0 = exact tables)")
 
     proposals = doc.get("proposals")
     if proposals is None:
@@ -144,8 +140,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         frozen.append(tuple(sorted(p.items())))
 
     out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("field 'out': must be a path string")
+    if out is not None and (not isinstance(out, str) or not out):
+        raise ConfigError("field 'out': must be a non-empty path string")
 
     return ExperimentConfig(
         network=network,
@@ -153,7 +149,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         chains=check_count("chains", doc.get("chains", 1)),
         iterations=check_count("iterations", doc.get("iterations", 1000)),
         particles=check_count("particles", doc.get("particles", 30)),
-        train_samples=train_samples,
+        train_samples=check_count("train_samples", doc.get("train_samples", 100_000), 0),
         workers=check_count("workers", doc.get("workers", 1)),
         proposals=tuple(frozen),
         out=out,
@@ -214,7 +210,10 @@ def build_proposal(net: ModuleNetwork, spec: tuple) -> SiteProposal:
 
 def make_out_dir(path) -> Path:
     """path as a directory, created with its parents if missing. A path that
-    cannot be one (it or an ancestor is a file) is a configuration error."""
+    cannot be one (it is empty, or it or an ancestor is a file) is a config
+    error."""
+    if path == "":  # Path("") would be the working directory
+        raise ConfigError("output directory '': an empty path names no directory")
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)

@@ -137,15 +137,15 @@ def _walk(domain, probs, u: float):
     return next(val for val, p in zip(reversed(domain), reversed(probs)) if p > 0)
 
 
-# The exact modules test the well-formed case, `type(v) is Value and
-# v.kind == kind`, inline and call _require_kind only when it fails: that
-# raises, or returns a subclass of Value of the right kind unchanged.
-def _require_kind(value: Value, kind: str, where: str) -> Value:
+def require_kind(value: Value, kind: str, where: str) -> Value:
+    """The kind rule at every backend's ports: value if it is a Value (a
+    subclass too) of this kind, else SchemaError naming where. Per-call paths
+    test `type(v) is Value and v.kind == kind` inline and call this if not."""
+    if isinstance(value, Value) and value.kind == kind:
+        return value
     if not isinstance(value, Value):
         raise SchemaError(f"{where}: expected a Value, got {type(value).__name__}")
-    if value.kind != kind:
-        raise SchemaError(f"{where}: expected {kind} value, got {value.kind}")
-    return value
+    raise SchemaError(f"{where}: expected {kind} value, got {value.kind}")
 
 
 def bernoulli_module(theta: float, port: str = "z") -> ProbModule:
@@ -159,7 +159,7 @@ def bernoulli_module(theta: float, port: str = "z") -> ProbModule:
     def log_density(inputs, outputs):
         v = outputs[port]
         z = v.data if type(v) is Value and v.kind == DISCRETE else \
-            _require_kind(v, DISCRETE, "bernoulli").data
+            require_kind(v, DISCRETE, "bernoulli").data
         if z == 1:
             return math.log(theta)
         if z == 0:
@@ -182,7 +182,7 @@ def normal_module(mu: float, sigma: float, port: str = "z") -> ProbModule:
     def log_density(inputs, outputs):
         v = outputs[port]
         z = v.data if type(v) is Value and v.kind == REAL else \
-            _require_kind(v, REAL, "normal").data
+            require_kind(v, REAL, "normal").data
         t = (z - mu) / sigma
         return -0.5 * math.log(2.0 * math.pi) - math.log(sigma) - 0.5 * t * t
 
@@ -228,7 +228,7 @@ def table_module(
         for p in input_ports:
             v = inputs[p]
             key.append(v.data if type(v) is Value and v.kind == DISCRETE else
-                       _require_kind(v, DISCRETE, f"table input {p!r}").data)
+                       require_kind(v, DISCRETE, f"table input {p!r}").data)
         return tuple(key)
 
     def sample(inputs, rng):
@@ -241,7 +241,7 @@ def table_module(
         key = key_of(inputs)
         v = outputs[port]
         z = v.data if type(v) is Value and v.kind == DISCRETE else \
-            _require_kind(v, DISCRETE, "table output").data
+            require_kind(v, DISCRETE, "table output").data
         return log_p.get((key, z), -math.inf)
 
     return ExactModule(sample, log_density, tuple(input_ports), (port,))

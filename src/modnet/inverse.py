@@ -47,13 +47,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
-from numbers import Integral
 from typing import Mapping
 
 import numpy as np
 
-from .interface import ProbModule, SchemaError
-from .values import Value, discrete
+from .interface import ProbModule, SchemaError, require_kind
+from .values import DISCRETE, Value, check_count, discrete
 
 PROB_ROW_TOL = 1e-9
 
@@ -262,12 +261,10 @@ def train_inverse(spec: DiscreteModelSpec, n_samples: int, rng) -> InverseNetwor
     over them; where every forward entry is positive that is every value, and
     a row is (joint + 1) / (counts + d). A context the forward model rules out
     gets a uniform row over the whole domain. Time and memory grow with the
-    joint's size, not with n_samples, which must be an integer >= 1.
+    joint's size, not with n_samples, a count by values.check_count. As a
+    module the inverse checks outputs by the kind rule, interface.require_kind.
     """
-    if (isinstance(n_samples, bool) or not isinstance(n_samples, Integral)
-            or n_samples < 1):
-        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    n_samples = int(n_samples)
+    n_samples = check_count("n_samples", n_samples)
     law, possible = _joint(spec, False)
     return InverseNetwork(_factors(spec, rng.multinomial(n_samples, law), possible, 1),
                           n_samples)
@@ -353,15 +350,12 @@ class InverseModule(ProbModule):
         self.check_outputs(outputs)
         assign: dict[str, int] = {}
         for o in self.spec.outputs:
-            val = _discrete_value(outputs[o.name], o.name)
+            v = outputs[o.name]
+            val = v.data if type(v) is Value and v.kind == DISCRETE else \
+                require_kind(v, DISCRETE, f"port {o.name!r}").data
             if val not in o.domain:
                 return -math.inf, dict.fromkeys(self._latents)
             assign[o.name] = val
         assign = _draw(self._inverse_bounds, assign, rng)
         return self._log_weight(assign), {name: assign[name] for name in self._latents}
 
-
-def _discrete_value(v: Value, port: str) -> int:
-    if v.kind != "discrete":
-        raise SchemaError(f"port {port!r} expects a discrete value, got {v.kind}")
-    return v.data

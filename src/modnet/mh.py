@@ -30,7 +30,7 @@ node's wiring as a tuple of (input port, parent, parent port) and its
 regenerate family, (node, *children), which mh_update walks as it is. What
 it checks is checked on every update: the target is unobserved and
 initialized, the proposal's port exists, and every regenerate call checks
-its own input and output ports (and, in the exact modules, its value kinds).
+its own input and output ports and their value kinds (interface.require_kind).
 Each regenerated log-weight is checked against the range contract by
 mh_update as it comes back from the module. ExactModule.regenerate checks its
 own weight as well, so an exact module's weight is checked twice; every other
@@ -58,7 +58,9 @@ a reject lays its regenerated weights over a copy.
 
 The proposal constructors validate their own settings with check_domain and
 check_sigma; experiment.parse_config runs the same checks on a config's
-proposal entries, so a setting has one rule wherever it comes from.
+proposal entries, so a setting has one rule wherever it comes from, as do a
+count (values.check_count, run_chain's iterations) and a value's kind
+(interface.require_kind, which flip and gaussian_walk apply to the site).
 """
 
 from __future__ import annotations
@@ -66,13 +68,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from numbers import Integral
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import values
-from .interface import SchemaError, check_domain, check_log_weight
+from .interface import SchemaError, check_domain, check_log_weight, require_kind
 from .network import ModuleNetwork, UninitializedNodeError
-from .values import Value
+from .values import Value, check_count
 
 
 @dataclass(frozen=True)
@@ -228,12 +229,9 @@ def run_chain(
     zeros without advancing the generator, so skipping it leaves the stream
     as it was. sink is called once per block, after its last update: with
     1,024 records, or fewer for a last partial block, and not at all for
-    zero iterations. iterations must be an integer >= 0; anything else, a
-    bool or a float included, raises ValueError.
+    zero iterations. iterations is a count (values.check_count), least 0.
     """
-    if (isinstance(iterations, bool) or not isinstance(iterations, Integral)
-            or iterations < 0):
-        raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
+    iterations = check_count("iterations", iterations, least=0)
     if not schedule:
         raise ValueError("schedule is empty")
     for prop in schedule:
@@ -289,11 +287,13 @@ def flip_proposal(target: int, port: str | None = None) -> SiteProposal:
     """Deterministic 0/1 flip; symmetric, so the ratio term vanishes."""
 
     flipped = (values.discrete(1), values.discrete(0))
+    where = f"flip proposal at node {target}"
 
     def sample(current: Value, rng) -> Value:
-        if current.kind != values.DISCRETE or current.data not in (0, 1):
-            raise SchemaError("flip proposal needs a current value in {0, 1}")
-        return flipped[current.data]
+        v = require_kind(current, values.DISCRETE, where).data
+        if v not in (0, 1):
+            raise SchemaError(f"{where}: needs a current value in {{0, 1}}, got {v}")
+        return flipped[v]
 
     def log_density(candidate: Value, current: Value) -> float:
         return 0.0 if candidate.data == 1 - current.data else -math.inf
@@ -331,11 +331,11 @@ def gaussian_walk_proposal(
 ) -> SiteProposal:
     """Random walk on a real-valued output."""
     sigma = check_sigma(sigma)
+    where = f"gaussian_walk proposal at node {target}"
 
     def sample(current: Value, rng) -> Value:
-        if current.kind != values.REAL:
-            raise SchemaError("gaussian walk proposal needs a real-valued site")
-        return values.real(current.data + sigma * rng.standard_normal())
+        x = require_kind(current, values.REAL, where).data
+        return values.real(x + sigma * rng.standard_normal())
 
     def log_density(candidate: Value, current: Value) -> float:
         t = (candidate.data - current.data) / sigma

@@ -20,12 +20,12 @@ import math
 from importlib import resources
 from typing import NamedTuple
 
-from .interface import ProbModule, SchemaError
+from .interface import ProbModule, require_kind
 from .inverse import (DiscreteModelSpec, InverseModule, VariableSpec,
                       exact_inverse, train_inverse)
 from .network import EdgeSpec, ModuleNetwork, NodeSpec, build_network
 from .smc import SequentialModel, SmcModule
-from .values import real_vector
+from .values import DISCRETE, REAL_VECTOR, real_vector
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -114,9 +114,7 @@ class RegressionSequentialModel(SequentialModel):
 
     def initial_state(self, inputs):
         # a state is the line posterior; the outlier rate is read from inputs
-        a = inputs["a"]
-        if a.kind != "discrete":
-            raise SchemaError(f"port 'a' expects a discrete value, got {a.kind}")
+        require_kind(inputs["a"], DISCRETE, "port 'a'")
         return self._prior
 
     def prior_sample(self, t, states, inputs, rng):
@@ -169,10 +167,7 @@ class RegressionSequentialModel(SequentialModel):
         return {"b": real_vector(obs_list)}
 
     def unpack_outputs(self, outputs):
-        b = outputs["b"]
-        if b.kind != "real_vector":
-            raise SchemaError(f"port 'b' expects a real vector, got {b.kind}")
-        return list(b.data)
+        return list(require_kind(outputs["b"], REAL_VECTOR, "port 'b'").data)
 
 
 def reg_covariates() -> tuple[float, ...]:

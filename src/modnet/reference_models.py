@@ -9,15 +9,14 @@ enumerator. Tests drive both and compare.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
-from .interface import (ModuleIO, SchemaError, bernoulli_module, table_module)
+from .interface import ModuleIO, bernoulli_module, require_kind, table_module
 from .inverse import (DiscreteModelSpec, InverseModule, VariableSpec,
                       exact_inverse, train_inverse)
 from .network import EdgeSpec, ModuleNetwork, NodeSpec, build_network
 from .oracle import Factor, FactoredDiscreteModel
 from .smc import SequentialModel, SmcModule
-from .values import discrete, discrete_vector
+from .values import DISCRETE, DISCRETE_VECTOR, check_count, discrete, discrete_vector
 
 
 def _row(p1: float) -> tuple[float, float]:
@@ -46,8 +45,9 @@ class BinaryHmm(SequentialModel):
     trans and emit are (p(1 | prev=0), p(1 | prev=1)) pairs. With an input
     port, trans_by_input picks the transition pair from the input value; a
     value with no entry weights every step to -inf instead of raising.
-    num_steps must be an integer >= 1 (not a bool, nothing truncated) and
-    every probability must lie in [0, 1]; anything else raises ValueError.
+    num_steps is a count by values.check_count and every probability must
+    lie in [0, 1]; anything else raises ValueError. Port values follow the
+    kind rule, interface.require_kind.
     """
 
     output_ports = ("y",)
@@ -60,10 +60,7 @@ class BinaryHmm(SequentialModel):
             raise ValueError("give exactly one of trans or trans_by_input")
         if (input_port is None) != (trans_by_input is None):
             raise ValueError("trans_by_input requires an input port")
-        if (isinstance(num_steps, bool) or not isinstance(num_steps, Integral)
-                or num_steps < 1):
-            raise ValueError(f"num_steps must be an integer >= 1, got {num_steps!r}")
-        self.num_steps = int(num_steps)
+        self.num_steps = check_count("num_steps", num_steps)
         self.init_p1 = _probability("init_p1", init_p1)
         self.emit = _pair("emit", emit)
         self.trans = None if trans is None else _pair("trans", trans)
@@ -87,10 +84,7 @@ class BinaryHmm(SequentialModel):
     def initial_state(self, inputs):
         # a state is the previous hidden value; None before the first step
         if self.input_port is not None:
-            s = inputs[self.input_port]
-            if s.kind != "discrete":
-                raise SchemaError(
-                    f"port {self.input_port!r} expects a discrete value, got {s.kind}")
+            require_kind(inputs[self.input_port], DISCRETE, f"port {self.input_port!r}")
         return None
 
     def prior_sample(self, t, states, inputs, rng):
@@ -117,10 +111,7 @@ class BinaryHmm(SequentialModel):
         return {"y": discrete_vector(obs_list)}
 
     def unpack_outputs(self, outputs):
-        y = outputs["y"]
-        if y.kind != "discrete_vector":
-            raise SchemaError(f"port 'y' expects a discrete vector, got {y.kind}")
-        return list(y.data)
+        return list(require_kind(outputs["y"], DISCRETE_VECTOR, "port 'y'").data)
 
 
 def hmm_oracle_model(num_steps: int, init_p1: float,

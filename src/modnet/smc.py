@@ -35,10 +35,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Any
 
 from .interface import DegenerateTraceError, ModuleIO, ProbModule, SchemaError
+from .values import check_count
 
 
 class SequentialModel:
@@ -61,7 +61,8 @@ class SequentialModel:
     simulate, and unpack_outputs(pack_outputs(obs)) must give those
     observations back. finalize_extra samples any non-sequential latents from their
     exact conditional given the final state (return None when there are
-    none).
+    none). initial_state and unpack_outputs check their ports' values by the
+    kind rule, interface.require_kind.
     """
 
     num_steps: int
@@ -137,20 +138,6 @@ def _uniform_row(K, rng) -> list[int]:
     return [int(a) for a in rng.integers(0, K, size=K)]
 
 
-def _particle_count(num_particles) -> int:
-    """The one rule for a particle count, in smc_run and SmcModule: an
-    integer (a numpy one too), not a bool, of at least 1. Nothing is
-    truncated."""
-    # a plain int, as every sweep passes, takes a single test
-    if type(num_particles) is not int:
-        if isinstance(num_particles, bool) or not isinstance(num_particles, Integral):
-            raise ValueError(f"num_particles must be an integer, got {num_particles!r}")
-        num_particles = int(num_particles)
-    if num_particles < 1:
-        raise ValueError("need at least one particle")
-    return num_particles
-
-
 def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
             num_particles: int, rng,
             pinned: Latents | None = None) -> tuple[Latents, float]:
@@ -166,9 +153,10 @@ def smc_run(model: SequentialModel, inputs: ModuleIO, outputs: ModuleIO,
     system runs as usual. The pinned lineage survives resampling by always
     keeping itself as ancestor, and is the selected trajectory.
 
-    One particle runs as sequential importance sampling (_sis_run).
+    One particle runs as sequential importance sampling (_sis_run). Here and
+    in SmcModule num_particles is a count by the rule values.check_count.
     """
-    K = _particle_count(num_particles)
+    K = check_count("num_particles", num_particles)
     obs = model.unpack_outputs(outputs)
     T = model.num_steps
     if len(obs) != T:
@@ -260,7 +248,7 @@ class SmcModule(ProbModule):
 
     def __init__(self, model: SequentialModel, num_particles: int):
         self.model = model
-        self.num_particles = _particle_count(num_particles)
+        self.num_particles = check_count("num_particles", num_particles)
         self.input_ports = tuple(model.input_ports)
         self.output_ports = tuple(model.output_ports)
 

@@ -60,6 +60,18 @@ def _int(v) -> int:
     return int(v)
 
 
+def check_count(name: str, v, least: int = 1) -> int:
+    """The one rule for a count: v as an int by _int's rule, if >= least;
+    else ValueError "<name> must be an integer >= <least>, got <v!r>"."""
+    try:
+        n = _int(v)
+        if n >= least:
+            return n
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+
+
 def _float(v) -> float:
     """v as a float: any real number but a bool, numpy ones included."""
     if type(v) is float:

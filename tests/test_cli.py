@@ -217,6 +217,29 @@ def test_unusable_out_is_a_config_error(tmp_path, capsys, command, out):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["infer", "validate"])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch, command, given):
+    # Path("") is the working directory: an empty out used to mean
+    # ./modnet_out to infer and the working directory itself to validate
+    monkeypatch.chdir(tmp_path)
+    field = {"out": ""} if given == "config" else {}
+    if command == "infer":
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"network": "chain3", "seed": 5, **field}))
+        argv = ["infer", "--config", str(config), "--iters", "25"]
+        want = "config error: field 'out': must be a non-empty path string"
+    else:
+        argv = ["validate", "--config", _validate_config(tmp_path, **field)]
+        want = "config error: output directory '': an empty path names no directory"
+    if given == "flag":
+        argv += ["--out", ""]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == want + "\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # -- environment and plumbing ---------------------------------------------------------
 
 def test_package_errors_exit_three_with_one_line(tmp_path, capsys, monkeypatch):

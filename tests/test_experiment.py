@@ -82,6 +82,7 @@ def test_defaults_and_frozen_proposals():
       "proposals": [{"site": "X1", "kind": "flip"},
                     {"site": "X2", "kind": "gaussian_walk", "sigma": 0}]},
      r"proposals\[1\]': 'sigma' must be"),
+    ({"network": "chain3", "seed": 1, "out": ""}, "field 'out': must be a non-empty"),
 ])
 def test_bad_configs_are_named(doc, why):
     with pytest.raises(ConfigError, match=why):

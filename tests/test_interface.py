@@ -17,6 +17,8 @@ from modnet.interface import (
     table_module,
 )
 from modnet.inverse import InverseModule, exact_inverse
+from modnet.mh import flip_proposal, gaussian_walk_proposal
+from modnet.outlier_regression import build_regression_module, default_dataset
 from modnet.reference_models import BinaryHmm, switch_spec
 from modnet.smc import SmcModule
 
@@ -231,3 +233,39 @@ def test_malformed_weights_and_values_raise_the_pinned_messages():
             assert str(err.value) == msg
     assert table.regenerate({"x": _Value(values.DISCRETE, 1)}, {"z": values.discrete(1)},
                             _NoRng())[0] == math.log(0.6)
+
+
+def _regression(inputs, outputs):
+    b = values.real_vector(default_dataset()["responses"])
+    return build_regression_module(2).regenerate(
+        {"a": values.discrete(1), **inputs}, {"b": b, **outputs}, default_rng(0))
+
+
+def _hmm(inputs, outputs):
+    hmm = BinaryHmm(3, 0.5, (0.8, 0.3), trans_by_input={0: (0.9, 0.2)}, input_port="s")
+    return SmcModule(hmm, 2).regenerate({"s": values.discrete(0), **inputs},
+                                        {"y": values.discrete_vector([1, 0, 1]), **outputs},
+                                        default_rng(0))
+
+
+@pytest.mark.parametrize("call, msg", [
+    (lambda: _regression({"a": 1}, {}), "port 'a': expected a Value, got int"),
+    (lambda: build_regression_module(2).simulate({"a": 1}, default_rng(0)),
+     "port 'a': expected a Value, got int"),
+    (lambda: _regression({}, {"b": [0.5, 1.5]}), "port 'b': expected a Value, got list"),
+    (lambda: _hmm({"s": 0}, {}), "port 's': expected a Value, got int"),
+    (lambda: _hmm({}, {"y": (1, 0, 1)}), "port 'y': expected a Value, got tuple"),
+    (lambda: InverseModule(switch_spec(), exact_inverse(switch_spec())).regenerate(
+        {}, {"a": 1}, default_rng(0)), "port 'a': expected a Value, got int"),
+    (lambda: flip_proposal(1).sample(1, default_rng(0)),
+     "flip proposal at node 1: expected a Value, got int"),
+    (lambda: gaussian_walk_proposal(1, 1.0).sample(0.5, default_rng(0)),
+     "gaussian_walk proposal at node 1: expected a Value, got float"),
+], ids=["regression input", "regression simulate input", "regression output",
+        "hmm input", "hmm output", "inverse output", "flip site", "gaussian_walk site"])
+def test_a_non_value_at_a_sweep_inverse_or_proposal_port_is_a_schema_error(call, msg):
+    # the exact modules' kind rule, interface.require_kind, in every other
+    # backend too: a non-Value used to get as far as reading its .kind
+    with pytest.raises(SchemaError) as err:
+        call()
+    assert str(err.value) == msg

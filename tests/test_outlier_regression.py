@@ -195,10 +195,10 @@ def test_off_support_switch_value_weights_to_minus_inf(constants):
     lw, _ = module.regenerate({"a": discrete(5)}, {"b": b},
                               np.random.default_rng(0))
     assert lw == -math.inf
-    with pytest.raises(SchemaError, match="'a' expects a discrete"):
+    with pytest.raises(SchemaError, match="port 'a': expected discrete value, got real_vector"):
         module.regenerate({"a": real_vector([1.0])}, {"b": b},
                           np.random.default_rng(0))
-    with pytest.raises(SchemaError, match="'b' expects a real vector"):
+    with pytest.raises(SchemaError, match="port 'b': expected real_vector value, got discrete"):
         module.regenerate({"a": discrete(0)}, {"b": discrete(1)},
                           np.random.default_rng(0))
 

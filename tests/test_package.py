@@ -89,3 +89,16 @@ def test_no_unused_import_or_orphaned_private_name():
             if d.startswith("_") and not d.startswith("__") and d not in everywhere:
                 stale.append(f"{name}: private {d} is never read")
     assert not stale, stale
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a rule two modules share is shared by a public name (values.check_count,
+    # interface.require_kind), so no module reaches into another's _names
+    src = Path(__file__).parent.parent / "src" / "modnet"
+    reached = [f"{p.name}: {node.module}.{alias.name}"
+               for p in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert not reached, reached

@@ -543,7 +543,7 @@ def test_size_validation():
                 pinned=Latents((0, 0)))
     with pytest.raises(ValueError):
         SmcModule(_model(), 0)
-    with pytest.raises(ValueError, match="need at least one particle"):
+    with pytest.raises(ValueError, match="num_particles must be an integer >= 1, got -2"):
         SmcModule(_model(), -2)
     with pytest.raises(SchemaError, match="observation steps"):
         smc_run(_model(), {}, hmm_observation([1, 0, 1]), 3,
@@ -555,7 +555,7 @@ def test_size_validation():
 
 @pytest.mark.parametrize("count", [2.9, 2.0, True, False, "3", None])
 def test_particle_count_is_never_truncated(count):
-    message = f"num_particles must be an integer, got {count!r}"
+    message = f"num_particles must be an integer >= 1, got {count!r}"
     with pytest.raises(ValueError, match=message):
         SmcModule(_model(), count)
     with pytest.raises(ValueError, match=message):

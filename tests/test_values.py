@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from modnet import values
+from modnet.experiment import ConfigError, parse_config
+from modnet.inverse import train_inverse
+from modnet.mh import flip_proposal, run_chain
+from modnet.reference_models import BinaryHmm, chain3_network, hmm_observation, switch_spec
+from modnet.smc import Latents, SmcModule, smc_run
 from modnet.values import Value, discrete, discrete_vector, real, real_vector
 
 
@@ -65,3 +70,70 @@ def test_values_are_immutable_and_hashable():
         v.data = (3.0,)
     assert len({discrete(1), discrete(1), discrete(0)}) == 2
     assert discrete(1) != real(1.0)
+
+
+def _hmm(num_steps=2):
+    return BinaryHmm(num_steps, 0.6, (0.2, 0.75), trans=(0.3, 0.8))
+
+
+def _sweep(n, pinned=None):
+    return smc_run(_hmm(), {}, hmm_observation([1, 0]), n, np.random.default_rng(0),
+                   pinned=pinned)
+
+
+def _chain(n):
+    net = chain3_network()
+    net.initialize(np.random.default_rng(0))
+    got = []
+    run_chain(net, [flip_proposal(1), flip_proposal(2)], n, np.random.default_rng(1),
+              sink=got.extend)
+    return got
+
+
+def _field(name):
+    return lambda n: getattr(parse_config({"network": "chain3", "seed": 1, name: n}), name)
+
+
+# entry point -> (count name, least, call that sets the count and returns
+# what it stored or computed from it)
+COUNTS = {
+    "SmcModule": ("num_particles", 1, lambda n: SmcModule(_hmm(), n).num_particles),
+    "smc_run": ("num_particles", 1, _sweep),
+    "smc_run pinned": ("num_particles", 1, lambda n: _sweep(n, Latents((0, 0)))),
+    "train_inverse": ("n_samples", 1, lambda n: train_inverse(
+        switch_spec(), n, np.random.default_rng(0)).n_train),
+    "BinaryHmm": ("num_steps", 1, lambda n: _hmm(n).num_steps),
+    "run_chain": ("iterations", 0, _chain),
+    **{f"config {name}": (name, least, _field(name)) for name, least in (
+        ("chains", 1), ("iterations", 1), ("particles", 1), ("workers", 1),
+        ("train_samples", 0))},
+}
+_LEAST_MINUS_ONE = object()
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, 2.7, 2.9, 3.0, np.float64(3.0),
+                                 "3", None, -2, -3, _LEAST_MINUS_ONE],
+                         ids=lambda v: "least-1" if v is _LEAST_MINUS_ONE else None)
+@pytest.mark.parametrize("entry", COUNTS)
+def test_every_count_follows_one_rule(entry, bad):
+    # values.check_count everywhere: one message, no bool, no float however
+    # whole, no string, nothing truncated; a config field names itself too
+    name, least, call = COUNTS[entry]
+    if bad is _LEAST_MINUS_ONE:
+        bad = least - 1
+    want = f"{name} must be an integer >= {least}, got {bad!r}"
+    with pytest.raises((ValueError, ConfigError)) as err:
+        call(bad)
+    if entry.startswith("config"):
+        assert err.type is ConfigError and str(err.value) == f"field {name!r}: {want}"
+    else:
+        assert err.type is ValueError and str(err.value) == want
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_every_count_takes_a_numpy_integer_as_the_plain_int(entry):
+    _, _, call = COUNTS[entry]
+    got, want = call(np.int64(3)), call(3)
+    assert got == want
+    if type(want) is int:
+        assert type(got) is int
